@@ -464,8 +464,9 @@ def ensure_dataset(name: str, data_dir=None, opener=None,
 
     Sources, in order: the cached ``<data_dir>/<name>.csv`` (unless
     ``refetch``), the copy bundled in the package's ``data`` directory,
-    scikit-learn's copy, then a download through ``opener``. A cached file
-    that fails to parse is re-fetched once before erroring.
+    scikit-learn's copy, then a download through ``opener``. A copy from
+    any source is used only if it parses; otherwise the next source is
+    tried, and a download that does not parse is an error.
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(REGISTRY)}")
@@ -490,7 +491,7 @@ def ensure_dataset(name: str, data_dir=None, opener=None,
         shutil.copyfile(bundled, path)
         if usable():
             return path
-    if _sklearn_canonical(descriptor, path):
+    if _sklearn_canonical(descriptor, path) and usable():
         return path
     convert_to_canonical(descriptor, fetch_raw(descriptor, opener), path)
     if not usable():
@@ -500,9 +501,4 @@ def ensure_dataset(name: str, data_dir=None, opener=None,
 
 def load_benchmark(name: str, data_dir=None, opener=None) -> Dataset:
     """Ensure then load one registry dataset, with validation warnings."""
-    path = ensure_dataset(name, data_dir, opener)
-    try:
-        return load_csv(path, REGISTRY[name])
-    except ValueError:
-        path = ensure_dataset(name, data_dir, opener, refetch=True)
-        return load_csv(path, REGISTRY[name])
+    return load_csv(ensure_dataset(name, data_dir, opener), REGISTRY[name])

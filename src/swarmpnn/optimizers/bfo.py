@@ -5,6 +5,10 @@ elimination-dispersal events.
 One :meth:`step` performs a single chemotaxis sweep over the population;
 reproduction and dispersal fire on schedule between sweeps. The schedule
 wraps around if the budget outlasts a full dispersal cycle.
+
+``ed_s``, the published number of elimination-dispersal events, is kept as
+a parameter but has no effect: the FE budget ends every run, and dispersal
+keeps firing on schedule until it does.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ class BacterialForaging(Optimizer):
         self._health = None
         self._chem = 0
         self._repro = 0
-        self._dispersal = 0
 
     def _attach(self, pop: Population) -> None:
         if self._health is None or len(self._health) != pop.size:
@@ -110,4 +113,3 @@ class BacterialForaging(Optimizer):
             return
         self._repro = 0
         self._disperse(pop, objective, budget)
-        self._dispersal = (self._dispersal + 1) % max(self.ed_s, 1)

@@ -295,12 +295,22 @@ def class_densities(model: PnnModel, x) -> np.ndarray:
 
 def classify(model: PnnModel, x) -> int:
     """Class with the highest density at ``x``; ties go to the lowest index."""
-    return int(np.argmax(class_densities(model, x)))
+    x = np.asarray(x, dtype=np.float64)
+    return int(classify_batch(model, x.reshape(1, -1))[0])
 
 
 def classify_batch(model: PnnModel, X) -> np.ndarray:
+    """:func:`classify` for each row of ``X``, by :class:`DensityEvaluator`.
+
+    The evaluator fixes pattern scales at one; a model whose scales were
+    set by :func:`apply_modification` is classified from
+    :func:`class_densities`, which carry them.
+    """
     X = np.asarray(X, dtype=np.float64)
-    return np.array([classify(model, row) for row in X], dtype=np.int64)
+    if np.all(model.pattern_scales == 1.0):
+        return DensityEvaluator(model.patterns, X).predict(model.smoothing)
+    return np.array([np.argmax(class_densities(model, row)) for row in X],
+                    dtype=np.int64)
 
 
 def apply_modification(model: PnnModel, cfg: ModificationConfig) -> PnnModel:
@@ -326,17 +336,71 @@ def apply_modification(model: PnnModel, cfg: ModificationConfig) -> PnnModel:
     return PnnModel(ds, model.smoothing, scales)
 
 
-class DensityEvaluator:
-    """Fast repeated evaluation of one query set against one pattern set.
+# Every pair term 1/prod(1 + u^2)^2 is at most 1 and leaves the normal float
+# range only below about 2.2e-308, so a class sum of at least SAFE_SUM has
+# lost nothing that matters to underflow. A smaller sum is scored as if it
+# were SAFE_SUM, an upper bound on its true value; a row whose best score
+# then comes from such a sum is recomputed in log space.
+SAFE_SUM = 1e-250
+# Pair terms per block of rows in the log-space recompute.
+_LOG_BLOCK = 1 << 16
 
-    Training repeatedly scores candidate bandwidths against fixed data, so the
-    per-feature squared differences between queries and patterns are computed
-    once here and reused for every candidate. Pattern scales are fixed at one
-    (training always evaluates unmodified models).
+
+def _loo_pairs(bounds):
+    """Each unordered pair (u, v), u < v, of the class-sorted patterns once.
+
+    Within-class blocks come first, one per class, then the cross-class
+    blocks (a, b), a < b, in row-major order. Returns the endpoints, the
+    number of within-class pairs, the main segments (start, stop, class of
+    u) and the cross blocks (start, stop, class of v).
+    """
+    us, vs, main, cross = [], [], [], []
+    m = 0
+    for c in range(len(bounds) - 1):
+        u, v = np.triu_indices(bounds[c + 1] - bounds[c], 1)
+        us.append(u + bounds[c])
+        vs.append(v + bounds[c])
+        main.append((m, m + len(u), c))
+        m += len(u)
+    n_within = m
+    for a in range(len(bounds) - 1):
+        rows, first = np.arange(bounds[a], bounds[a + 1]), m
+        for b in range(a + 1, len(bounds) - 1):
+            cols = np.arange(bounds[b], bounds[b + 1])
+            us.append(np.repeat(rows, len(cols)))
+            vs.append(np.tile(cols, len(rows)))
+            cross.append((m, m + len(rows) * len(cols), b))
+            m += len(rows) * len(cols)
+        main.append((first, m, a))
+    main = [segment for segment in main if segment[0] < segment[1]]
+    return np.concatenate(us), np.concatenate(vs), n_within, main, cross
+
+
+def _run_starts(slots):
+    """Index of the first element of each run of equal values."""
+    return np.flatnonzero(np.diff(slots, prepend=-1))
+
+
+class DensityEvaluator:
+    """Exact repeated evaluation of one query set against one pattern set.
+
+    Training scores many candidate bandwidths against fixed data, so the
+    squared differences of every (pattern, query) pair are laid out once
+    here, one feature at a time, and reused for every candidate. Pattern
+    scales are fixed at one (training always evaluates unmodified models).
 
     With ``exclude_self=True`` the query rows must be the pattern rows in
     order, and each query's own pattern is left out of its class sum
-    (leave-one-out).
+    (leave-one-out). The layout then holds each unordered pair once. With
+    bandwidths shared across classes one kernel serves both of its rows;
+    with per-class bandwidths a row uses the bandwidths of the other
+    pattern's class, so a cross-class pair is evaluated twice.
+
+    Class sums are a ``bincount`` over (row, class) slots of the linear
+    pair terms; where a row's terms lie in runs, as on the u side of the
+    leave-one-out layout, the run sums are counted instead. Rows whose best
+    class sum is below :data:`SAFE_SUM` are recomputed in log space with a
+    per-row max shift, so no row falls back to class 0 through underflow.
     """
 
     def __init__(self, pattern_set: Dataset, queries, exclude_self=False):
@@ -349,101 +413,185 @@ class DensityEvaluator:
             raise ValueError("exclude_self requires queries == pattern rows")
         self.pattern_set = pattern_set
         self.exclude_self = exclude_self
-        self.n_queries = queries.shape[0]
+        self.n_queries = q = queries.shape[0]
 
-        order = np.argsort(pattern_set.labels, kind="stable")
-        sorted_rows = pattern_set.features[order]
-        counts = pattern_set.class_counts
-        self._starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        self._counts = counts.astype(np.float64)
-
-        n = pattern_set.n_features
-        q, p = queries.shape[0], pattern_set.n_samples
-        self._diff2 = np.empty((n, q, p))
-        for f in range(n):
-            d = queries[:, f, None] - sorted_rows[None, :, f]
-            np.square(d, out=self._diff2[f])
-        self._buf = np.empty((q, p))
-        self._acc = np.empty((q, p))
+        ds = pattern_set
+        g, n, p = ds.n_classes, ds.n_features, ds.n_samples
+        order = np.argsort(ds.labels, kind="stable")
+        classes = ds.labels[order]
+        rows = ds.features[order]
+        bounds = np.concatenate(([0], np.cumsum(ds.class_counts)))
+        self._class_cols = [slice(int(bounds[c]), int(bounds[c + 1]))
+                            for c in range(g)]
+        self._col_class = classes
+        counts = np.tile(ds.class_counts.astype(np.float64), (q, 1))
         if exclude_self:
-            self._self_cols = np.empty(q, dtype=np.intp)
-            self._self_cols[order] = np.arange(p)
-            self._qidx = np.arange(q)
+            u, v, self._n_within, self._main, self._cross = _loo_pairs(bounds)
+            m = len(u)
+            self._d2, self._buf = np.empty((n, m)), np.empty(m)
+            columns = np.ascontiguousarray(rows.T)
+            for f in range(n):
+                np.take(columns[f], u, out=self._d2[f])
+                np.take(columns[f], v, out=self._buf)
+                self._d2[f] -= self._buf
+            # class sums are indexed by query, i.e. by pattern in input order;
+            # the v side is scattered, the u side comes in runs of equal slots
+            self._slots = order[v] * g + classes[u]
+            u_slots = order[u] * g + classes[v]
+            self._runs = (_run_starts(u_slots[:self._n_within]),
+                          _run_starts(u_slots[self._n_within:]))
+            self._run_slots = np.concatenate(
+                (u_slots[:self._n_within][self._runs[0]],
+                 u_slots[self._n_within:][self._runs[1]]))
+            # pair index by sorted pattern, for both of its rows
+            self._pair_of = np.zeros((p, p), dtype=np.intp)
+            pair = np.arange(m)
+            self._pair_of[u, v] = pair
+            self._pair_of[v, u] = pair
+            self._own_col = np.empty(p, dtype=np.intp)
+            self._own_col[order] = np.arange(p)
+            counts[np.arange(q), ds.labels] -= 1.0
+            n_terms = 2 * m - self._n_within
+        else:
+            m = n_terms = p * q
+            self._main = [(int(bounds[c]) * q, int(bounds[c + 1]) * q, c)
+                          for c in range(g)]
+            self._cross = []
+            self._d2, self._buf = np.empty((n, m)), np.empty(m)
+            for f in range(n):
+                np.subtract(rows[:, f, None], queries[None, :, f],
+                            out=self._d2[f].reshape(p, q))
+            self._slots = (classes[:, None] + g * np.arange(q)).ravel()
+            # pair index by query
+            self._pair_of = np.arange(p) * q + np.arange(q)[:, None]
+            self._own_col = None
+        np.square(self._d2, out=self._d2)
+        with np.errstate(divide="ignore"):
+            # a class left empty by the exclusion scores -inf
+            self._log_counts = np.where(counts > 0, np.log(counts), np.inf)
+        # main terms in [0, m), mirror terms of cross pairs after them
+        # (the own-pattern column reads pair 0, or this spare 1 when there
+        # are no pairs, before it is masked)
+        self._acc = np.ones(max(n_terms, 1))
+        self._terms = np.empty(n_terms)
 
-    def _kernel_sums(self, bandwidths: np.ndarray, cols=slice(None)) -> np.ndarray:
-        """Sum over pattern columns of 1/((u^2+1)^2) per query, per class.
+    def _bandwidths(self, smoothing: Smoothing) -> np.ndarray:
+        """Clamped (G', N) bandwidths; G' is 1 when shared across classes."""
+        ds = self.pattern_set
+        rows = 1 if smoothing.shared_across_classes else ds.n_classes
+        cols = ds.n_features if smoothing.kind in (
+            "per_feature", "per_class_feature") else 1
+        h = np.maximum(smoothing.values, BANDWIDTH_FLOOR).reshape(rows, cols)
+        return np.broadcast_to(h, (rows, ds.n_features))
 
-        The constant (2/pi)^N and the 1/(P_j det h) prefactors are applied by
-        the callers that need true densities.
-        """
-        d2 = self._diff2[:, :, cols]
-        acc = self._acc[:, :d2.shape[2]]
-        buf = self._buf[:, :d2.shape[2]]
-        inv_h2 = 1.0 / np.square(np.maximum(bandwidths, BANDWIDTH_FLOOR))
-        for f in range(d2.shape[0]):
+    def _products(self, inv_h2, start, stop, out) -> None:
+        """``out`` = prod over features of (1 + d^2 / h^2), pairs start:stop."""
+        d2, buf = self._d2[:, start:stop], self._buf[:stop - start]
+        np.multiply(d2[0], inv_h2[0], out=out)
+        out += 1.0
+        for f in range(1, len(d2)):
             np.multiply(d2[f], inv_h2[f], out=buf)
             buf += 1.0
-            np.square(buf, out=buf)
-            if f == 0:
-                acc[:] = buf
+            out *= buf
+
+    def _log_scores(self, smoothing: Smoothing) -> np.ndarray:
+        """(Q, G) log densities, less the constant N log(2/pi)."""
+        h = self._bandwidths(smoothing)
+        inv_h2 = 1.0 / np.square(h)
+        log_det = np.log(h).sum(axis=1)
+        shared = len(h) == 1
+        m = self._d2.shape[1]
+        shift = m - self._n_within if self.exclude_self else 0
+        used = m if shared else m + shift
+        acc, terms = self._acc[:used], self._terms[:used]
+        with np.errstate(over="ignore", under="ignore"):
+            if shared:
+                self._products(inv_h2[0], 0, m, acc)
             else:
-                acc *= buf
-        np.reciprocal(acc, out=acc)
-        return acc
+                for start, stop, c in self._main:
+                    self._products(inv_h2[c], start, stop, acc[start:stop])
+                for start, stop, c in self._cross:
+                    self._products(inv_h2[c], start, stop,
+                                   acc[start + shift:stop + shift])
+            np.reciprocal(acc, out=terms)
+            np.square(terms, out=terms)
 
-    def _scores(self, smoothing: Smoothing) -> np.ndarray:
-        """(Q, G) scores equal to densities up to class-independent factors."""
-        ds = self.pattern_set
-        g, n = ds.n_classes, ds.n_features
-        labels_q = ds.labels if self.exclude_self else None
-        counts = np.broadcast_to(self._counts, (self.n_queries, g)).copy()
+        size = self.n_queries * self.pattern_set.n_classes
+        sums = np.bincount(self._slots, terms[:m], size)
+        if self.exclude_self:
+            w = self._n_within
+            cross = terms[w:m] if shared else terms[m:]
+            runs = np.concatenate((np.add.reduceat(terms[:w], self._runs[0]),
+                                   np.add.reduceat(cross, self._runs[1])))
+            sums += np.bincount(self._run_slots, runs, size)
+        sums = sums.reshape(self.n_queries, -1)
 
-        if smoothing.shared_across_classes:
-            h = smoothing.class_bandwidths(0, n)
-            kernels = self._kernel_sums(h)
-            sums = np.add.reduceat(kernels, self._starts, axis=1)
-            if self.exclude_self:
-                sums[self._qidx, labels_q] -= kernels[self._qidx, self._self_cols]
-                counts[self._qidx, labels_q] -= 1.0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                scores = sums / counts
-            return np.where(counts > 0, scores, 0.0)
+        # a sum below SAFE_SUM stands in as SAFE_SUM: if such a class still
+        # comes out on top, its row is recomputed exactly
+        scores = np.log(np.maximum(sums, SAFE_SUM)) - self._log_counts - log_det
+        best = scores.argmax(axis=1)
+        low = np.flatnonzero(sums[np.arange(self.n_queries), best] < SAFE_SUM)
+        if len(low):
+            scores[low] = (self._log_sums(low, inv_h2, shift)
+                           - self._log_counts[low] - log_det)
+        return scores
 
-        # Per-class bandwidths: determinants differ between classes, so work
-        # with log densities to keep extreme bandwidths comparable.
-        log_scores = np.empty((self.n_queries, g))
-        ends = np.append(self._starts[1:], ds.n_samples)
-        for j in range(g):
-            h = smoothing.class_bandwidths(j, n)
-            cols = slice(int(self._starts[j]), int(ends[j]))
-            kernels = self._kernel_sums(h, cols)
-            sums = kernels.sum(axis=1)
-            if self.exclude_self:
-                own = labels_q == j
-                rel = self._self_cols[own] - self._starts[j]
-                sums[own] -= kernels[own, rel]
-                counts[own, j] -= 1.0
-            log_det = np.log(np.maximum(h, BANDWIDTH_FLOOR)).sum()
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_scores[:, j] = (np.log(sums) - np.log(counts[:, j])
-                                    - log_det)
-            log_scores[counts[:, j] <= 0, j] = -np.inf
-        return log_scores
+    def _log_sums(self, queries, inv_h2, shift) -> np.ndarray:
+        """Log class sums of the pair terms of ``queries``, from the products
+        of the last :meth:`_products` pass, with a per-row max shift."""
+        p = self.pattern_set.n_samples
+        cols = np.arange(p)
+        mirrored = self.exclude_self and len(inv_h2) > 1
+        out = np.empty((len(queries), len(self._class_cols)))
+        step = max(1, _LOG_BLOCK // p)
+        for first in range(0, len(queries), step):
+            rows = queries[first:first + step]
+            pairs = self._pair_of[rows if self._own_col is None
+                                  else self._own_col[rows]]
+            index = pairs
+            if mirrored:
+                # row u of a cross pair (u < v) uses the v-class term
+                mirror = ((cols > self._own_col[rows, None])
+                          & (pairs >= self._n_within))
+                index = np.where(mirror, pairs + shift, pairs)
+            acc = self._acc[index]
+            log_acc = np.log(acc)
+            over = np.isinf(acc)
+            if self._own_col is not None:
+                own = (np.arange(len(rows)), self._own_col[rows])
+                log_acc[own] = np.inf
+                over[own] = False
+            if over.any():
+                log_acc[over] = self._log_products(pairs[over],
+                                                   np.nonzero(over)[1], inv_h2)
+            log_terms = -2.0 * log_acc
+            for c, group in enumerate(self._class_cols):
+                block = log_terms[:, group]
+                peak = block.max(axis=1, keepdims=True)
+                peak[~np.isfinite(peak)] = 0.0  # only the query's own pattern
+                with np.errstate(under="ignore", divide="ignore"):
+                    total = np.exp(block - peak).sum(axis=1)
+                    out[first:first + len(rows), c] = peak[:, 0] + np.log(total)
+        return out
+
+    def _log_products(self, pairs, cols, inv_h2) -> np.ndarray:
+        """Sum over features of log1p(d^2 / h^2) for the given pairs, each
+        with the bandwidths of the class of its pattern column."""
+        scale = inv_h2[self._col_class[cols]] if len(inv_h2) > 1 else inv_h2
+        total = np.zeros(len(pairs))
+        for f in range(self._d2.shape[0]):
+            total += np.log1p(self._d2[f, pairs] * scale[:, f])
+        return total
 
     def class_densities(self, smoothing: Smoothing) -> np.ndarray:
         """True (Q, G) density values for every query and class."""
-        ds = self.pattern_set
-        g, n = ds.n_classes, ds.n_features
-        scores = self._scores(smoothing)
-        norm = TWO_OVER_PI ** n
-        if smoothing.shared_across_classes:
-            det = np.prod(smoothing.class_bandwidths(0, n))
-            return scores * (norm / det)
-        return np.exp(scores) * norm
+        n = self.pattern_set.n_features
+        with np.errstate(over="ignore", under="ignore"):
+            return np.exp(self._log_scores(smoothing) + n * np.log(TWO_OVER_PI))
 
     def predict(self, smoothing: Smoothing) -> np.ndarray:
         """Argmax class per query; ties resolve to the lowest index."""
-        return np.argmax(self._scores(smoothing), axis=1)
+        return np.argmax(self._log_scores(smoothing), axis=1)
 
     def error_rate(self, smoothing: Smoothing, labels) -> float:
         """Fraction of queries whose argmax class differs from ``labels``."""

@@ -60,6 +60,37 @@ def classify(features, labels, scales, bandwidth_rows, x, n_classes):
     return best
 
 
+def log_class_density(features, labels, bandwidth_rows, x, target,
+                      exclude=None):
+    """Log density of class ``target`` at ``x`` (unit pattern scales).
+
+    Each pattern's log kernel is a sum of ``log1p`` terms, and the class sum
+    is taken with a max shift, so nothing underflows. The pattern at index
+    ``exclude`` is left out; a class left empty scores ``-inf``.
+    """
+    h = bandwidth_rows[target]
+    n_features = len(x)
+    logs = []
+    for p, (row, label) in enumerate(zip(features, labels)):
+        if label != target or p == exclude:
+            continue
+        logs.append(sum(-2.0 * math.log1p(((x[i] - row[i]) / h[i]) ** 2)
+                        for i in range(n_features)))
+    if not logs:
+        return -math.inf
+    peak = max(logs)
+    total = sum(math.exp(v - peak) for v in logs)
+    return (peak + math.log(total) - math.log(len(logs))
+            - sum(math.log(v) for v in h)
+            + n_features * math.log(2.0 / math.pi))
+
+
+def log_class_densities(features, labels, bandwidth_rows, x, n_classes,
+                        exclude=None):
+    return [log_class_density(features, labels, bandwidth_rows, x, j, exclude)
+            for j in range(n_classes)]
+
+
 def modification_scales(features, labels, bandwidth_rows, intensity, floor):
     """Per-pattern scale factors from own-class densities (unit scales)."""
     unit = [1.0] * len(features)

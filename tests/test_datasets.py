@@ -6,6 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from swarmpnn import datasets
 from swarmpnn.datasets import (
     BUNDLED_DIR,
     REGISTRY,
@@ -321,6 +322,25 @@ class TestFetch:
         with open(os.path.join(BUNDLED_DIR, "iris.csv"), "rb") as fh:
             assert (tmp_path / "iris.csv").read_bytes() == fh.read()
         assert load_csv(path).n_samples == 150
+
+    def test_unparseable_sklearn_copy_falls_through_to_download(
+            self, tmp_path, monkeypatch):
+        def bad_copy(descriptor, out_path):
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write("not,a\nvalid")
+            return True
+
+        calls = []
+
+        def opener(url):
+            calls.append(url)
+            return uci_zip("data_banknote_authentication.txt",
+                           b"3.6,8.6,-2.8,-0.44,0\n-3.5,9.5,2.1,0.9,1\n")
+
+        monkeypatch.setattr(datasets, "_sklearn_canonical", bad_copy)
+        path = ensure_dataset("banknote", str(tmp_path), opener)
+        assert len(calls) == 1
+        assert load_csv(path).n_samples == 2
 
     def test_corrupt_cache_then_bad_download_errors(self, tmp_path):
         (tmp_path / "banknote.csv").write_text("still,not\nvalid")

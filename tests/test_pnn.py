@@ -329,8 +329,14 @@ class TestDensityEvaluator:
             sm = random_smoothing(rng, ds)
             queries = rng.normal(0, 2, size=(8, ds.n_features))
             ev = DensityEvaluator(ds, queries)
-            model = PnnModel(ds, sm)
-            np.testing.assert_array_equal(ev.predict(sm), classify_batch(model, queries))
+            rows = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+            want = [oracles.classify(ds.features.tolist(), ds.labels.tolist(),
+                                     [1.0] * ds.n_samples, rows, x.tolist(),
+                                     ds.n_classes)
+                    for x in queries]
+            np.testing.assert_array_equal(ev.predict(sm), want)
+            np.testing.assert_array_equal(
+                classify_batch(PnnModel(ds, sm), queries), want)
 
     def test_leave_one_out_matches_reduced_pattern_sets(self):
         rng = np.random.default_rng(41)
@@ -357,6 +363,86 @@ class TestDensityEvaluator:
         ds = Dataset([[0.0], [1.0]], [0, 1])
         with pytest.raises(ValueError):
             DensityEvaluator(ds, np.array([[0.5]]), exclude_self=True)
+
+
+def wide_instance(rng, p=30, n=30, g=2):
+    """Raw-scale data: feature scales log-uniform from 1e-2 to 1e3."""
+    labels = np.concatenate([np.arange(g), rng.integers(0, g, size=p - g)])
+    rng.shuffle(labels)
+    scales = np.exp(rng.uniform(np.log(1e-2), np.log(1e3), n))
+    centers = rng.normal(0, 1, size=(g, n))
+    features = (centers[labels] + rng.normal(0, 1, size=(p, n))) * scales
+    return Dataset(features, labels, n_classes=g)
+
+
+def log_uniform_smoothing(rng, kind, ds, low, high):
+    g, n = ds.n_classes, ds.n_features
+    size = Smoothing.vector_length(kind, g, n)
+    vector = np.exp(rng.uniform(np.log(low), np.log(high), size))
+    return Smoothing.from_vector(kind, vector, g, n)
+
+
+def assert_oracle_argmax(predicted, ds, sm, queries, leave_one_out):
+    """Each prediction is the oracle's argmax; classes within 1e-9 of the
+    best log density count as ties that may go either way."""
+    features, labels = ds.features.tolist(), ds.labels.tolist()
+    rows = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+    for q, (x, got) in enumerate(zip(queries, predicted)):
+        scores = oracles.log_class_densities(
+            features, labels, rows, x.tolist(), ds.n_classes,
+            exclude=q if leave_one_out else None)
+        assert scores[got] >= max(scores) - 1e-9, (q, got, scores)
+
+
+class TestExactness:
+    """The engine against the log-space oracle where linear densities
+    underflow: raw feature scales, 30 features, tiny bandwidths."""
+
+    @pytest.mark.parametrize("kind", Smoothing.KINDS)
+    def test_leave_one_out_on_wide_scale_instances(self, kind):
+        rng = np.random.default_rng([43, Smoothing.KINDS.index(kind)])
+        for g in (2, 3):
+            ds = wide_instance(rng, g=g)
+            ev = DensityEvaluator(ds, ds.features, exclude_self=True)
+            for low, high in ((1e-6, 1e3), (1e-2, 1e2), (1e-6, 1e-3)):
+                sm = log_uniform_smoothing(rng, kind, ds, low, high)
+                predicted = ev.predict(sm)
+                assert_oracle_argmax(predicted, ds, sm, ds.features, True)
+                assert ev.error_rate(sm, ds.labels) == pytest.approx(
+                    np.mean(predicted != ds.labels))
+
+    @pytest.mark.parametrize("kind", Smoothing.KINDS)
+    def test_queries_on_wide_scale_instances(self, kind):
+        rng = np.random.default_rng([47, Smoothing.KINDS.index(kind)])
+        ds = wide_instance(rng, g=3)
+        queries = wide_instance(rng, p=8, g=3).features
+        ev = DensityEvaluator(ds, queries)
+        for low, high in ((1e-6, 1e3), (1e-6, 1e-3)):
+            sm = log_uniform_smoothing(rng, kind, ds, low, high)
+            predicted = ev.predict(sm)
+            assert_oracle_argmax(predicted, ds, sm, queries, False)
+            np.testing.assert_array_equal(
+                classify_batch(PnnModel(ds, sm), queries), predicted)
+
+    @pytest.mark.parametrize("kind", Smoothing.KINDS)
+    def test_leave_one_out_at_tiny_bandwidths(self, kind):
+        rng = np.random.default_rng([53, Smoothing.KINDS.index(kind)])
+        for _ in range(6):
+            ds = random_instance(rng)
+            ev = DensityEvaluator(ds, ds.features, exclude_self=True)
+            sm = log_uniform_smoothing(rng, kind, ds, 1e-6, 1e-4)
+            assert_oracle_argmax(ev.predict(sm), ds, sm, ds.features, True)
+
+    def test_underflow_does_not_fall_back_to_class_zero(self):
+        # every product kernel underflows at h = 1e-6 over 30 features, but
+        # the query is twice as close to the class-1 pattern in each one
+        ds = Dataset([[0.0] * 30, [3.0] * 30, [2.9] * 30], [0, 1, 1])
+        sm = Smoothing.scalar(1e-6)
+        query = np.full(30, 2.0)
+        assert classify(PnnModel(ds, sm), query) == 1
+        assert DensityEvaluator(ds, query[None, :]).predict(sm).tolist() == [1]
+        loo = DensityEvaluator(ds, ds.features, exclude_self=True)
+        assert loo.predict(sm).tolist() == [1, 1, 1]
 
 
 @settings(max_examples=40, deadline=None)
