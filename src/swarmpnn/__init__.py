@@ -21,7 +21,7 @@ from .hybrid import (
     train_single,
 )
 from .metrics import MethodSummary, RunMetrics, aggregate_runs, compute_metrics, rank
-from .optimizers import FeBudget, Individual, Population, make_optimizer, reflect
+from .optimizers import FeBudget, Population, make_optimizer, reflect
 from .pnn import (
     Dataset,
     DensityEvaluator,

@@ -115,27 +115,18 @@ class ProbeOutcome:
     evals: dict
     winner: str
     winner_population: Population
-    winner_optimizer: object
+    optimizers: dict  # every probe optimizer, in run order
     tied: list
     converged: bool
 
 
-class _TrackedObjective:
-    """Wraps the raw objective to maintain the global best-seen archive."""
-
-    def __init__(self, objective):
-        self.objective = objective
-        self.calls = 0
-        self.best_fitness = np.inf
-        self.best_position = None
-
-    def __call__(self, position):
-        self.calls += 1
-        value = float(self.objective(position))
-        if value < self.best_fitness:
-            self.best_fitness = value
-            self.best_position = np.array(position, dtype=np.float64)
-        return value
+def _fold_best(best, optimizers):
+    """``best`` (fitness, position) after absorbing each optimizer's archive
+    in run order; strict ``<`` keeps the first seen of equal values."""
+    for opt in optimizers:
+        if opt.best_fitness < best[0]:
+            best = (opt.best_fitness, opt.best_position)
+    return best
 
 
 def _notify(observer, event, **data):
@@ -180,8 +171,8 @@ def probe_phase(positions, cfg: HybridConfig, objective, eval_cost: int,
         tie_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _TAG_TIE, iteration]))
         winner = tied[int(tie_rng.integers(len(tied)))]
-    return ProbeOutcome(scores, evals, winner, pops[winner], opts[winner],
-                        tied, converged)
+    return ProbeOutcome(scores, evals, winner, pops[winner], opts, tied,
+                        converged)
 
 
 def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
@@ -190,25 +181,27 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
 
     ``eval_cost`` is charged per objective call (the number of samples one
     call evaluates). ``converged(position, fitness) -> bool`` is consulted
-    after each fit phase for an external stop condition.
+    after each fit phase for an external stop condition. The run's best is
+    the first-seen minimum over all phases, and ``evaluations`` the sum of
+    their budgets' use.
     """
-    tracked = _TrackedObjective(objective)
     init_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, _TAG_INIT]))
     positions = init_rng.uniform(cfg.init_range[0], cfg.init_range[1],
                                  size=(cfg.population_size, dim))
+    best = (np.inf, None)
     trace = []
     stop_reason = "iterations"
     for iteration in range(cfg.iterations):
-        probe = probe_phase(positions, cfg, tracked, eval_cost, iteration,
+        probe = probe_phase(positions, cfg, objective, eval_cost, iteration,
                             observer=observer)
+        best = _fold_best(best, probe.optimizers.values())
         _notify(observer, "select", iteration=iteration, method=probe.winner,
                 tied=probe.tied, converged=probe.converged)
         if probe.converged:
             trace.append(IterationRecord(
                 iteration, probe.scores, probe.evals, probe.winner,
-                len(probe.tied) > 1, probe.scores[probe.winner], 0,
-                tracked.best_fitness))
+                len(probe.tied) > 1, probe.scores[probe.winner], 0, best[0]))
             stop_reason = "train_threshold"
             break
 
@@ -216,26 +209,26 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
         _notify(observer, "fit_start", iteration=iteration,
                 method=probe.winner, fingerprint=fit_pop.fingerprint())
         fit_budget = FeBudget(cfg.fit_cap(eval_cost), eval_cost)
-        opt = probe.winner_optimizer
-        opt.run(fit_pop, tracked, fit_budget, target=cfg.fitness_threshold)
+        opt = probe.optimizers[probe.winner]
+        opt.run(fit_pop, objective, fit_budget, target=cfg.fitness_threshold)
+        best = _fold_best(best, [opt])
         _notify(observer, "fit_end", iteration=iteration, method=probe.winner,
                 fitness=opt.best_fitness, evals=fit_budget.used)
         trace.append(IterationRecord(
             iteration, probe.scores, probe.evals, probe.winner,
-            len(probe.tied) > 1, opt.best_fitness, fit_budget.used,
-            tracked.best_fitness))
+            len(probe.tied) > 1, opt.best_fitness, fit_budget.used, best[0]))
         positions = fit_pop.positions.copy()
 
-        if tracked.best_fitness <= cfg.fitness_threshold:
+        if best[0] <= cfg.fitness_threshold:
             stop_reason = "train_threshold"
             break
-        if converged is not None and converged(tracked.best_position,
-                                               tracked.best_fitness):
+        if converged is not None and converged(best[1], best[0]):
             stop_reason = "eval_threshold"
             break
 
-    return HybridResult(tracked.best_position.copy(), tracked.best_fitness,
-                        trace, tracked.calls * eval_cost, stop_reason)
+    evaluations = sum(sum(r.probe_evals.values()) + r.fit_evals for r in trace)
+    return HybridResult(best[1].copy(), best[0], trace, evaluations,
+                        stop_reason)
 
 
 @dataclass
@@ -321,13 +314,13 @@ def train_single(train: Dataset, test: Dataset, method: str,
                                 METHOD_NAMES.index(method)]),
         params=cfg.params_for(method))
     budget = FeBudget(cfg.total_cap(train.n_samples), train.n_samples)
-    tracked = _TrackedObjective(loo_objective(train, kind))
-    opt.run(pop, tracked, budget, target=cfg.fitness_threshold)
-    smoothing = _clamped_smoothing(kind, tracked.best_position,
+    opt.run(pop, loo_objective(train, kind), budget,
+            target=cfg.fitness_threshold)
+    smoothing = _clamped_smoothing(kind, opt.best_position,
                                    train.n_classes, train.n_features)
     test_eval = DensityEvaluator(train, test.features)
     stop = ("train_threshold"
-            if tracked.best_fitness <= cfg.fitness_threshold else "iterations")
-    return TrainResult(smoothing, tracked.best_fitness,
+            if opt.best_fitness <= cfg.fitness_threshold else "iterations")
+    return TrainResult(smoothing, opt.best_fitness,
                        test_eval.error_rate(smoothing, test.labels),
-                       [], tracked.calls * train.n_samples, stop)
+                       [], budget.used, stop)

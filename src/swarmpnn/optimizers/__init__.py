@@ -4,7 +4,7 @@ Defaults follow the published parameterizations used for the benchmark runs;
 override any of them through ``params``.
 """
 
-from .base import FeBudget, Individual, Optimizer, Population, reflect
+from .base import FeBudget, Optimizer, Population, reflect
 from .bat import BatSearch
 from .bfo import BacterialForaging
 from .fpa import FlowerPollination
@@ -38,7 +38,7 @@ def make_optimizer(method: str, dim: int, bounds, seed, params=None) -> Optimize
 
 
 __all__ = [
-    "FeBudget", "Individual", "Optimizer", "Population", "reflect",
+    "FeBudget", "Optimizer", "Population", "reflect",
     "OPTIMIZERS", "METHOD_NAMES", "make_optimizer",
     "ParticleSwarm", "BatSearch", "BacterialForaging", "SimulatedAnnealing",
     "FlowerPollination",

@@ -9,8 +9,6 @@ the cap by at most one population batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -28,14 +26,6 @@ def reflect(position, lower: float, upper: float) -> np.ndarray:
     folded = np.mod(position - lower, period)
     folded = np.where(folded > width, period - folded, folded)
     return lower + folded
-
-
-@dataclass
-class Individual:
-    """One candidate position with its cached objective value."""
-
-    position: np.ndarray
-    fitness: float
 
 
 class FeBudget:
@@ -80,10 +70,6 @@ class Population:
         if self.fitness.shape != (len(self.positions),):
             raise ValueError("fitness length must match positions")
 
-    @classmethod
-    def random_uniform(cls, size: int, dim: int, low: float, high: float, rng) -> "Population":
-        return cls(rng.uniform(low, high, size=(size, dim)))
-
     @property
     def size(self) -> int:
         return len(self.positions)
@@ -91,10 +77,6 @@ class Population:
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
-
-    @property
-    def evaluated(self) -> bool:
-        return not np.any(np.isnan(self.fitness))
 
     @property
     def best_index(self) -> int:
@@ -109,10 +91,6 @@ class Population:
     @property
     def best_position(self) -> np.ndarray:
         return self.positions[self.best_index].copy()
-
-    def best_individual(self) -> Individual:
-        i = self.best_index
-        return Individual(self.positions[i].copy(), float(self.fitness[i]))
 
     def copy(self) -> "Population":
         return Population(self.positions.copy(), self.fitness.copy())

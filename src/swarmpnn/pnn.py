@@ -251,17 +251,9 @@ def kde(x, patterns, h: float) -> float:
     for an empty pattern set or a nonpositive bandwidth.
     """
     patterns = np.asarray(patterns, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if patterns.ndim != 2 or patterns.shape[0] == 0:
-        raise ValueError("pattern set must be a nonempty (P, N) matrix")
-    if x.shape != (patterns.shape[1],):
-        raise ValueError("query dimension does not match the pattern set")
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    p, n = patterns.shape
-    u = (x[None, :] - patterns) / h
-    kernels = np.prod(cauchy_kernel(u), axis=1)
-    return float(kernels.sum() / (p * h ** n))
+    ds = Dataset(patterns, np.zeros(len(patterns), dtype=np.int64))
+    evaluator = DensityEvaluator(ds, np.reshape(x, (1, -1)))
+    return float(evaluator.class_densities(Smoothing.scalar(h))[0, 0])
 
 
 def class_density(model: PnnModel, x, j: int) -> float:
@@ -270,67 +262,46 @@ def class_density(model: PnnModel, x, j: int) -> float:
     Each stored pattern of the class contributes a product kernel scaled by
     its diagonal bandwidths and its pattern scale s_p.
     """
-    ds = model.patterns
-    if not 0 <= j < ds.n_classes:
+    if not 0 <= j < model.patterns.n_classes:
         raise ValueError(f"class index {j} out of range")
-    mask = ds.labels == j
-    rows = ds.features[mask]
-    if rows.shape[0] == 0:
-        raise ValueError(f"class {j} has no patterns")
-    scales = model.pattern_scales[mask]
-    h = model.smoothing.class_bandwidths(j, ds.n_features)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (ds.n_features,):
-        raise ValueError("query dimension does not match the pattern set")
-    u = (x[None, :] - rows) / (h[None, :] * scales[:, None])
-    kernels = np.prod(cauchy_kernel(u), axis=1)
-    terms = kernels / scales ** ds.n_features
-    return float(terms.sum() / (rows.shape[0] * np.prod(h)))
+    return float(class_densities(model, x)[j])
 
 
 def class_densities(model: PnnModel, x) -> np.ndarray:
-    return np.array([class_density(model, x, j)
-                     for j in range(model.patterns.n_classes)])
+    evaluator = DensityEvaluator(model.patterns, np.reshape(x, (1, -1)),
+                                 pattern_scales=model.pattern_scales)
+    return evaluator.class_densities(model.smoothing)[0]
 
 
 def classify(model: PnnModel, x) -> int:
     """Class with the highest density at ``x``; ties go to the lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    return int(classify_batch(model, x.reshape(1, -1))[0])
+    return int(classify_batch(model, np.reshape(x, (1, -1)))[0])
 
 
 def classify_batch(model: PnnModel, X) -> np.ndarray:
-    """:func:`classify` for each row of ``X``, by :class:`DensityEvaluator`.
-
-    The evaluator fixes pattern scales at one; a model whose scales were
-    set by :func:`apply_modification` is classified from
-    :func:`class_densities`, which carry them.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if np.all(model.pattern_scales == 1.0):
-        return DensityEvaluator(model.patterns, X).predict(model.smoothing)
-    return np.array([np.argmax(class_densities(model, row)) for row in X],
-                    dtype=np.int64)
+    """:func:`classify` for each row of ``X``."""
+    evaluator = DensityEvaluator(model.patterns, X,
+                                 pattern_scales=model.pattern_scales)
+    return evaluator.predict(model.smoothing)
 
 
 def apply_modification(model: PnnModel, cfg: ModificationConfig) -> PnnModel:
     """Return a copy of ``model`` with density-adaptive pattern scales.
 
-    Each pattern's own-class density (at unit scales) is compared with the
-    geometric mean over all patterns; dense regions get scales below one,
-    sparse regions above. Densities are clamped to ``cfg.density_floor``
-    before the logarithm and the geometric mean is computed as the mean of
-    logarithms. With intensity 0 all scales are exactly one.
+    Each pattern's own-class density (at unit scales, its own pattern
+    included) is compared with the geometric mean over all patterns; dense
+    regions get scales below one, sparse regions above. Densities are
+    clamped to ``cfg.density_floor`` before the logarithm and the geometric
+    mean is computed as the mean of logarithms. With intensity 0 all scales
+    are exactly one.
     """
     if not np.all(model.pattern_scales == 1.0):
         raise ValueError("modification must start from unit pattern scales")
     ds = model.patterns
     if cfg.intensity == 0.0:
         return PnnModel(ds, model.smoothing, np.ones(ds.n_samples))
-    densities = np.array([
-        class_density(model, ds.features[p], int(ds.labels[p]))
-        for p in range(ds.n_samples)
-    ])
+    densities = DensityEvaluator(ds, ds.features).class_densities(
+        model.smoothing)[np.arange(ds.n_samples), ds.labels]
     logs = np.log(np.maximum(densities, cfg.density_floor))
     scales = np.exp(-cfg.intensity * (logs - logs.mean()))
     return PnnModel(ds, model.smoothing, scales)
@@ -339,10 +310,11 @@ def apply_modification(model: PnnModel, cfg: ModificationConfig) -> PnnModel:
 # Every pair term 1/prod(1 + u^2)^2 is at most 1 and leaves the normal float
 # range only below about 2.2e-308, so a class sum of at least SAFE_SUM has
 # lost nothing that matters to underflow. A smaller sum is scored as if it
-# were SAFE_SUM, an upper bound on its true value; a row whose best score
-# then comes from such a sum is recomputed in log space.
+# were SAFE_SUM, an upper bound on its true value, and its row is recomputed
+# exactly from the data: for a prediction when the row's best score comes
+# from such a sum, for density values whenever the row has one.
 SAFE_SUM = 1e-250
-# Pair terms per block of rows in the log-space recompute.
+# Pair terms per block of rows in the exact log-space path.
 _LOG_BLOCK = 1 << 16
 
 
@@ -384,10 +356,10 @@ def _run_starts(slots):
 class DensityEvaluator:
     """Exact repeated evaluation of one query set against one pattern set.
 
-    Training scores many candidate bandwidths against fixed data, so the
-    squared differences of every (pattern, query) pair are laid out once
-    here, one feature at a time, and reused for every candidate. Pattern
-    scales are fixed at one (training always evaluates unmodified models).
+    Every density of the package comes from here. Training scores many
+    candidate bandwidths against fixed data, so the squared differences of
+    every (pattern, query) pair are laid out once here, one feature at a
+    time, and reused for every candidate.
 
     With ``exclude_self=True`` the query rows must be the pattern rows in
     order, and each query's own pattern is left out of its class sum
@@ -398,38 +370,55 @@ class DensityEvaluator:
 
     Class sums are a ``bincount`` over (row, class) slots of the linear
     pair terms; where a row's terms lie in runs, as on the u side of the
-    leave-one-out layout, the run sums are counted instead. Rows whose best
-    class sum is below :data:`SAFE_SUM` are recomputed in log space with a
-    per-row max shift, so no row falls back to class 0 through underflow.
+    leave-one-out layout, the run sums are counted instead. Rows with a
+    class sum below :data:`SAFE_SUM` are recomputed in log space from the
+    data rows, with a per-row max shift, so no row falls back to class 0
+    through underflow.
+
+    ``pattern_scales`` (one positive s_p per pattern, default all one)
+    divides each pattern's kernel argument by s_p and its kernel by
+    s_p ** N. Scales enter only the log-space path, so every row of an
+    evaluator with a scale other than one is computed there; leave-one-out
+    takes unit scales only.
     """
 
-    def __init__(self, pattern_set: Dataset, queries, exclude_self=False):
-        queries = np.asarray(queries, dtype=np.float64)
+    def __init__(self, pattern_set: Dataset, queries, exclude_self=False, *,
+                 pattern_scales=None):
+        queries = np.array(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != pattern_set.n_features:
-            raise ValueError("queries must be (Q, N) with N matching patterns")
+            raise ValueError("queries must be (Q, N); query dimension does "
+                             "not match the pattern set")
         if exclude_self and not (
                 queries.shape == pattern_set.features.shape
                 and np.array_equal(queries, pattern_set.features)):
             raise ValueError("exclude_self requires queries == pattern rows")
+        ds = pattern_set
+        g, n, p = ds.n_classes, ds.n_features, ds.n_samples
+        scales = np.ones(p) if pattern_scales is None else np.asarray(
+            pattern_scales, dtype=np.float64)
+        if scales.shape != (p,) or np.any(scales <= 0):
+            raise ValueError("pattern_scales must be P positive values")
+        self._unit_scales = bool(np.all(scales == 1.0))
+        if exclude_self and not self._unit_scales:
+            raise ValueError("leave-one-out takes unit pattern scales only")
         self.pattern_set = pattern_set
         self.exclude_self = exclude_self
         self.n_queries = q = queries.shape[0]
+        self._queries = queries
 
-        ds = pattern_set
-        g, n, p = ds.n_classes, ds.n_features, ds.n_samples
         order = np.argsort(ds.labels, kind="stable")
         classes = ds.labels[order]
-        rows = ds.features[order]
+        columns = np.ascontiguousarray(ds.features[order].T)
         bounds = np.concatenate(([0], np.cumsum(ds.class_counts)))
-        self._class_cols = [slice(int(bounds[c]), int(bounds[c + 1]))
-                            for c in range(g)]
+        self._columns = columns
         self._col_class = classes
+        self._starts = bounds[:-1]
+        self._scales = scales[order]
         counts = np.tile(ds.class_counts.astype(np.float64), (q, 1))
         if exclude_self:
             u, v, self._n_within, self._main, self._cross = _loo_pairs(bounds)
             m = len(u)
             self._d2, self._buf = np.empty((n, m)), np.empty(m)
-            columns = np.ascontiguousarray(rows.T)
             for f in range(n):
                 np.take(columns[f], u, out=self._d2[f])
                 np.take(columns[f], v, out=self._buf)
@@ -443,11 +432,6 @@ class DensityEvaluator:
             self._run_slots = np.concatenate(
                 (u_slots[:self._n_within][self._runs[0]],
                  u_slots[self._n_within:][self._runs[1]]))
-            # pair index by sorted pattern, for both of its rows
-            self._pair_of = np.zeros((p, p), dtype=np.intp)
-            pair = np.arange(m)
-            self._pair_of[u, v] = pair
-            self._pair_of[v, u] = pair
             self._own_col = np.empty(p, dtype=np.intp)
             self._own_col[order] = np.arange(p)
             counts[np.arange(q), ds.labels] -= 1.0
@@ -459,20 +443,15 @@ class DensityEvaluator:
             self._cross = []
             self._d2, self._buf = np.empty((n, m)), np.empty(m)
             for f in range(n):
-                np.subtract(rows[:, f, None], queries[None, :, f],
+                np.subtract(columns[f, :, None], queries[None, :, f],
                             out=self._d2[f].reshape(p, q))
             self._slots = (classes[:, None] + g * np.arange(q)).ravel()
-            # pair index by query
-            self._pair_of = np.arange(p) * q + np.arange(q)[:, None]
             self._own_col = None
         np.square(self._d2, out=self._d2)
         with np.errstate(divide="ignore"):
             # a class left empty by the exclusion scores -inf
             self._log_counts = np.where(counts > 0, np.log(counts), np.inf)
         # main terms in [0, m), mirror terms of cross pairs after them
-        # (the own-pattern column reads pair 0, or this spare 1 when there
-        # are no pairs, before it is masked)
-        self._acc = np.ones(max(n_terms, 1))
         self._terms = np.empty(n_terms)
 
     def _bandwidths(self, smoothing: Smoothing) -> np.ndarray:
@@ -494,26 +473,22 @@ class DensityEvaluator:
             buf += 1.0
             out *= buf
 
-    def _log_scores(self, smoothing: Smoothing) -> np.ndarray:
-        """(Q, G) log densities, less the constant N log(2/pi)."""
-        h = self._bandwidths(smoothing)
-        inv_h2 = 1.0 / np.square(h)
-        log_det = np.log(h).sum(axis=1)
-        shared = len(h) == 1
+    def _linear_sums(self, inv_h2) -> np.ndarray:
+        """(Q, G) class sums of the linear pair terms (unit scales)."""
+        shared = len(inv_h2) == 1
         m = self._d2.shape[1]
         shift = m - self._n_within if self.exclude_self else 0
-        used = m if shared else m + shift
-        acc, terms = self._acc[:used], self._terms[:used]
+        terms = self._terms[:m if shared else m + shift]
         with np.errstate(over="ignore", under="ignore"):
             if shared:
-                self._products(inv_h2[0], 0, m, acc)
+                self._products(inv_h2[0], 0, m, terms)
             else:
                 for start, stop, c in self._main:
-                    self._products(inv_h2[c], start, stop, acc[start:stop])
+                    self._products(inv_h2[c], start, stop, terms[start:stop])
                 for start, stop, c in self._cross:
                     self._products(inv_h2[c], start, stop,
-                                   acc[start + shift:stop + shift])
-            np.reciprocal(acc, out=terms)
+                                   terms[start + shift:stop + shift])
+            np.reciprocal(terms, out=terms)
             np.square(terms, out=terms)
 
         size = self.n_queries * self.pattern_set.n_classes
@@ -524,74 +499,78 @@ class DensityEvaluator:
             runs = np.concatenate((np.add.reduceat(terms[:w], self._runs[0]),
                                    np.add.reduceat(cross, self._runs[1])))
             sums += np.bincount(self._run_slots, runs, size)
-        sums = sums.reshape(self.n_queries, -1)
+        return sums.reshape(self.n_queries, -1)
 
-        # a sum below SAFE_SUM stands in as SAFE_SUM: if such a class still
-        # comes out on top, its row is recomputed exactly
-        scores = np.log(np.maximum(sums, SAFE_SUM)) - self._log_counts - log_det
-        best = scores.argmax(axis=1)
-        low = np.flatnonzero(sums[np.arange(self.n_queries), best] < SAFE_SUM)
-        if len(low):
-            scores[low] = (self._log_sums(low, inv_h2, shift)
-                           - self._log_counts[low] - log_det)
+    def _log_scores(self, smoothing: Smoothing, every_class) -> np.ndarray:
+        """(Q, G) log densities, less the constant N log(2/pi).
+
+        A row goes to the exact path when its best class sum, or with
+        ``every_class`` any of its class sums, is below SAFE_SUM.
+        """
+        h = self._bandwidths(smoothing)
+        inv_h2 = 1.0 / np.square(h)
+        log_det = np.log(h).sum(axis=1)
+        if self._unit_scales:
+            sums = self._linear_sums(inv_h2)
+            scores = (np.log(np.maximum(sums, SAFE_SUM)) - self._log_counts
+                      - log_det)
+            low = sums < SAFE_SUM
+            low = (low.any(axis=1) if every_class else
+                   low[np.arange(self.n_queries), scores.argmax(axis=1)])
+            exact = np.flatnonzero(low)
+        else:
+            scores = np.empty(self._log_counts.shape)
+            exact = np.arange(self.n_queries)
+        if len(exact):
+            scores[exact] = (self._log_sums(exact, inv_h2)
+                             - self._log_counts[exact] - log_det)
         return scores
 
-    def _log_sums(self, queries, inv_h2, shift) -> np.ndarray:
-        """Log class sums of the pair terms of ``queries``, from the products
-        of the last :meth:`_products` pass, with a per-row max shift."""
-        p = self.pattern_set.n_samples
-        cols = np.arange(p)
-        mirrored = self.exclude_self and len(inv_h2) > 1
-        out = np.empty((len(queries), len(self._class_cols)))
+    def _log_sums(self, queries, inv_h2) -> np.ndarray:
+        """Log class sums of the kernel terms of ``queries``, from the data.
+
+        The log term of pattern column c is
+        -2 sum_f log1p(d_f^2 / (h_f s_c)^2) - N log s_c, with h the
+        bandwidths of the class of c; the query's own column is -inf under
+        leave-one-out. Each class is summed with a per-row max shift.
+        """
+        n, p = self._columns.shape
+        scale = (inv_h2[self._col_class] if len(inv_h2) > 1 else inv_h2).T
+        scale = scale / np.square(self._scales)
+        log_s = n * np.log(self._scales)
+        out = np.empty((len(queries), self.pattern_set.n_classes))
         step = max(1, _LOG_BLOCK // p)
         for first in range(0, len(queries), step):
             rows = queries[first:first + step]
-            pairs = self._pair_of[rows if self._own_col is None
-                                  else self._own_col[rows]]
-            index = pairs
-            if mirrored:
-                # row u of a cross pair (u < v) uses the v-class term
-                mirror = ((cols > self._own_col[rows, None])
-                          & (pairs >= self._n_within))
-                index = np.where(mirror, pairs + shift, pairs)
-            acc = self._acc[index]
-            log_acc = np.log(acc)
-            over = np.isinf(acc)
+            x = self._queries[rows]
+            total = np.zeros((len(rows), p))
+            with np.errstate(over="ignore"):
+                for f in range(n):
+                    d2 = np.square(x[:, f, None] - self._columns[f])
+                    total += np.log1p(d2 * scale[f])
+            log_terms = -2.0 * total - log_s
             if self._own_col is not None:
-                own = (np.arange(len(rows)), self._own_col[rows])
-                log_acc[own] = np.inf
-                over[own] = False
-            if over.any():
-                log_acc[over] = self._log_products(pairs[over],
-                                                   np.nonzero(over)[1], inv_h2)
-            log_terms = -2.0 * log_acc
-            for c, group in enumerate(self._class_cols):
-                block = log_terms[:, group]
-                peak = block.max(axis=1, keepdims=True)
-                peak[~np.isfinite(peak)] = 0.0  # only the query's own pattern
-                with np.errstate(under="ignore", divide="ignore"):
-                    total = np.exp(block - peak).sum(axis=1)
-                    out[first:first + len(rows), c] = peak[:, 0] + np.log(total)
+                log_terms[np.arange(len(rows)), self._own_col[rows]] = -np.inf
+            peak = np.maximum.reduceat(log_terms, self._starts, axis=1)
+            peak[np.isinf(peak)] = 0.0  # only the query's own pattern
+            shifted = log_terms - np.repeat(
+                peak, self.pattern_set.class_counts, axis=1)
+            with np.errstate(under="ignore", divide="ignore"):
+                sums = np.add.reduceat(np.exp(shifted), self._starts, axis=1)
+                out[first:first + len(rows)] = peak + np.log(sums)
         return out
-
-    def _log_products(self, pairs, cols, inv_h2) -> np.ndarray:
-        """Sum over features of log1p(d^2 / h^2) for the given pairs, each
-        with the bandwidths of the class of its pattern column."""
-        scale = inv_h2[self._col_class[cols]] if len(inv_h2) > 1 else inv_h2
-        total = np.zeros(len(pairs))
-        for f in range(self._d2.shape[0]):
-            total += np.log1p(self._d2[f, pairs] * scale[:, f])
-        return total
 
     def class_densities(self, smoothing: Smoothing) -> np.ndarray:
         """True (Q, G) density values for every query and class."""
         n = self.pattern_set.n_features
+        scores = self._log_scores(smoothing, every_class=True)
         with np.errstate(over="ignore", under="ignore"):
-            return np.exp(self._log_scores(smoothing) + n * np.log(TWO_OVER_PI))
+            return np.exp(scores + n * np.log(TWO_OVER_PI))
 
     def predict(self, smoothing: Smoothing) -> np.ndarray:
         """Argmax class per query; ties resolve to the lowest index."""
-        return np.argmax(self._log_scores(smoothing), axis=1)
+        return np.argmax(self._log_scores(smoothing, every_class=False),
+                         axis=1)
 
     def error_rate(self, smoothing: Smoothing, labels) -> float:
         """Fraction of queries whose argmax class differs from ``labels``."""

@@ -61,21 +61,25 @@ def classify(features, labels, scales, bandwidth_rows, x, n_classes):
 
 
 def log_class_density(features, labels, bandwidth_rows, x, target,
-                      exclude=None):
-    """Log density of class ``target`` at ``x`` (unit pattern scales).
+                      exclude=None, scales=None):
+    """Log density of class ``target`` at ``x``.
 
     Each pattern's log kernel is a sum of ``log1p`` terms, and the class sum
-    is taken with a max shift, so nothing underflows. The pattern at index
+    is taken with a max shift, so nothing underflows. ``scales`` holds one
+    positive multiplier per pattern (default all one). The pattern at index
     ``exclude`` is left out; a class left empty scores ``-inf``.
     """
     h = bandwidth_rows[target]
     n_features = len(x)
+    if scales is None:
+        scales = [1.0] * len(features)
     logs = []
-    for p, (row, label) in enumerate(zip(features, labels)):
+    for p, (row, label, s) in enumerate(zip(features, labels, scales)):
         if label != target or p == exclude:
             continue
-        logs.append(sum(-2.0 * math.log1p(((x[i] - row[i]) / h[i]) ** 2)
-                        for i in range(n_features)))
+        logs.append(sum(-2.0 * math.log1p(((x[i] - row[i]) / (h[i] * s)) ** 2)
+                        for i in range(n_features))
+                    - n_features * math.log(s))
     if not logs:
         return -math.inf
     peak = max(logs)
@@ -86,8 +90,9 @@ def log_class_density(features, labels, bandwidth_rows, x, target,
 
 
 def log_class_densities(features, labels, bandwidth_rows, x, n_classes,
-                        exclude=None):
-    return [log_class_density(features, labels, bandwidth_rows, x, j, exclude)
+                        exclude=None, scales=None):
+    return [log_class_density(features, labels, bandwidth_rows, x, j, exclude,
+                              scales)
             for j in range(n_classes)]
 
 

@@ -29,7 +29,7 @@ class CountingObjective:
 
 
 def fresh_population(rng, size=20, dim=2, low=0.0, high=10.0):
-    return Population.random_uniform(size, dim, low, high, rng)
+    return Population(rng.uniform(low, high, size=(size, dim)))
 
 
 class TestReflect:
@@ -208,15 +208,14 @@ class TestStepContracts:
         pop = Population([[1.0, 1.0], [2.0, 2.0]], [4.0, 1.0])
         assert pop.best_index == 1
         assert pop.best_fitness == 1.0
-        ind = pop.best_individual()
-        np.testing.assert_array_equal(ind.position, [2.0, 2.0])
+        np.testing.assert_array_equal(pop.best_position, [2.0, 2.0])
         with pytest.raises(ValueError):
             Population([[1.0]]).best_index
 
     def test_positions_only_drops_fitness(self):
         pop = Population([[1.0], [2.0]], [0.5, 0.2])
         bare = pop.positions_only()
-        assert not bare.evaluated
+        assert np.all(np.isnan(bare.fitness))
         assert bare.fingerprint() == pop.fingerprint()
 
     def test_budget_rejects_bad_cost(self):

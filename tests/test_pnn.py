@@ -183,6 +183,19 @@ class TestClassDensity:
                     x.tolist(), j)
                 assert class_density(model, x, j) == pytest.approx(want, rel=1e-10)
 
+    def test_tiny_bandwidth_against_log_oracle(self):
+        # every kernel factor is about 1e-13 at h = 1e-6, so a linear product
+        # over 30 features underflows; the class-0 density is still 1.3e-186
+        ds = Dataset([[1e-3] * 30, [5.0] * 30], [0, 1])
+        sm = Smoothing.scalar(1e-6)
+        x = [0.0] * 30
+        rows = sm.bandwidth_matrix(2, 30).tolist()
+        want = oracles.log_class_density(
+            ds.features.tolist(), ds.labels.tolist(), rows, x, 0)
+        assert want == pytest.approx(-428.013, abs=1e-3)
+        have = class_density(PnnModel(ds, sm), x, 0)
+        assert math.log(have) == pytest.approx(want, rel=1e-12)
+
     def test_grid_normalization_1d(self):
         # each class density integrates to ~1 on a fine 1-D grid
         ds = Dataset([[0.0], [0.5], [4.0], [5.0], [5.5]], [0, 0, 1, 1, 1])
@@ -313,13 +326,24 @@ class TestTypes:
 class TestDensityEvaluator:
     def test_densities_match_library_path(self):
         rng = np.random.default_rng(31)
+        cases = []
         for _ in range(25):
             ds = random_instance(rng)
             sm = random_smoothing(rng, ds)
-            queries = rng.normal(0, 2, size=(6, ds.n_features))
+            cases.append((ds, sm, rng.normal(0, 2, size=(6, ds.n_features))))
+        # the class-0 sum (about 1e-260) lies below SAFE_SUM, beside a
+        # class-1 sum of 2; true class-0 density 1.097e-232
+        cases.append((Dataset([[0.0] * 10, [0.0] * 10, [3162.0] * 10],
+                              [1, 1, 0]),
+                      Smoothing.scalar(1e-3), np.zeros((1, 10))))
+        for ds, sm, queries in cases:
+            rows = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+            want = [[oracles.class_density(ds.features.tolist(),
+                                           ds.labels.tolist(),
+                                           [1.0] * ds.n_samples, rows,
+                                           x.tolist(), j)
+                     for j in range(ds.n_classes)] for x in queries]
             ev = DensityEvaluator(ds, queries)
-            model = PnnModel(ds, sm)
-            want = np.array([class_densities(model, q) for q in queries])
             np.testing.assert_allclose(ev.class_densities(sm), want, rtol=1e-10)
 
     def test_predictions_match_classify(self):
@@ -363,6 +387,9 @@ class TestDensityEvaluator:
         ds = Dataset([[0.0], [1.0]], [0, 1])
         with pytest.raises(ValueError):
             DensityEvaluator(ds, np.array([[0.5]]), exclude_self=True)
+        with pytest.raises(ValueError, match="unit pattern scales"):
+            DensityEvaluator(ds, ds.features, exclude_self=True,
+                             pattern_scales=[1.0, 2.0])
 
 
 def wide_instance(rng, p=30, n=30, g=2):
@@ -443,6 +470,14 @@ class TestExactness:
         assert DensityEvaluator(ds, query[None, :]).predict(sm).tolist() == [1]
         loo = DensityEvaluator(ds, ds.features, exclude_self=True)
         assert loo.predict(sm).tolist() == [1, 1, 1]
+        # pattern scales leave class 1 ahead, but every kernel underflows
+        scales = [1.0, 1.0, 2.0]
+        want = oracles.log_class_densities(
+            ds.features.tolist(), ds.labels.tolist(),
+            sm.bandwidth_matrix(2, 30).tolist(), query.tolist(), 2,
+            scales=scales)
+        assert int(np.argmax(want)) == 1
+        assert classify(PnnModel(ds, sm, scales), query) == 1
 
 
 @settings(max_examples=40, deadline=None)
