@@ -92,9 +92,6 @@ class Population:
     def best_position(self) -> np.ndarray:
         return self.positions[self.best_index].copy()
 
-    def copy(self) -> "Population":
-        return Population(self.positions.copy(), self.fitness.copy())
-
     def positions_only(self) -> "Population":
         """Copy carrying positions but no cached fitness."""
         return Population(self.positions.copy())

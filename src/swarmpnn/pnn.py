@@ -8,6 +8,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +76,6 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def class_rows(self, j: int) -> np.ndarray:
-        return self.features[self.labels == j]
-
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
         return Dataset(self.features[indices], self.labels[indices],
@@ -98,25 +96,47 @@ class Smoothing:
     ``per_feature``       one value per feature, shared by all classes
     ``per_class_feature`` a full classes x features matrix
 
+    :attr:`LAYOUTS` says for each kind whether it has one value per class
+    and one value per feature; every shape below is derived from it.
+    ``values`` keeps the published shape (``(1,)``, ``(G,)``, ``(N,)`` or
+    ``(G, N)``) and ``grid`` is a read-only ``(G or 1, N or 1)`` view of it,
+    which broadcasts to the full (classes x features) bandwidth matrix.
+
     The bandwidth matrix of the density formula is always diagonal, so its
     determinant is the product of the entries and its inverse acts as
     elementwise division.
     """
 
-    KINDS = ("scalar", "per_class", "per_feature", "per_class_feature")
+    # kind -> (one value per class?, one value per feature?)
+    LAYOUTS = {"scalar": (False, False), "per_class": (True, False),
+               "per_feature": (False, True),
+               "per_class_feature": (True, True)}
+    KINDS = tuple(LAYOUTS)
 
     def __init__(self, kind: str, values):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown smoothing kind {kind!r}")
+        per_class, per_feature = self._layout(kind)
         values = np.asarray(values, dtype=np.float64)
-        expected_ndim = {"scalar": 0, "per_class": 1, "per_feature": 1,
-                         "per_class_feature": 2}[kind]
-        if values.ndim != expected_ndim:
-            raise ValueError(f"{kind} smoothing expects {expected_ndim}-D values")
+        if values.ndim != per_class + per_feature:
+            raise ValueError(f"{kind} smoothing expects "
+                             f"{per_class + per_feature}-D values")
         if not np.all(np.isfinite(values)) or np.any(values <= 0):
             raise ValueError("bandwidths must be finite and strictly positive")
         self.kind = kind
         self.values = _readonly(np.atleast_1d(values))
+        self.grid = self.values.reshape(
+            len(self.values) if per_class else 1, -1)
+
+    @classmethod
+    def _layout(cls, kind: str):
+        if kind not in cls.LAYOUTS:
+            raise ValueError(f"unknown smoothing kind {kind!r}")
+        return cls.LAYOUTS[kind]
+
+    @classmethod
+    def _shape(cls, kind: str, n_classes: int, n_features: int) -> tuple:
+        """Shape of the values of ``kind`` for G classes and N features."""
+        per_class, per_feature = cls._layout(kind)
+        return (n_classes,) * per_class + (n_features,) * per_feature
 
     @classmethod
     def scalar(cls, h: float) -> "Smoothing":
@@ -138,51 +158,25 @@ class Smoothing:
     def from_vector(cls, kind: str, vector, n_classes: int,
                     n_features: int) -> "Smoothing":
         """Rebuild a spec from the flat optimizer vector for ``kind``."""
-        vector = np.asarray(vector, dtype=np.float64)
-        if kind == "scalar":
-            return cls.scalar(vector.reshape(()) if vector.ndim == 0 else vector[0])
-        if kind == "per_class":
-            return cls.per_class(vector.reshape(n_classes))
-        if kind == "per_feature":
-            return cls.per_feature(vector.reshape(n_features))
-        if kind == "per_class_feature":
-            return cls.per_class_feature(vector.reshape(n_classes, n_features))
-        raise ValueError(f"unknown smoothing kind {kind!r}")
+        return cls(kind, np.asarray(vector, dtype=np.float64).reshape(
+            cls._shape(kind, n_classes, n_features)))
 
-    @staticmethod
-    def vector_length(kind: str, n_classes: int, n_features: int) -> int:
-        return {"scalar": 1, "per_class": n_classes, "per_feature": n_features,
-                "per_class_feature": n_classes * n_features}[kind]
+    @classmethod
+    def vector_length(cls, kind: str, n_classes: int, n_features: int) -> int:
+        return math.prod(cls._shape(kind, n_classes, n_features))
 
     def validate_for(self, dataset: Dataset, upper: float = 10000.0) -> None:
         g, n = dataset.n_classes, dataset.n_features
-        shape = {"scalar": (1,), "per_class": (g,), "per_feature": (n,),
-                 "per_class_feature": (g, n)}[self.kind]
-        if self.values.shape != shape:
+        if self.values.shape != (self._shape(self.kind, g, n) or (1,)):
             raise ValueError(
                 f"{self.kind} smoothing shape {self.values.shape} does not "
                 f"match dataset with G={g}, N={n}")
         if np.any(self.values > upper):
             raise ValueError(f"bandwidth exceeds upper bound {upper}")
 
-    def class_bandwidths(self, j: int, n_features: int) -> np.ndarray:
-        """Diagonal bandwidth vector for class ``j``, length ``n_features``."""
-        if self.kind == "scalar":
-            return np.full(n_features, self.values[0])
-        if self.kind == "per_class":
-            return np.full(n_features, self.values[j])
-        if self.kind == "per_feature":
-            return np.asarray(self.values)
-        return np.asarray(self.values[j])
-
     def bandwidth_matrix(self, n_classes: int, n_features: int) -> np.ndarray:
-        """All per-class bandwidth vectors stacked into a (G, N) matrix."""
-        return np.vstack([self.class_bandwidths(j, n_features)
-                          for j in range(n_classes)])
-
-    @property
-    def shared_across_classes(self) -> bool:
-        return self.kind in ("scalar", "per_feature")
+        """Read-only (G, N) matrix of every class's bandwidth vector."""
+        return np.broadcast_to(self.grid, (n_classes, n_features))
 
     def to_jsonable(self):
         return {"kind": self.kind, "values": self.values.tolist()}
@@ -321,36 +315,34 @@ _LOG_BLOCK = 1 << 16
 def _loo_pairs(bounds):
     """Each unordered pair (u, v), u < v, of the class-sorted patterns once.
 
-    Within-class blocks come first, one per class, then the cross-class
-    blocks (a, b), a < b, in row-major order. Returns the endpoints, the
-    number of within-class pairs, the main segments (start, stop, class of
-    u) and the cross blocks (start, stop, class of v).
+    The pairs come in blocks (a, b), a <= b, of the classes of u and v, each
+    in row-major order, so all blocks of class a are contiguous. Returns the
+    endpoints, the main segments (start, stop, class of u), the cross blocks
+    (start, stop, class of v) and the start of each run of pairs that share
+    u within a block.
     """
-    us, vs, main, cross = [], [], [], []
+    us, vs, main, cross, runs = [], [], [], [], []
     m = 0
-    for c in range(len(bounds) - 1):
-        u, v = np.triu_indices(bounds[c + 1] - bounds[c], 1)
-        us.append(u + bounds[c])
-        vs.append(v + bounds[c])
-        main.append((m, m + len(u), c))
-        m += len(u)
-    n_within = m
     for a in range(len(bounds) - 1):
-        rows, first = np.arange(bounds[a], bounds[a + 1]), m
+        first, size = m, bounds[a + 1] - bounds[a]
+        u, v = np.triu_indices(size, 1)
+        us.append(u + bounds[a])
+        vs.append(v + bounds[a])
+        r = np.arange(size - 1)  # row r of the triangle has size - 1 - r pairs
+        runs.append(m + r * (size - 1) - r * (r - 1) // 2)
+        m += len(u)
+        rows = np.arange(bounds[a], bounds[a + 1])
         for b in range(a + 1, len(bounds) - 1):
             cols = np.arange(bounds[b], bounds[b + 1])
             us.append(np.repeat(rows, len(cols)))
-            vs.append(np.tile(cols, len(rows)))
-            cross.append((m, m + len(rows) * len(cols), b))
-            m += len(rows) * len(cols)
-        main.append((first, m, a))
-    main = [segment for segment in main if segment[0] < segment[1]]
-    return np.concatenate(us), np.concatenate(vs), n_within, main, cross
-
-
-def _run_starts(slots):
-    """Index of the first element of each run of equal values."""
-    return np.flatnonzero(np.diff(slots, prepend=-1))
+            vs.append(np.tile(cols, size))
+            runs.append(m + np.arange(size) * len(cols))
+            cross.append((m, m + size * len(cols), b))
+            m += size * len(cols)
+        if first < m:
+            main.append((first, m, a))
+    return (np.concatenate(us), np.concatenate(vs), main, cross,
+            np.concatenate(runs))
 
 
 class DensityEvaluator:
@@ -359,27 +351,32 @@ class DensityEvaluator:
     Every density of the package comes from here. Training scores many
     candidate bandwidths against fixed data, so the squared differences of
     every (pattern, query) pair are laid out once here, one feature at a
-    time, and reused for every candidate.
+    time, and reused for every candidate. Bandwidths are read from
+    :attr:`Smoothing.grid`: one row serves every class, G rows one each.
 
     With ``exclude_self=True`` the query rows must be the pattern rows in
     order, and each query's own pattern is left out of its class sum
-    (leave-one-out). The layout then holds each unordered pair once. With
-    bandwidths shared across classes one kernel serves both of its rows;
-    with per-class bandwidths a row uses the bandwidths of the other
-    pattern's class, so a cross-class pair is evaluated twice.
+    (leave-one-out). The layout then holds each unordered pair (u, v), u < v,
+    once, in blocks (a, b), a <= b, of the classes of u and v, each in
+    row-major order. The blocks of class a are contiguous and are evaluated
+    at the bandwidths of class a, as row v needs. Row u needs those of class
+    b: a within-class term, or any term when bandwidths are shared across
+    classes, serves it as it is; otherwise, once the v side is summed, each
+    cross block (a, b) is overwritten in place with its terms at the
+    bandwidths of class b.
 
     Class sums are a ``bincount`` over (row, class) slots of the linear
-    pair terms; where a row's terms lie in runs, as on the u side of the
-    leave-one-out layout, the run sums are counted instead. Rows with a
-    class sum below :data:`SAFE_SUM` are recomputed in log space from the
-    data rows, with a per-row max shift, so no row falls back to class 0
-    through underflow.
+    pair terms; on the u side of the leave-one-out layout a row's terms of
+    one class lie in one run, and the run sums are counted instead. Rows
+    with a class sum below :data:`SAFE_SUM` are recomputed in log space from
+    the data rows, with a per-row max shift, so no row falls back to class
+    0 through underflow.
 
     ``pattern_scales`` (one positive s_p per pattern, default all one)
     divides each pattern's kernel argument by s_p and its kernel by
     s_p ** N. Scales enter only the log-space path, so every row of an
-    evaluator with a scale other than one is computed there; leave-one-out
-    takes unit scales only.
+    evaluator with a scale other than one is computed there and no pair
+    layout is built; leave-one-out takes unit scales only.
     """
 
     def __init__(self, pattern_set: Dataset, queries, exclude_self=False, *,
@@ -414,11 +411,11 @@ class DensityEvaluator:
         self._col_class = classes
         self._starts = bounds[:-1]
         self._scales = scales[order]
+        self._own_col = None
         counts = np.tile(ds.class_counts.astype(np.float64), (q, 1))
         if exclude_self:
-            u, v, self._n_within, self._main, self._cross = _loo_pairs(bounds)
-            m = len(u)
-            self._d2, self._buf = np.empty((n, m)), np.empty(m)
+            u, v, self._main, self._cross, self._runs = _loo_pairs(bounds)
+            self._d2, self._buf = np.empty((n, len(u))), np.empty(len(u))
             for f in range(n):
                 np.take(columns[f], u, out=self._d2[f])
                 np.take(columns[f], v, out=self._buf)
@@ -426,79 +423,54 @@ class DensityEvaluator:
             # class sums are indexed by query, i.e. by pattern in input order;
             # the v side is scattered, the u side comes in runs of equal slots
             self._slots = order[v] * g + classes[u]
-            u_slots = order[u] * g + classes[v]
-            self._runs = (_run_starts(u_slots[:self._n_within]),
-                          _run_starts(u_slots[self._n_within:]))
-            self._run_slots = np.concatenate(
-                (u_slots[:self._n_within][self._runs[0]],
-                 u_slots[self._n_within:][self._runs[1]]))
+            self._run_slots = (order[u[self._runs]] * g
+                               + classes[v[self._runs]])
             self._own_col = np.empty(p, dtype=np.intp)
             self._own_col[order] = np.arange(p)
             counts[np.arange(q), ds.labels] -= 1.0
-            n_terms = 2 * m - self._n_within
-        else:
-            m = n_terms = p * q
+        elif self._unit_scales:
             self._main = [(int(bounds[c]) * q, int(bounds[c + 1]) * q, c)
                           for c in range(g)]
-            self._cross = []
-            self._d2, self._buf = np.empty((n, m)), np.empty(m)
+            self._d2, self._buf = np.empty((n, p * q)), np.empty(p * q)
             for f in range(n):
                 np.subtract(columns[f, :, None], queries[None, :, f],
                             out=self._d2[f].reshape(p, q))
             self._slots = (classes[:, None] + g * np.arange(q)).ravel()
-            self._own_col = None
-        np.square(self._d2, out=self._d2)
+        if self._unit_scales:
+            np.square(self._d2, out=self._d2)
+            self._terms = np.empty(self._d2.shape[1])
         with np.errstate(divide="ignore"):
             # a class left empty by the exclusion scores -inf
             self._log_counts = np.where(counts > 0, np.log(counts), np.inf)
-        # main terms in [0, m), mirror terms of cross pairs after them
-        self._terms = np.empty(n_terms)
 
-    def _bandwidths(self, smoothing: Smoothing) -> np.ndarray:
-        """Clamped (G', N) bandwidths; G' is 1 when shared across classes."""
-        ds = self.pattern_set
-        rows = 1 if smoothing.shared_across_classes else ds.n_classes
-        cols = ds.n_features if smoothing.kind in (
-            "per_feature", "per_class_feature") else 1
-        h = np.maximum(smoothing.values, BANDWIDTH_FLOOR).reshape(rows, cols)
-        return np.broadcast_to(h, (rows, ds.n_features))
-
-    def _products(self, inv_h2, start, stop, out) -> None:
-        """``out`` = prod over features of (1 + d^2 / h^2), pairs start:stop."""
-        d2, buf = self._d2[:, start:stop], self._buf[:stop - start]
-        np.multiply(d2[0], inv_h2[0], out=out)
-        out += 1.0
-        for f in range(1, len(d2)):
-            np.multiply(d2[f], inv_h2[f], out=buf)
-            buf += 1.0
-            out *= buf
+    def _fill_terms(self, inv_h2, segments) -> None:
+        """Pair terms 1 / prod_f (1 + d_f^2 / h_f^2)^2 of each segment
+        (start, stop, row of ``inv_h2`` it uses), written to ``_terms``."""
+        with np.errstate(over="ignore", under="ignore"):
+            for start, stop, c in segments:
+                d2, out = self._d2[:, start:stop], self._terms[start:stop]
+                buf = self._buf[:stop - start]
+                np.multiply(d2[0], inv_h2[c, 0], out=out)
+                out += 1.0
+                for f in range(1, len(d2)):
+                    np.multiply(d2[f], inv_h2[c, f], out=buf)
+                    buf += 1.0
+                    out *= buf
+                np.reciprocal(out, out=out)
+                np.square(out, out=out)
 
     def _linear_sums(self, inv_h2) -> np.ndarray:
         """(Q, G) class sums of the linear pair terms (unit scales)."""
         shared = len(inv_h2) == 1
-        m = self._d2.shape[1]
-        shift = m - self._n_within if self.exclude_self else 0
-        terms = self._terms[:m if shared else m + shift]
-        with np.errstate(over="ignore", under="ignore"):
-            if shared:
-                self._products(inv_h2[0], 0, m, terms)
-            else:
-                for start, stop, c in self._main:
-                    self._products(inv_h2[c], start, stop, terms[start:stop])
-                for start, stop, c in self._cross:
-                    self._products(inv_h2[c], start, stop,
-                                   terms[start + shift:stop + shift])
-            np.reciprocal(terms, out=terms)
-            np.square(terms, out=terms)
-
+        self._fill_terms(inv_h2, [(0, len(self._terms), 0)] if shared
+                         else self._main)
         size = self.n_queries * self.pattern_set.n_classes
-        sums = np.bincount(self._slots, terms[:m], size)
+        sums = np.bincount(self._slots, self._terms, size)
         if self.exclude_self:
-            w = self._n_within
-            cross = terms[w:m] if shared else terms[m:]
-            runs = np.concatenate((np.add.reduceat(terms[:w], self._runs[0]),
-                                   np.add.reduceat(cross, self._runs[1])))
-            sums += np.bincount(self._run_slots, runs, size)
+            if not shared:
+                self._fill_terms(inv_h2, self._cross)
+            sums += np.bincount(self._run_slots,
+                                np.add.reduceat(self._terms, self._runs), size)
         return sums.reshape(self.n_queries, -1)
 
     def _log_scores(self, smoothing: Smoothing, every_class) -> np.ndarray:
@@ -507,7 +479,10 @@ class DensityEvaluator:
         A row goes to the exact path when its best class sum, or with
         ``every_class`` any of its class sums, is below SAFE_SUM.
         """
-        h = self._bandwidths(smoothing)
+        ds, grid = self.pattern_set, smoothing.grid
+        rows = ds.n_classes if len(grid) > 1 else 1
+        h = np.broadcast_to(np.maximum(grid, BANDWIDTH_FLOOR),
+                            (rows, ds.n_features))
         inv_h2 = 1.0 / np.square(h)
         log_det = np.log(h).sum(axis=1)
         if self._unit_scales:

@@ -254,6 +254,8 @@ class TestFitness:
         train = Dataset([[0.0, 1.0], [1.0, 0.0]], [0, 1])
         with pytest.raises(ValueError):
             fitness_of([1.0, 1.0, 1.0], train, train)
+        with pytest.raises(ValueError):
+            fitness_of([1.0, 1.0], train, train, kind="scalar")
 
     def test_loo_objective_never_sees_own_pattern(self):
         # a memorizing model would score zero; leave-one-out must not

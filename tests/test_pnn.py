@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ class TestClassDensity:
         ds = Dataset(rng.normal(0, 1, size=(9, 2)), [0, 0, 1, 1, 1, 0, 1, 0, 0])
         model = PnnModel(ds, Smoothing.scalar(0.8))
         for j in range(2):
-            want = kde(ds.features[0], ds.class_rows(j), 0.8)
+            want = kde(ds.features[0], ds.features[ds.labels == j], 0.8)
             have = class_density(model, ds.features[0], j)
             assert have == pytest.approx(want, rel=1e-12)
 
@@ -313,7 +314,7 @@ class TestTypes:
         sm = Smoothing.from_vector("per_class_feature", np.arange(1.0, 7.0), 2, 3)
         assert sm.values.shape == (2, 3)
         np.testing.assert_array_equal(
-            sm.class_bandwidths(1, 3), [4.0, 5.0, 6.0])
+            sm.bandwidth_matrix(2, 3)[1], [4.0, 5.0, 6.0])
 
     def test_model_scale_validation(self):
         ds = Dataset([[0.0], [1.0]], [0, 0])
@@ -391,14 +392,34 @@ class TestDensityEvaluator:
             DensityEvaluator(ds, ds.features, exclude_self=True,
                              pattern_scales=[1.0, 2.0])
 
+    def test_scaled_build_lays_out_no_pairs(self):
+        # with a pattern scale other than one every row is computed from the
+        # data rows, so the (P, Q, N) pair layout would never be read
+        rng = np.random.default_rng(59)
+        p, q, n = 200, 50, 20
+        ds = Dataset(rng.normal(size=(p, n)), np.arange(p) % 3)
+        queries = rng.normal(size=(q, n))
+        tracemalloc.start()
+        try:
+            DensityEvaluator(ds, queries, pattern_scales=np.full(p, 1.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p * q * n * 8 / 4
 
-def wide_instance(rng, p=30, n=30, g=2):
-    """Raw-scale data: feature scales log-uniform from 1e-2 to 1e3."""
-    labels = np.concatenate([np.arange(g), rng.integers(0, g, size=p - g)])
+
+def wide_instance(rng, p=30, n=30, g=2, sizes=None):
+    """Raw-scale data: feature scales log-uniform from 1e-2 to 1e3. With
+    ``sizes`` class j has ``sizes[j]`` patterns, otherwise P are drawn."""
+    if sizes is None:
+        labels = np.concatenate([np.arange(g), rng.integers(0, g, size=p - g)])
+    else:
+        g, labels = len(sizes), np.repeat(np.arange(len(sizes)), sizes)
     rng.shuffle(labels)
     scales = np.exp(rng.uniform(np.log(1e-2), np.log(1e3), n))
     centers = rng.normal(0, 1, size=(g, n))
-    features = (centers[labels] + rng.normal(0, 1, size=(p, n))) * scales
+    features = (centers[labels]
+                + rng.normal(0, 1, size=(len(labels), n))) * scales
     return Dataset(features, labels, n_classes=g)
 
 
@@ -428,8 +449,10 @@ class TestExactness:
     @pytest.mark.parametrize("kind", Smoothing.KINDS)
     def test_leave_one_out_on_wide_scale_instances(self, kind):
         rng = np.random.default_rng([43, Smoothing.KINDS.index(kind)])
-        for g in (2, 3):
-            ds = wide_instance(rng, g=g)
+        # six classes give 21 leave-one-out blocks; the one-pattern class
+        # is empty under leave-one-out
+        for shape in ({"g": 2}, {"g": 3}, {"sizes": [9, 7, 5, 4, 2, 1]}):
+            ds = wide_instance(rng, **shape)
             ev = DensityEvaluator(ds, ds.features, exclude_self=True)
             for low, high in ((1e-6, 1e3), (1e-2, 1e2), (1e-6, 1e-3)):
                 sm = log_uniform_smoothing(rng, kind, ds, low, high)
