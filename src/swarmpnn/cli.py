@@ -29,7 +29,6 @@ from .datasets import (
 )
 from .hybrid import HybridConfig, train_hybrid, train_single
 from .metrics import REPORT_DECIMALS, aggregate_runs, compute_metrics, rank
-from .pnn import DensityEvaluator
 
 SINGLE_METHODS = ("pso", "fpa", "bat", "bfo", "sa")
 PORTFOLIO = "hybrid"
@@ -120,10 +119,8 @@ def run_cell(spec: CellSpec) -> dict:
         result = train_hybrid(train, test, cfg)
     else:
         result = train_single(train, test, spec.method, cfg)
-    evaluator = DensityEvaluator(train, test.features)
-    predictions = evaluator.predict(result.smoothing)
-    run_metrics = compute_metrics(predictions, test.labels, train.n_classes,
-                                  seed=run_seed)
+    run_metrics = compute_metrics(result.test_predictions, test.labels,
+                                  train.n_classes, seed=run_seed)
     return {
         "dataset": spec.dataset,
         "method": spec.method,
@@ -383,6 +380,13 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swarmpnn",
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--dataset", required=True)
     train.add_argument("--method", default=PORTFOLIO,
                        choices=(PORTFOLIO,) + SINGLE_METHODS)
-    train.add_argument("--runs", type=int, default=10)
+    train.add_argument("--runs", type=_positive_int, default=10)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", default="runs")
     train.add_argument("--data-dir", default=None)

@@ -56,6 +56,8 @@ class HybridConfig:
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise ValueError(f"unknown method {m!r}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("methods must not repeat")
         if self.probing_multiplier < 1 or self.fit_multiplier < 1:
             raise ValueError("multipliers must be >= 1")
         lo, hi = self.bounds
@@ -236,6 +238,7 @@ class TrainResult:
     smoothing: Smoothing
     train_error: float
     test_error: float
+    test_predictions: np.ndarray
     trace: list
     evaluations: int
     stop_reason: str
@@ -274,28 +277,31 @@ def loo_objective(train: Dataset, kind: str = "per_feature"):
     return objective
 
 
+def _train_result(train: Dataset, test: Dataset, kind: str, position,
+                  fitness, trace, evaluations, stop_reason) -> TrainResult:
+    """The trained classifier, with its one prediction of the test split."""
+    smoothing = _clamped_smoothing(kind, position, train.n_classes,
+                                   train.n_features)
+    predictions = DensityEvaluator(train, test.features).predict(smoothing)
+    return TrainResult(smoothing, fitness,
+                       float(np.mean(predictions != test.labels)), predictions,
+                       trace, evaluations, stop_reason)
+
+
 def train_hybrid(train: Dataset, test: Dataset, cfg: HybridConfig,
                  observer=None) -> TrainResult:
     """Optimize bandwidths with the portfolio; fitness is the leave-one-out
     training error, the early-stop check runs on the held-out split."""
     kind = cfg.smoothing_kind
     dim = Smoothing.vector_length(kind, train.n_classes, train.n_features)
-    test_eval = DensityEvaluator(train, test.features)
-
-    def eval_error(position):
-        smoothing = _clamped_smoothing(kind, position, train.n_classes,
-                                       train.n_features)
-        return test_eval.error_rate(smoothing, test.labels)
-
     result = hybrid_minimize(
         loo_objective(train, kind), dim, cfg, eval_cost=train.n_samples,
-        converged=lambda pos, fit: eval_error(pos) <= cfg.fitness_threshold,
+        converged=lambda pos, fit: (fitness_of(pos, train, test, kind)
+                                    <= cfg.fitness_threshold),
         observer=observer)
-    smoothing = _clamped_smoothing(kind, result.best_position,
-                                   train.n_classes, train.n_features)
-    return TrainResult(smoothing, result.best_fitness,
-                       eval_error(result.best_position), result.trace,
-                       result.evaluations, result.stop_reason)
+    return _train_result(train, test, kind, result.best_position,
+                         result.best_fitness, result.trace,
+                         result.evaluations, result.stop_reason)
 
 
 def train_single(train: Dataset, test: Dataset, method: str,
@@ -316,11 +322,7 @@ def train_single(train: Dataset, test: Dataset, method: str,
     budget = FeBudget(cfg.total_cap(train.n_samples), train.n_samples)
     opt.run(pop, loo_objective(train, kind), budget,
             target=cfg.fitness_threshold)
-    smoothing = _clamped_smoothing(kind, opt.best_position,
-                                   train.n_classes, train.n_features)
-    test_eval = DensityEvaluator(train, test.features)
     stop = ("train_threshold"
             if opt.best_fitness <= cfg.fitness_threshold else "iterations")
-    return TrainResult(smoothing, opt.best_fitness,
-                       test_eval.error_rate(smoothing, test.labels),
-                       [], budget.used, stop)
+    return _train_result(train, test, kind, opt.best_position,
+                         opt.best_fitness, [], budget.used, stop)

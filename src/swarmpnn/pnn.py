@@ -346,37 +346,35 @@ def _loo_pairs(bounds):
 
 
 class DensityEvaluator:
-    """Exact repeated evaluation of one query set against one pattern set.
+    """Exact evaluation of one query set against one pattern set.
 
-    Every density of the package comes from here. Training scores many
-    candidate bandwidths against fixed data, so the squared differences of
-    every (pattern, query) pair are laid out once here, one feature at a
-    time, and reused for every candidate. Bandwidths are read from
+    Every density of the package comes from here. Bandwidths are read from
     :attr:`Smoothing.grid`: one row serves every class, G rows one each.
 
     With ``exclude_self=True`` the query rows must be the pattern rows in
     order, and each query's own pattern is left out of its class sum
-    (leave-one-out). The layout then holds each unordered pair (u, v), u < v,
-    once, in blocks (a, b), a <= b, of the classes of u and v, each in
-    row-major order. The blocks of class a are contiguous and are evaluated
-    at the bandwidths of class a, as row v needs. Row u needs those of class
-    b: a within-class term, or any term when bandwidths are shared across
-    classes, serves it as it is; otherwise, once the v side is summed, each
-    cross block (a, b) is overwritten in place with its terms at the
-    bandwidths of class b.
+    (leave-one-out). Training scores many candidate bandwidths against this
+    set, so only here are the squared differences of every pair laid out
+    once, one feature at a time, and reused for every candidate. The layout
+    holds each unordered pair (u, v), u < v, once, in blocks (a, b), a <= b,
+    of the classes of u and v, each in row-major order. The blocks of class
+    a are contiguous and are evaluated at the bandwidths of class a, as row
+    v needs. Row u needs those of class b: a within-class term, or any term
+    when bandwidths are shared across classes, serves it as it is;
+    otherwise, once the v side is summed, each cross block (a, b) is
+    overwritten in place with its terms at the bandwidths of class b.
 
-    Class sums are a ``bincount`` over (row, class) slots of the linear
-    pair terms; on the u side of the leave-one-out layout a row's terms of
-    one class lie in one run, and the run sums are counted instead. Rows
-    with a class sum below :data:`SAFE_SUM` are recomputed in log space from
-    the data rows, with a per-row max shift, so no row falls back to class
-    0 through underflow.
+    Leave-one-out class sums are a ``bincount`` over (row, class) slots of
+    the linear pair terms; on the u side a row's terms of one class lie in
+    one run, and the run sums are counted instead. Rows with a class sum
+    below :data:`SAFE_SUM` are recomputed in log space from the data rows,
+    with a per-row max shift, so no row falls back to class 0 through
+    underflow. Every other evaluator lays out nothing and computes each row
+    in log space from the data rows.
 
     ``pattern_scales`` (one positive s_p per pattern, default all one)
     divides each pattern's kernel argument by s_p and its kernel by
-    s_p ** N. Scales enter only the log-space path, so every row of an
-    evaluator with a scale other than one is computed there and no pair
-    layout is built; leave-one-out takes unit scales only.
+    s_p ** N; leave-one-out takes unit scales only.
     """
 
     def __init__(self, pattern_set: Dataset, queries, exclude_self=False, *,
@@ -395,8 +393,7 @@ class DensityEvaluator:
             pattern_scales, dtype=np.float64)
         if scales.shape != (p,) or np.any(scales <= 0):
             raise ValueError("pattern_scales must be P positive values")
-        self._unit_scales = bool(np.all(scales == 1.0))
-        if exclude_self and not self._unit_scales:
+        if exclude_self and np.any(scales != 1.0):
             raise ValueError("leave-one-out takes unit pattern scales only")
         self.pattern_set = pattern_set
         self.exclude_self = exclude_self
@@ -411,7 +408,6 @@ class DensityEvaluator:
         self._col_class = classes
         self._starts = bounds[:-1]
         self._scales = scales[order]
-        self._own_col = None
         counts = np.tile(ds.class_counts.astype(np.float64), (q, 1))
         if exclude_self:
             u, v, self._main, self._cross, self._runs = _loo_pairs(bounds)
@@ -420,6 +416,8 @@ class DensityEvaluator:
                 np.take(columns[f], u, out=self._d2[f])
                 np.take(columns[f], v, out=self._buf)
                 self._d2[f] -= self._buf
+            np.square(self._d2, out=self._d2)
+            self._terms = np.empty(len(u))
             # class sums are indexed by query, i.e. by pattern in input order;
             # the v side is scattered, the u side comes in runs of equal slots
             self._slots = order[v] * g + classes[u]
@@ -428,17 +426,6 @@ class DensityEvaluator:
             self._own_col = np.empty(p, dtype=np.intp)
             self._own_col[order] = np.arange(p)
             counts[np.arange(q), ds.labels] -= 1.0
-        elif self._unit_scales:
-            self._main = [(int(bounds[c]) * q, int(bounds[c + 1]) * q, c)
-                          for c in range(g)]
-            self._d2, self._buf = np.empty((n, p * q)), np.empty(p * q)
-            for f in range(n):
-                np.subtract(columns[f, :, None], queries[None, :, f],
-                            out=self._d2[f].reshape(p, q))
-            self._slots = (classes[:, None] + g * np.arange(q)).ravel()
-        if self._unit_scales:
-            np.square(self._d2, out=self._d2)
-            self._terms = np.empty(self._d2.shape[1])
         with np.errstate(divide="ignore"):
             # a class left empty by the exclusion scores -inf
             self._log_counts = np.where(counts > 0, np.log(counts), np.inf)
@@ -460,24 +447,24 @@ class DensityEvaluator:
                 np.square(out, out=out)
 
     def _linear_sums(self, inv_h2) -> np.ndarray:
-        """(Q, G) class sums of the linear pair terms (unit scales)."""
+        """(Q, G) leave-one-out class sums of the linear pair terms."""
         shared = len(inv_h2) == 1
         self._fill_terms(inv_h2, [(0, len(self._terms), 0)] if shared
                          else self._main)
         size = self.n_queries * self.pattern_set.n_classes
         sums = np.bincount(self._slots, self._terms, size)
-        if self.exclude_self:
-            if not shared:
-                self._fill_terms(inv_h2, self._cross)
-            sums += np.bincount(self._run_slots,
-                                np.add.reduceat(self._terms, self._runs), size)
+        if not shared:
+            self._fill_terms(inv_h2, self._cross)
+        sums += np.bincount(self._run_slots,
+                            np.add.reduceat(self._terms, self._runs), size)
         return sums.reshape(self.n_queries, -1)
 
     def _log_scores(self, smoothing: Smoothing, every_class) -> np.ndarray:
         """(Q, G) log densities, less the constant N log(2/pi).
 
-        A row goes to the exact path when its best class sum, or with
-        ``every_class`` any of its class sums, is below SAFE_SUM.
+        A leave-one-out row goes to the exact path when its best class sum,
+        or with ``every_class`` any of its class sums, is below SAFE_SUM;
+        every row of any other evaluator goes there.
         """
         ds, grid = self.pattern_set, smoothing.grid
         rows = ds.n_classes if len(grid) > 1 else 1
@@ -485,7 +472,7 @@ class DensityEvaluator:
                             (rows, ds.n_features))
         inv_h2 = 1.0 / np.square(h)
         log_det = np.log(h).sum(axis=1)
-        if self._unit_scales:
+        if self.exclude_self:
             sums = self._linear_sums(inv_h2)
             scores = (np.log(np.maximum(sums, SAFE_SUM)) - self._log_counts
                       - log_det)
@@ -524,7 +511,7 @@ class DensityEvaluator:
                     d2 = np.square(x[:, f, None] - self._columns[f])
                     total += np.log1p(d2 * scale[f])
             log_terms = -2.0 * total - log_s
-            if self._own_col is not None:
+            if self.exclude_self:
                 log_terms[np.arange(len(rows)), self._own_col[rows]] = -np.inf
             peak = np.maximum.reduceat(log_terms, self._starts, axis=1)
             peak[np.isinf(peak)] = 0.0  # only the query's own pattern

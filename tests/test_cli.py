@@ -103,6 +103,14 @@ class TestTrainCommand:
         main(self.args(toy_csv, out2))
         assert tree_bytes(out1) == tree_bytes(out2)
 
+    def test_zero_runs_is_a_usage_error(self, tmp_path, toy_csv, capsys):
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main(self.args(toy_csv, str(out), runs=0))
+        assert exc.value.code != 0
+        assert "--runs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zscore_flag(self, tmp_path, toy_csv):
         out = str(tmp_path / "runs")
         assert main(self.args(toy_csv, out) + ["--zscore"]) == 0

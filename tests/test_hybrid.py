@@ -11,7 +11,7 @@ from swarmpnn.hybrid import (
     train_hybrid,
     train_single,
 )
-from swarmpnn.pnn import Dataset
+from swarmpnn.pnn import Dataset, DensityEvaluator
 
 # critical value of the chi-squared distribution, 4 dof, alpha = 0.01
 CHI2_4DOF_99 = 13.2767
@@ -66,6 +66,10 @@ class TestConfig:
             HybridConfig(init_range=(5.0, 20000.0))
         with pytest.raises(ValueError):
             HybridConfig(probing_multiplier=0)
+        # probe results are keyed by method name, so a repeat would lose
+        # its first probe's evaluations from the count
+        with pytest.raises(ValueError):
+            HybridConfig(methods=("pso", "pso"))
 
     def test_budget_caps(self):
         cfg = HybridConfig()
@@ -317,3 +321,10 @@ class TestTrainers:
         np.testing.assert_array_equal(a.smoothing.values, b.smoothing.values)
         assert ([r.to_jsonable() for r in a.trace]
                 == [r.to_jsonable() for r in b.trace])
+        # each trainer predicts the test split once, as a fresh evaluator would
+        for result in (a, train_single(train, test, "pso", cfg)):
+            want = DensityEvaluator(train, test.features).predict(
+                result.smoothing)
+            np.testing.assert_array_equal(result.test_predictions, want)
+            assert result.test_error == np.mean(
+                result.test_predictions != test.labels)

@@ -393,19 +393,20 @@ class TestDensityEvaluator:
                              pattern_scales=[1.0, 2.0])
 
     def test_scaled_build_lays_out_no_pairs(self):
-        # with a pattern scale other than one every row is computed from the
-        # data rows, so the (P, Q, N) pair layout would never be read
+        # only leave-one-out lays out pairs: a query set, scaled or not, is
+        # computed from the data rows, so a (P, Q, N) layout would be waste
         rng = np.random.default_rng(59)
         p, q, n = 200, 50, 20
         ds = Dataset(rng.normal(size=(p, n)), np.arange(p) % 3)
         queries = rng.normal(size=(q, n))
-        tracemalloc.start()
-        try:
-            DensityEvaluator(ds, queries, pattern_scales=np.full(p, 1.5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < p * q * n * 8 / 4
+        for scales in (np.full(p, 1.5), None):
+            tracemalloc.start()
+            try:
+                DensityEvaluator(ds, queries, pattern_scales=scales)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < p * q * n * 8 / 4
 
 
 def wide_instance(rng, p=30, n=30, g=2, sizes=None):
