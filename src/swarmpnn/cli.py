@@ -312,8 +312,9 @@ def cmd_benchmark(args) -> int:
              for method in config["methods"]
              for run in range(int(config["runs"]))]
     results, failures = {}, {}
-    jobs = max(1, int(config.get("jobs") or 1))
-    if jobs == 1:
+    # the pool forks all its workers at the first submit: no idle ones
+    jobs = min(max(1, int(config.get("jobs") or 1)), len(specs))
+    if jobs <= 1:
         for spec in specs:
             try:
                 cell = run_cell(spec)
@@ -421,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("benchmark", help="run the dataset x method grid")
     bench.add_argument("--config", required=True)
     bench.add_argument("--out", required=True)
-    bench.add_argument("--jobs", type=int, default=None)
+    bench.add_argument("--jobs", type=_positive_int, default=None)
     bench.add_argument("--charts", action="store_true",
                        help="emit SVG bar charts of optimizer selections")
     bench.set_defaults(fn=cmd_benchmark)

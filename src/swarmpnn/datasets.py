@@ -6,7 +6,10 @@ Canonical layout: UTF-8, comma-separated, one header row, label column named
 directory from, in order of preference, an already cached file, a copy
 bundled with the package (``data/<name>.csv`` beside this module; only iris
 is bundled), a locally installed provider (scikit-learn ships iris, cancer
-and wine) or a download from the public repositories.
+and wine) or a download from the public repositories. The network stack
+(``urllib.request``, which loads ``ssl``, ``http.client`` and ``email``)
+is imported only when a download is attempted, so a process that trains on
+cached or bundled data never loads it.
 
 The bundled ``data/iris.csv`` is UCI Iris (Fisher, 1936; CC BY 4.0) in the
 UCI ``iris.data`` variant, erratum rows 35 and 38 included, exactly as
@@ -16,13 +19,9 @@ UCI ``iris.data`` variant, erratum rows 35 and 38 included, exactly as
 from __future__ import annotations
 
 import csv
-import gzip
-import io
 import os
 import shutil
-import urllib.request
 import warnings
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +160,8 @@ def _convert_climate(raw):
 
 
 def _convert_pmlb(raw):
+    import gzip
+
     text = gzip.decompress(raw).decode("utf-8")
     rows = _rows_from_text(text, sep="\t")
     header, rows = rows[0], _drop_missing(rows[1:])
@@ -402,12 +403,17 @@ def stratified_split(ds: Dataset, spec: SplitSpec):
 # ---------------------------------------------------------------------------
 
 def _default_opener(url: str) -> bytes:
+    import urllib.request
+
     with urllib.request.urlopen(url, timeout=60) as resp:
         return resp.read()
 
 
 def fetch_raw(descriptor: DatasetDescriptor, opener=None) -> bytes:
     """Download the raw source file for one dataset."""
+    import io
+    import zipfile
+
     if descriptor.source_kind == "kaggle":
         raise FetchError(
             f"{descriptor.name}: hosted on kaggle "

@@ -53,6 +53,10 @@ def confusion_matrix(labels, predictions, n_classes: int) -> np.ndarray:
     predictions = np.asarray(predictions, dtype=np.int64)
     if labels.shape != predictions.shape or labels.size == 0:
         raise ValueError("labels and predictions must be equal-length and nonempty")
+    for name, values in (("label", labels), ("prediction", predictions)):
+        bad = values[(values < 0) | (values >= n_classes)]
+        if bad.size:
+            raise ValueError(f"{name} {bad[0]} outside 0..{n_classes - 1}")
     m = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(m, (labels, predictions), 1)
     return m

@@ -494,31 +494,42 @@ class DensityEvaluator:
         The log term of pattern column c is
         -2 sum_f log1p(d_f^2 / (h_f s_c)^2) - N log s_c, with h the
         bandwidths of the class of c; the query's own column is -inf under
-        leave-one-out. Each class is summed with a per-row max shift.
+        leave-one-out. Each class is summed with a per-row max shift. A
+        block of rows works in two (rows, P) arrays: the per-feature scratch
+        and the total, which becomes the log terms, the shifted terms and
+        their exponentials in place.
         """
         n, p = self._columns.shape
         scale = (inv_h2[self._col_class] if len(inv_h2) > 1 else inv_h2).T
         scale = scale / np.square(self._scales)
         log_s = n * np.log(self._scales)
         out = np.empty((len(queries), self.pattern_set.n_classes))
-        step = max(1, _LOG_BLOCK // p)
+        step = max(1, min(len(queries), _LOG_BLOCK // p))
+        total_buf, scratch_buf = np.empty((step, p)), np.empty((step, p))
         for first in range(0, len(queries), step):
             rows = queries[first:first + step]
             x = self._queries[rows]
-            total = np.zeros((len(rows), p))
+            total, scratch = total_buf[:len(rows)], scratch_buf[:len(rows)]
+            total.fill(0.0)
             with np.errstate(over="ignore"):
                 for f in range(n):
-                    d2 = np.square(x[:, f, None] - self._columns[f])
-                    total += np.log1p(d2 * scale[f])
-            log_terms = -2.0 * total - log_s
+                    np.subtract(x[:, f, None], self._columns[f], out=scratch)
+                    np.square(scratch, out=scratch)
+                    scratch *= scale[f]
+                    np.log1p(scratch, out=scratch)
+                    total += scratch
+            total *= -2.0
+            total -= log_s
             if self.exclude_self:
-                log_terms[np.arange(len(rows)), self._own_col[rows]] = -np.inf
-            peak = np.maximum.reduceat(log_terms, self._starts, axis=1)
+                total[np.arange(len(rows)), self._own_col[rows]] = -np.inf
+            peak = np.maximum.reduceat(total, self._starts, axis=1)
             peak[np.isinf(peak)] = 0.0  # only the query's own pattern
-            shifted = log_terms - np.repeat(
-                peak, self.pattern_set.class_counts, axis=1)
+            # the indices are valid; mode "raise" would copy through a buffer
+            total -= np.take(peak, self._col_class, axis=1, out=scratch,
+                             mode="clip")
             with np.errstate(under="ignore", divide="ignore"):
-                sums = np.add.reduceat(np.exp(shifted), self._starts, axis=1)
+                np.exp(total, out=total)
+                sums = np.add.reduceat(total, self._starts, axis=1)
                 out[first:first + len(rows)] = peak + np.log(sums)
         return out
 

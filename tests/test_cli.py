@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,37 @@ def bench_config(tmp_path, toy_csv, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# One smoke cell on the bundled iris, as a benchmark worker runs it.
+SMOKE_CELL = """
+import json, os, sys
+import swarmpnn
+from swarmpnn.cli import CellSpec, default_config, run_cell
+
+config = default_config()
+config["paths"] = {"iris": os.path.join(os.path.dirname(swarmpnn.__file__),
+                                        "data", "iris.csv")}
+config["hybrid"] = {"iterations": 1, "probing_multiplier": 1,
+                    "fit_multiplier": 1}
+cell = run_cell(CellSpec("iris", "hybrid", 0, config))
+print(json.dumps({"evaluations": cell["evaluations"],
+                  "modules": sorted(sys.modules)}))
+"""
+
+
+def test_training_process_loads_no_network_stack():
+    """Only a download needs urllib, and with it ssl, http and email."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", SMOKE_CELL], cwd=ROOT,
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["evaluations"] > 0
+    network = {"urllib.request", "http.client", "ssl", "email"}
+    assert sorted(network & set(report["modules"])) == []
 
 
 class TestFetchCommand:
@@ -154,6 +189,50 @@ class TestBenchmarkCommand:
         a, b = tree_bytes(serial), tree_bytes(parallel)
         a.pop("summary.json"), b.pop("summary.json")  # embeds the jobs setting
         assert a == b
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, toy_csv, capsys,
+                                             jobs):
+        out = tmp_path / "bench"
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--config", bench_config(tmp_path, toy_csv),
+                  "--out", str(out), "--jobs", jobs])
+        assert exc.value.code != 0
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods, runs, jobs, pools", [
+        (["pso"], 2, "8", [2]),        # two cells: no idle workers
+        (["pso", "sa"], 2, "3", [3]),  # four cells
+        (["pso"], 1, "2", []),         # one cell runs serially
+    ], ids=["more-jobs-than-cells", "fewer-jobs-than-cells", "one-cell"])
+    def test_pool_sized_to_cells(self, tmp_path, toy_csv, monkeypatch,
+                                 methods, runs, jobs, pools):
+        sizes = []
+
+        class InlinePool:
+            """Runs each cell at submit; starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        cfg = bench_config(tmp_path, toy_csv, methods=methods, runs=runs)
+        assert main(["benchmark", "--config", cfg, "--out",
+                     str(tmp_path / "bench"), "--jobs", jobs]) == 0
+        assert sizes == pools
 
     def test_partial_failure_reported(self, tmp_path, toy_csv):
         cfg = bench_config(tmp_path, toy_csv,

@@ -92,6 +92,17 @@ class TestComputeMetrics:
         with pytest.raises(ValueError):
             confusion_matrix([], [], 2)
 
+    def test_negative_label_rejected(self):
+        # np.add.at would wrap -1 round to class 1 and report accuracy 1.0
+        with pytest.raises(ValueError, match="label -1"):
+            compute_metrics([0, 1, 1], [0, 1, -1], 2)
+
+    def test_out_of_range_values_rejected(self):
+        with pytest.raises(ValueError, match="label 2"):
+            compute_metrics([0, 1, 1], [0, 1, 2], 2)
+        with pytest.raises(ValueError, match="prediction 2"):
+            confusion_matrix([0, 1, 1], [0, 2, 1], 2)
+
 
 class TestAggregate:
     def runs(self, accuracies):
