@@ -76,7 +76,23 @@ def load_config(path) -> dict:
             cfg[key] = value
     if cfg["datasets"] == "all":
         cfg["datasets"] = sorted(REGISTRY)
+    for key in ("runs", "jobs"):
+        if type(cfg[key]) is not int or cfg[key] < 1:
+            raise SystemExit(
+                f"config: {key!r} must be an integer >= 1, got {cfg[key]!r}")
+    _check_settings(cfg, "config")
     return cfg
+
+
+def _check_settings(config: dict, where: str) -> None:
+    """Build the run's trainer and split settings once, so that a bad value
+    stops the command before any work instead of failing every cell."""
+    try:
+        seed = int(config["seed"])
+        _hybrid_config(config, seed)
+        _split_spec(config, seed)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SystemExit(f"{where}: {exc}") from None
 
 
 def _dataset_path(name: str, config: dict) -> str:
@@ -92,11 +108,14 @@ def _load_split(name: str, config: dict, run_seed: int):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", data_mod.DatasetValidationWarning)
         ds = load_csv(path, descriptor)
-    spec = SplitSpec(config["split"].get("test_fraction", 0.2), seed=run_seed)
-    train, test = stratified_split(ds, spec)
+    train, test = stratified_split(ds, _split_spec(config, run_seed))
     if config.get("zscore"):
         train, test = zscore_standardize(train, test)
     return train, test
+
+
+def _split_spec(config: dict, run_seed: int) -> SplitSpec:
+    return SplitSpec(config["split"].get("test_fraction", 0.2), seed=run_seed)
 
 
 def _hybrid_config(config: dict, run_seed: int) -> HybridConfig:
@@ -200,6 +219,7 @@ def cmd_train(args) -> int:
     config["zscore"] = args.zscore
     if args.test_fraction is not None:
         config["split"] = {"test_fraction": args.test_fraction}
+    _check_settings(config, "train")
 
     out_dir = os.path.join(args.out, f"{args.dataset}_{args.method}")
     os.makedirs(out_dir, exist_ok=True)
@@ -310,10 +330,10 @@ def cmd_benchmark(args) -> int:
     specs = [CellSpec(ds, method, run, config)
              for ds in config["datasets"]
              for method in config["methods"]
-             for run in range(int(config["runs"]))]
+             for run in range(config["runs"])]
     results, failures = {}, {}
     # the pool forks all its workers at the first submit: no idle ones
-    jobs = min(max(1, int(config.get("jobs") or 1)), len(specs))
+    jobs = min(config["jobs"], len(specs))
     if jobs <= 1:
         for spec in specs:
             try:
@@ -336,7 +356,7 @@ def cmd_benchmark(args) -> int:
     for ds in config["datasets"]:
         for method in config["methods"]:
             cells = [results.get((ds, method, run))
-                     for run in range(int(config["runs"]))]
+                     for run in range(config["runs"])]
             cells = [c for c in cells if c is not None]
             if not cells:
                 continue
@@ -357,7 +377,7 @@ def cmd_benchmark(args) -> int:
 
     for ds in config["datasets"]:
         hybrid_cells = [results[(ds, PORTFOLIO, run)]
-                        for run in range(int(config["runs"]))
+                        for run in range(config["runs"])
                         if (ds, PORTFOLIO, run) in results]
         if not hybrid_cells:
             continue

@@ -9,7 +9,9 @@ is bundled), a locally installed provider (scikit-learn ships iris, cancer
 and wine) or a download from the public repositories. The network stack
 (``urllib.request``, which loads ``ssl``, ``http.client`` and ``email``)
 is imported only when a download is attempted, so a process that trains on
-cached or bundled data never loads it.
+cached or bundled data never loads it. Raw downloads are converted by reading
+each file's layout from ``_LAYOUTS``: adding a source means one
+:data:`REGISTRY` entry plus one layout row.
 
 The bundled ``data/iris.csv`` is UCI Iris (Fisher, 1936; CC BY 4.0) in the
 UCI ``iris.data`` variant, erratum rows 35 and 38 included, exactly as
@@ -22,6 +24,7 @@ import csv
 import os
 import shutil
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,125 +89,71 @@ class DatasetDescriptor:
         raise FetchError(f"{self.name}: no direct URL for {self.source_kind}")
 
 
-def _rows_from_text(text, sep=",", skip_header=False):
+# Raw-file layouts: how each source file maps to (features, labels). ``sep``
+# is the field separator (default ","; None: any whitespace), ``header`` marks
+# a first row of column names, ``label`` is the label column (default -1),
+# ``drop`` lists the columns left out of the features, ``coded`` the
+# categorical ones, coded in place by first appearance, and ``min_class`` is
+# the smallest class kept. A column is an index (negative counts from the
+# end) or, in a file with a header, a column name.
+_PMLB = {"sep": "\t", "header": True, "label": "target"}
+
+_LAYOUTS = {
+    "iris": {},
+    "banknote": {},
+    "heart": {},
+    "wine": {"label": 0},
+    "thyroid": {"label": 0},
+    "cancer": {"label": 1, "drop": (0,)},
+    "glass": {"drop": (0,)},
+    "ilpd": {"coded": (1,)},
+    "blood": {"header": True},
+    "climate": {"sep": None, "header": True},
+    "ecoli": {"sep": None, "drop": (0,), "min_class": 5},
+    "parkinson": {"header": True, "label": "status", "drop": (0,)},
+    "ghost": {"header": True, "label": "type", "drop": ("id",),
+              "coded": ("color",)},
+    "monks": _PMLB,
+    "vehicle": _PMLB,
+    "pima": _PMLB,
+}
+
+
+def _parse(layout: dict, text: str):
+    """(features, labels) of a raw file laid out as ``layout``; labels stay
+    strings. Blank lines and rows holding a missing token are skipped."""
     rows = []
     for line in text.splitlines():
         line = line.strip()
-        if not line:
-            continue
-        rows.append([t.strip() for t in (line.split(sep) if sep else line.split())])
-    return rows[1:] if skip_header else rows
-
-
-def _code_column(values):
-    """Map a categorical column to numeric codes by first appearance."""
-    seen = {}
-    return [float(seen.setdefault(v, len(seen))) for v in values]
-
-
-def _drop_missing(rows):
-    return [r for r in rows
+        if line:
+            rows.append([t.strip() for t in line.split(layout.get("sep", ","))])
+    header = rows.pop(0) if layout.get("header") and rows else []
+    rows = [r for r in rows
             if all(t.lower() not in MISSING_TOKENS for t in r)]
 
+    def column(c):
+        return header.index(c) if isinstance(c, str) else c
 
-# ---------------------------------------------------------------------------
-# Raw-file converters: bytes from the source archive -> (features, labels).
-# Labels stay strings; the canonical writer and loader handle the encoding.
-# ---------------------------------------------------------------------------
+    label = column(layout.get("label", -1))
+    left_out = [label] + [column(c) for c in layout.get("drop", ())]
+    codes = {column(c): {} for c in layout.get("coded", ())}
+    counts = Counter(r[label] for r in rows)
+    features, labels = [], []
+    for row in rows:
+        if counts[row[label]] < layout.get("min_class", 1):
+            continue
+        skip = {c % len(row) for c in left_out}
+        coded = {c % len(row): seen for c, seen in codes.items()}
+        values = []
+        for i, token in enumerate(row):
+            if i in coded:
+                values.append(float(coded[i].setdefault(token, len(coded[i]))))
+            elif i not in skip:
+                values.append(float(token))
+        features.append(values)
+        labels.append(row[label])
+    return features, labels
 
-def _convert_label_last(raw, sep=",", skip_header=False, drop_first=0):
-    rows = _drop_missing(_rows_from_text(raw.decode("utf-8", "replace"),
-                                         sep, skip_header))
-    feats = [[float(t) for t in r[drop_first:-1]] for r in rows]
-    return feats, [r[-1] for r in rows]
-
-
-def _convert_label_first(raw, sep=","):
-    rows = _drop_missing(_rows_from_text(raw.decode("utf-8", "replace"), sep))
-    return [[float(t) for t in r[1:]] for r in rows], [r[0] for r in rows]
-
-
-def _convert_ilpd(raw):
-    rows = _drop_missing(_rows_from_text(raw.decode("utf-8", "replace")))
-    gender = _code_column([r[1] for r in rows])
-    feats = [[float(r[0]), gender[i]] + [float(t) for t in r[2:-1]]
-             for i, r in enumerate(rows)]
-    return feats, [r[-1] for r in rows]
-
-
-def _convert_parkinsons(raw):
-    rows = _rows_from_text(raw.decode("utf-8", "replace"), skip_header=False)
-    header, rows = rows[0], _drop_missing(rows[1:])
-    status = header.index("status")
-    feats = [[float(t) for i, t in enumerate(r) if i not in (0, status)]
-             for r in rows]
-    return feats, [r[status] for r in rows]
-
-
-def _convert_ecoli(raw, min_class_size=5):
-    rows = _drop_missing(_rows_from_text(raw.decode("utf-8", "replace"), sep=None))
-    labels = [r[-1] for r in rows]
-    counts = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    keep = [i for i, lab in enumerate(labels) if counts[lab] >= min_class_size]
-    feats = [[float(t) for t in rows[i][1:-1]] for i in keep]
-    return feats, [labels[i] for i in keep]
-
-
-def _convert_climate(raw):
-    rows = _rows_from_text(raw.decode("utf-8", "replace"), sep=None,
-                           skip_header=True)
-    rows = _drop_missing(rows)
-    return [[float(t) for t in r[:-1]] for r in rows], [r[-1] for r in rows]
-
-
-def _convert_pmlb(raw):
-    import gzip
-
-    text = gzip.decompress(raw).decode("utf-8")
-    rows = _rows_from_text(text, sep="\t")
-    header, rows = rows[0], _drop_missing(rows[1:])
-    target = header.index("target")
-    feats = [[float(t) for i, t in enumerate(r) if i != target] for r in rows]
-    return feats, [r[target] for r in rows]
-
-
-def _convert_wdbc(raw):
-    rows = _drop_missing(_rows_from_text(raw.decode("utf-8", "replace")))
-    return [[float(t) for t in r[2:]] for r in rows], [r[1] for r in rows]
-
-
-def _convert_ghost(raw):
-    rows = _rows_from_text(raw.decode("utf-8", "replace"))
-    header, rows = rows[0], _drop_missing(rows[1:])
-    color = header.index("color")
-    label = header.index("type")
-    color_codes = _code_column([r[color] for r in rows])
-    feats = [[float(t) for i, t in enumerate(r)
-              if i not in (0, color, label)] + [color_codes[k]]
-             for k, r in enumerate(rows)]
-    return feats, [r[label] for r in rows]
-
-
-_CONVERTERS = {
-    "iris": _convert_label_last,
-    "ghost": _convert_ghost,
-    "cancer": _convert_wdbc,
-    "wine": _convert_label_first,
-    "ilpd": _convert_ilpd,
-    "glass": lambda raw: _convert_label_last(raw, drop_first=1),
-    "parkinson": _convert_parkinsons,
-    "ecoli": _convert_ecoli,
-    "banknote": _convert_label_last,
-    "heart": _convert_label_last,
-    "climate": _convert_climate,
-    "blood": lambda raw: _convert_label_last(raw, skip_header=True),
-    "thyroid": _convert_label_first,
-    "monks": _convert_pmlb,
-    "vehicle": _convert_pmlb,
-    "pima": _convert_pmlb,
-}
 
 REGISTRY = {d.name: d for d in [
     DatasetDescriptor("iris", "uci", "53/iris", "iris.data",
@@ -437,11 +386,17 @@ def fetch_raw(descriptor: DatasetDescriptor, opener=None) -> bytes:
 
 def convert_to_canonical(descriptor: DatasetDescriptor, raw: bytes,
                          out_path) -> None:
-    converter = _CONVERTERS.get(descriptor.name)
-    if converter is None:
+    layout = _LAYOUTS.get(descriptor.name)
+    if layout is None:
         raise FetchError(f"no converter for {descriptor.name}")
     try:
-        features, labels = converter(raw)
+        if descriptor.source_kind == "pmlb":
+            import gzip
+
+            text = gzip.decompress(raw).decode("utf-8")
+        else:
+            text = raw.decode("utf-8", "replace")
+        features, labels = _parse(layout, text)
     except Exception as exc:
         raise FetchError(
             f"{descriptor.name}: raw file conversion failed: {exc}") from exc

@@ -49,8 +49,11 @@ class HybridConfig:
     method_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.iterations < 1 or self.population_size < 1:
-            raise ValueError("iterations and population_size must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        # flower pollination mixes two distinct members
+        if self.population_size < 2:
+            raise ValueError("population_size must be >= 2")
         if not self.methods:
             raise ValueError("need at least one method")
         for m in self.methods:
@@ -70,6 +73,13 @@ class HybridConfig:
 
     def params_for(self, method: str) -> dict:
         return dict(self.method_params.get(method, {}))
+
+    def initial_positions(self, dim: int) -> np.ndarray:
+        """The starting population of a run, shared by every method."""
+        rng = np.random.default_rng(
+            np.random.SeedSequence([self.seed, _TAG_INIT]))
+        return rng.uniform(self.init_range[0], self.init_range[1],
+                           size=(self.population_size, dim))
 
     def probe_cap(self, eval_cost: int) -> int:
         return self.population_size * eval_cost * self.probing_multiplier
@@ -187,10 +197,7 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
     the first-seen minimum over all phases, and ``evaluations`` the sum of
     their budgets' use.
     """
-    init_rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, _TAG_INIT]))
-    positions = init_rng.uniform(cfg.init_range[0], cfg.init_range[1],
-                                 size=(cfg.population_size, dim))
+    positions = cfg.initial_positions(dim)
     best = (np.inf, None)
     trace = []
     stop_reason = "iterations"
@@ -310,10 +317,7 @@ def train_single(train: Dataset, test: Dataset, method: str,
     full portfolio run, from the identical starting population."""
     kind = cfg.smoothing_kind
     dim = Smoothing.vector_length(kind, train.n_classes, train.n_features)
-    init_rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, _TAG_INIT]))
-    pop = Population(init_rng.uniform(cfg.init_range[0], cfg.init_range[1],
-                                      size=(cfg.population_size, dim)))
+    pop = Population(cfg.initial_positions(dim))
     opt = make_optimizer(
         method, dim, cfg.bounds,
         np.random.SeedSequence([cfg.seed, _TAG_SINGLE,

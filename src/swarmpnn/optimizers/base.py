@@ -153,13 +153,15 @@ class Optimizer:
             self.best_position = pop.positions[i].copy()
 
     def ensure_evaluated(self, pop: Population, objective, budget: FeBudget) -> None:
-        """Evaluate members with no cached fitness, stopping when halted."""
+        """Evaluate members with no cached fitness, stopping when halted,
+        then absorb the population into the best-seen archive."""
         for i in range(pop.size):
             if not np.isnan(pop.fitness[i]):
                 continue
             if self.halted(budget):
-                return
+                break
             pop.fitness[i] = self.evaluate(pop.positions[i], objective, budget)
+        self.sync_archive(pop)
 
     def step(self, pop: Population, objective, budget: FeBudget) -> None:
         raise NotImplementedError

@@ -35,7 +35,6 @@ class BatSearch(Optimizer):
     def step(self, pop: Population, objective, budget: FeBudget) -> None:
         self._attach(pop)
         self.ensure_evaluated(pop, objective, budget)
-        self.sync_archive(pop)
         if self.best_position is None:
             return
         self._generation += 1

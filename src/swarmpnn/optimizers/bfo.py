@@ -99,7 +99,6 @@ class BacterialForaging(Optimizer):
     def step(self, pop: Population, objective, budget: FeBudget) -> None:
         self._attach(pop)
         self.ensure_evaluated(pop, objective, budget)
-        self.sync_archive(pop)
         if self.halted(budget):
             return
         self._chemotaxis_sweep(pop, objective, budget)

@@ -34,7 +34,6 @@ class FlowerPollination(Optimizer):
 
     def step(self, pop: Population, objective, budget: FeBudget) -> None:
         self.ensure_evaluated(pop, objective, budget)
-        self.sync_archive(pop)
         if self.best_position is None:
             return
         for i in range(pop.size):

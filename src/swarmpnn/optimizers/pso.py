@@ -41,7 +41,6 @@ class ParticleSwarm(Optimizer):
         improved = pop.fitness < self._pbest_fit
         self._pbest[improved] = pop.positions[improved]
         self._pbest_fit[improved] = pop.fitness[improved]
-        self.sync_archive(pop)
         if self.best_position is None:
             return
         omega = self._current_omega(budget)

@@ -22,7 +22,6 @@ class SimulatedAnnealing(Optimizer):
 
     def step(self, pop: Population, objective, budget: FeBudget) -> None:
         self.ensure_evaluated(pop, objective, budget)
-        self.sync_archive(pop)
         sigma = self.d * (self.upper - self.lower)
         for i in range(pop.size):
             if self.halted(budget):

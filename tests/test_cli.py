@@ -146,6 +146,32 @@ class TestTrainCommand:
         assert "--runs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--iterations", "0", "iterations"),
+        ("--population-size", "0", "population_size"),
+        ("--probing-multiplier", "0", "multipliers"),
+        ("--fit-multiplier", "0", "multipliers"),
+        ("--test-fraction", "1.5", "test_fraction"),
+    ])
+    def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
+                                               flag, value, message):
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit, match=f"train: {message}"):
+            main(self.args(toy_csv, str(out)) + [flag, value])
+        assert not out.exists()
+
+    def test_bad_setting_exit_status_and_stderr(self, tmp_path, toy_csv):
+        out = tmp_path / "runs"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "swarmpnn.cli"]
+            + self.args(toy_csv, str(out)) + ["--population-size", "1"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode != 0
+        assert "train: population_size must be >= 2" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert not out.exists()
+
     def test_zscore_flag(self, tmp_path, toy_csv):
         out = str(tmp_path / "runs")
         assert main(self.args(toy_csv, out) + ["--zscore"]) == 0
@@ -255,6 +281,27 @@ class TestBenchmarkCommand:
                      "--charts"]) == 0
         svg = (Path(out) / "charts" / "toy.svg").read_text()
         assert svg.startswith("<svg") and "optimizer selections" in svg
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"runs": 0}, "'runs' must be an integer >= 1"),
+        ({"runs": 2.5}, "'runs' must be an integer >= 1"),
+        ({"jobs": -3}, "'jobs' must be an integer >= 1"),
+        ({"jobs": True}, "'jobs' must be an integer >= 1"),
+        ({"hybrid": {"population_size": 0}}, "population_size"),
+        ({"hybrid": {"iteration": 2}}, "iteration"),
+        ({"split": {"test_fraction": 1.5}}, "test_fraction"),
+        ({"seed": "zero"}, "zero"),
+    ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
+            "hybrid-population", "hybrid-unknown-key", "split-fraction",
+            "seed"])
+    def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
+                                               overrides, message):
+        out = tmp_path / "bench"
+        with pytest.raises(SystemExit, match=f"config: .*{message}"):
+            main(["benchmark", "--config",
+                  bench_config(tmp_path, toy_csv, **overrides),
+                  "--out", str(out)])
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -269,6 +269,101 @@ class TestConverters:
         assert ds.n_classes == 3
 
 
+
+def pmlb_gz(tsv):
+    return gzip.compress(tsv.encode())
+
+
+# One small raw file per registry layout, each with a blank line and a row
+# holding a missing token, and the exact canonical CSV it converts to.
+CANONICAL = {
+    "iris": (b"5.1,3.5,1.4,0.2,Iris-setosa\n\n4.9,?,1.4,0.2,Iris-setosa\n"
+             b"6.2,2.9,4.3,1.3,Iris-versicolor\n",
+             ["f0,f1,f2,f3,class",
+              "5.1,3.5,1.4,0.2,Iris-setosa",
+              "6.2,2.9,4.3,1.3,Iris-versicolor"]),
+    "banknote": (b"3.6216,8.6661,-2.8073,-0.44699,0\r\n"
+                 b"4.5459,8.1674,-2.4586,NaN,0\r\n\r\n"
+                 b"-1.3971,3.3191,-1.3927,-1.9948,1\r\n",
+                 ["f0,f1,f2,f3,class",
+                  "3.6216,8.6661,-2.8073,-0.44699,0",
+                  "-1.3971,3.3191,-1.3927,-1.9948,1"]),
+    "heart": (b"63.0,1.0,1.0,145.0,0\n67.0,1.0,4.0,?,2\n\n37.0,1.0,3.0,130.0,1\n",
+              ["f0,f1,f2,f3,class",
+               "63.0,1.0,1.0,145.0,0",
+               "37.0,1.0,3.0,130.0,1"]),
+    "wine": (b"1,14.23,1.71\n2,?,1.78\n\n3,13.2,2.36\n",
+             ["f0,f1,class", "14.23,1.71,1", "13.2,2.36,3"]),
+    "thyroid": (b"1,107,10.1\n\n2,113,9.9\n3,na,2.2\n3,127,12.9\n",
+                ["f0,f1,class", "107.0,10.1,1", "113.0,9.9,2",
+                 "127.0,12.9,3"]),
+    "cancer": (b"842302,M,17.99,10.38\n842517,B,,17.77\n\n"
+               b"84300903,B,19.69,21.25\n",
+               ["f0,f1,class", "17.99,10.38,M", "19.69,21.25,B"]),
+    "glass": (b"1,1.52101,13.64,1\n2,1.51761,?,1\n\n3,1.51618,13.53,2\n",
+              ["f0,f1,class", "1.52101,13.64,1", "1.51618,13.53,2"]),
+    # gender is coded in place, by first appearance among the kept rows
+    "ilpd": (b"65,Female,0.7,1\n62,Male,10.9,1\n\n40,Male,,1\n26,Female,0.9,2\n",
+             ["f0,f1,f2,class", "65.0,0.0,0.7,1", "62.0,1.0,10.9,1",
+              "26.0,0.0,0.9,2"]),
+    "blood": (b"Recency (months),Frequency (times),"
+              b"whether he/she donated blood in March 2007\n"
+              b"2,50,1\n\n0,?,1\n1,16,0\n",
+              ["f0,f1,class", "2.0,50.0,1", "1.0,16.0,0"]),
+    "climate": (b"Study Run vconst_corr outcome\n1  1 0.85 0\n\n1 2 ? 1\n"
+                b"1\t3 0.40 1\n",
+                ["f0,f1,f2,class", "1.0,1.0,0.85,0", "1.0,3.0,0.4,1"]),
+    # imL has one member and is dropped; cp keeps its five
+    "ecoli": (b"AAT_ECOLI   0.49  0.29  cp\nACEA_ECOLI  0.07  0.40  cp\n\n"
+              b"ACEK_ECOLI  0.56  ?     cp\nACKA_ECOLI  0.59  0.49  cp\n"
+              b"ADI_ECOLI   0.23  0.32  cp\nAMY2_ECOLI  0.29  0.28  imL\n"
+              b"APT_ECOLI   0.21  0.34  cp\n",
+              ["f0,f1,class", "0.49,0.29,cp", "0.07,0.4,cp", "0.59,0.49,cp",
+               "0.23,0.32,cp", "0.21,0.34,cp"]),
+    "parkinson": (b"name,MDVP:Fo(Hz),status,PPE\n"
+                  b"phon_R01_S01_1,119.992,1,0.284654\n\n"
+                  b"phon_R01_S01_2,?,1,0.368674\n"
+                  b"phon_R01_S01_3,116.682,0,0.332634\n",
+                  ["f0,f1,class", "119.992,0.284654,1",
+                   "116.682,0.332634,0"]),
+    # black first appears after the missing-token row: code 2
+    "ghost": (b"id,bone_length,rotting_flesh,hair_length,has_soul,color,type\n"
+              b"0,0.35,0.35,0.47,0.88,clear,Ghoul\n"
+              b"1,0.57,0.42,0.35,0.39,green,Goblin\n\n"
+              b"2,0.33,?,0.37,0.17,black,Ghost\n"
+              b"4,0.46,0.39,0.13,0.46,black,Ghost\n"
+              b"5,0.41,0.62,0.44,0.29,green,Goblin\n",
+              ["f0,f1,f2,f3,f4,class",
+               "0.35,0.35,0.47,0.88,0.0,Ghoul",
+               "0.57,0.42,0.35,0.39,1.0,Goblin",
+               "0.46,0.39,0.13,0.46,2.0,Ghost",
+               "0.41,0.62,0.44,0.29,1.0,Goblin"]),
+    "monks": (pmlb_gz("target\ta\tb\n1\t1\t2\n\n0\t3\tnan\n0\t5\t6\n"),
+              ["f0,f1,class", "1.0,2.0,1", "5.0,6.0,0"]),
+    "vehicle": (pmlb_gz("a\ttarget\tb\n1.5\t2\t2\n\n3\t1\t?\n5\t3\t6.25\n"),
+                ["f0,f1,class", "1.5,2.0,2", "5.0,6.25,3"]),
+    "pima": (pmlb_gz("a\tb\ttarget\n6\t148\t1\n\n1\t\t0\n8\t183\t1\n"),
+             ["f0,f1,class", "6.0,148.0,1", "8.0,183.0,1"]),
+}
+
+
+class TestCanonicalBytes:
+    def test_every_registry_layout_has_a_case(self):
+        assert sorted(CANONICAL) == sorted(REGISTRY)
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL))
+    def test_layout(self, name, tmp_path):
+        raw, lines = CANONICAL[name]
+        out = tmp_path / f"{name}.csv"
+        convert_to_canonical(REGISTRY[name], raw, out)
+        assert out.read_bytes() == "".join(f"{ln}\r\n" for ln in lines).encode()
+
+    def test_unregistered_name(self, tmp_path):
+        with pytest.raises(FetchError, match="no converter for toy"):
+            convert_to_canonical(datasets.DatasetDescriptor("toy", "uci", "1/toy"),
+                                 IRIS_RAW, tmp_path / "toy.csv")
+
+
 class TestFetch:
     def test_uci_zip_extraction(self):
         opener = lambda url: uci_zip("iris.data", IRIS_RAW)

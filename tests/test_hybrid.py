@@ -60,6 +60,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             HybridConfig(iterations=0)
+        # flower pollination's local step draws two distinct members
+        with pytest.raises(ValueError, match="population_size"):
+            HybridConfig(population_size=1)
         with pytest.raises(ValueError):
             HybridConfig(methods=("pso", "nope"))
         with pytest.raises(ValueError):
