@@ -29,8 +29,8 @@ from .datasets import (
 )
 from .hybrid import HybridConfig, train_hybrid, train_single
 from .metrics import REPORT_DECIMALS, aggregate_runs, compute_metrics, rank
+from .optimizers import METHOD_NAMES, make_optimizer
 
-SINGLE_METHODS = ("pso", "fpa", "bat", "bfo", "sa")
 PORTFOLIO = "hybrid"
 # default table column order mirrors the published comparison tables
 DEFAULT_METHODS = (PORTFOLIO, "bat", "bfo", "pso", "fpa", "sa")
@@ -59,7 +59,7 @@ def default_config() -> dict:
         "split": {"test_fraction": 0.2},
         "zscore": False,
         "hybrid": {},
-        "pso": {}, "bat": {}, "bfo": {}, "sa": {}, "fpa": {},
+        **{method: {} for method in METHOD_NAMES},
     }
 
 
@@ -85,12 +85,20 @@ def load_config(path) -> dict:
 
 
 def _check_settings(config: dict, where: str) -> None:
-    """Build the run's trainer and split settings once, so that a bad value
-    stops the command before any work instead of failing every cell."""
+    """Check the run's names and settings once, so that a bad value stops
+    the command before any work instead of failing every cell."""
     try:
         seed = int(config["seed"])
-        _hybrid_config(config, seed)
+        cfg = _hybrid_config(config, seed)
         _split_spec(config, seed)
+        for name in config["datasets"]:
+            if name not in REGISTRY and name not in (config["paths"] or {}):
+                raise ValueError(f"unknown dataset {name!r}")
+        for method in config["methods"]:
+            if method != PORTFOLIO and method not in METHOD_NAMES:
+                raise ValueError(f"unknown method {method!r}")
+        for method in METHOD_NAMES:
+            make_optimizer(method, 1, cfg.bounds, seed, cfg.params_for(method))
     except (AttributeError, TypeError, ValueError) as exc:
         raise SystemExit(f"{where}: {exc}") from None
 
@@ -120,8 +128,7 @@ def _split_spec(config: dict, run_seed: int) -> SplitSpec:
 
 def _hybrid_config(config: dict, run_seed: int) -> HybridConfig:
     overrides = dict(config.get("hybrid") or {})
-    method_params = {m: config.get(m) or {} for m in SINGLE_METHODS}
-    overrides.setdefault("methods", list(SINGLE_METHODS))
+    method_params = {m: config.get(m) or {} for m in METHOD_NAMES}
     for key in ("methods", "init_range", "bounds"):
         if key in overrides and isinstance(overrides[key], list):
             overrides[key] = tuple(overrides[key])
@@ -204,6 +211,7 @@ def cmd_fetch(args) -> int:
 
 def cmd_train(args) -> int:
     config = default_config()
+    config["datasets"], config["methods"] = [args.dataset], [args.method]
     config["seed"] = args.seed
     config["runs"] = args.runs
     config["data_dir"] = args.data_dir
@@ -423,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train one dataset with one method")
     train.add_argument("--dataset", required=True)
     train.add_argument("--method", default=PORTFOLIO,
-                       choices=(PORTFOLIO,) + SINGLE_METHODS)
+                       choices=(PORTFOLIO,) + METHOD_NAMES)
     train.add_argument("--runs", type=_positive_int, default=10)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", default="runs")

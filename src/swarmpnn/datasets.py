@@ -9,9 +9,9 @@ is bundled), a locally installed provider (scikit-learn ships iris, cancer
 and wine) or a download from the public repositories. The network stack
 (``urllib.request``, which loads ``ssl``, ``http.client`` and ``email``)
 is imported only when a download is attempted, so a process that trains on
-cached or bundled data never loads it. Raw downloads are converted by reading
-each file's layout from ``_LAYOUTS``: adding a source means one
-:data:`REGISTRY` entry plus one layout row.
+cached or bundled data never loads it. One delimited-text reader reads raw
+downloads, by each file's layout in ``_LAYOUTS``, and canonical CSVs: adding
+a source means one :data:`REGISTRY` entry plus one layout row.
 
 The bundled ``data/iris.csv`` is UCI Iris (Fisher, 1936; CC BY 4.0) in the
 UCI ``iris.data`` variant, erratum rows 35 and 38 included, exactly as
@@ -26,6 +26,7 @@ import shutil
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
@@ -119,40 +120,58 @@ _LAYOUTS = {
 }
 
 
-def _parse(layout: dict, text: str):
-    """(features, labels) of a raw file laid out as ``layout``; labels stay
-    strings. Blank lines and rows holding a missing token are skipped."""
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            rows.append([t.strip() for t in line.split(layout.get("sep", ","))])
-    header = rows.pop(0) if layout.get("header") and rows else []
-    rows = [r for r in rows
-            if all(t.lower() not in MISSING_TOKENS for t in r)]
+def _read_table(lines, layout: dict):
+    """(feature names, features, labels, dropped) of ``lines`` laid out as
+    ``layout``; labels stay strings. Blank lines are skipped, a ragged row or
+    a non-numeric feature is an error, and rows holding a missing token are
+    dropped: ``dropped`` lists their indices, counted after the header."""
+    sep = layout.get("sep", ",")
+    lines = (ln if ln.strip() else "" for ln in lines)
+    records = csv.reader(lines, delimiter=sep) if sep else map(str.split, lines)
+    rows = ([t.strip() for t in r] for r in records)
+    header = next((r for r in rows if r), None)
+    if header is None:
+        raise ValueError("empty file")
+    if not layout.get("header"):
+        rows, header = chain([header], rows), list(range(len(header)))
+    width = len(header)
 
     def column(c):
-        return header.index(c) if isinstance(c, str) else c
+        if isinstance(c, str):
+            if c not in header:
+                raise ValueError(f"no {c!r} column in header")
+            return header.index(c)
+        return range(width)[c]
 
     label = column(layout.get("label", -1))
     left_out = [label] + [column(c) for c in layout.get("drop", ())]
     codes = {column(c): {} for c in layout.get("coded", ())}
-    counts = Counter(r[label] for r in rows)
-    features, labels = [], []
-    for row in rows:
-        if counts[row[label]] < layout.get("min_class", 1):
+    cols = [c for c in range(width) if c in codes or c not in left_out]
+    features, labels, dropped = [], [], []
+    for index, row in enumerate(rows):
+        if not row:
             continue
-        skip = {c % len(row) for c in left_out}
-        coded = {c % len(row): seen for c, seen in codes.items()}
+        if len(row) != width:
+            raise ValueError(f"row {index} has {len(row)} fields, "
+                             f"expected {width}")
+        if any(t.lower() in MISSING_TOKENS for t in row):
+            dropped.append(index)
+            continue
+        for c, seen in codes.items():
+            row[c] = seen.setdefault(row[c], len(seen))
         values = []
-        for i, token in enumerate(row):
-            if i in coded:
-                values.append(float(coded[i].setdefault(token, len(coded[i]))))
-            elif i not in skip:
-                values.append(float(token))
+        for c in cols:
+            try:
+                values.append(float(row[c]))
+            except ValueError:
+                raise ValueError(f"non-numeric value {row[c]!r} in row "
+                                 f"{index}, column {header[c]!r}") from None
         features.append(values)
         labels.append(row[label])
-    return features, labels
+    counts = Counter(labels)
+    kept = [counts[y] >= layout.get("min_class", 1) for y in labels]
+    return ([header[c] for c in cols], list(compress(features, kept)),
+            list(compress(labels, kept)), dropped)
 
 
 REGISTRY = {d.name: d for d in [
@@ -212,8 +231,7 @@ def write_canonical_csv(path, features, labels, feature_names=None) -> None:
             writer.writerow([repr(float(v)) for v in row] + [str(label)])
 
 
-def load_csv(path, descriptor: DatasetDescriptor | None = None,
-             label_column: str = "class") -> Dataset:
+def load_csv(path, descriptor: DatasetDescriptor | None = None) -> Dataset:
     """Load a canonical CSV into a :class:`Dataset`.
 
     Labels are encoded ``0..G-1`` in order of first appearance. Rows with
@@ -221,38 +239,11 @@ def load_csv(path, descriptor: DatasetDescriptor | None = None,
     non-numeric feature tokens are an error.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise ValueError(f"{path}: no {label_column!r} column in header")
-        label_idx = header.index(label_column)
-        features, labels, dropped = [], [], []
-        for row_idx, row in enumerate(reader):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {row_idx} has {len(row)} fields, "
-                                 f"expected {len(header)}")
-            tokens = [t.strip() for t in row]
-            if any(t.lower() in MISSING_TOKENS for t in tokens):
-                dropped.append(row_idx)
-                continue
-            values = []
-            for col, token in enumerate(tokens):
-                if col == label_idx:
-                    continue
-                try:
-                    values.append(float(token))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric value {token!r} in row {row_idx}, "
-                        f"column {header[col]!r}") from None
-            features.append(values)
-            labels.append(tokens[label_idx])
+            names, features, labels, dropped = _read_table(
+                fh, {"header": True, "label": "class"})
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if dropped:
         warnings.warn(f"{path}: dropped rows with missing values: {dropped}",
                       DatasetValidationWarning, stacklevel=2)
@@ -264,8 +255,7 @@ def load_csv(path, descriptor: DatasetDescriptor | None = None,
         if label not in class_names:
             class_names.append(label)
         encoded.append(class_names.index(label))
-    ds = Dataset(np.array(features), encoded,
-                 feature_names=[h for h in header if h != label_column],
+    ds = Dataset(np.array(features), encoded, feature_names=names,
                  class_names=class_names)
     if descriptor is not None:
         _validate(ds, descriptor, path)
@@ -396,11 +386,11 @@ def convert_to_canonical(descriptor: DatasetDescriptor, raw: bytes,
             text = gzip.decompress(raw).decode("utf-8")
         else:
             text = raw.decode("utf-8", "replace")
-        features, labels = _parse(layout, text)
+        _, features, labels, _ = _read_table(text.splitlines(), layout)
+        write_canonical_csv(out_path, features, labels)
     except Exception as exc:
         raise FetchError(
             f"{descriptor.name}: raw file conversion failed: {exc}") from exc
-    write_canonical_csv(out_path, features, labels)
 
 
 def _sklearn_canonical(descriptor: DatasetDescriptor, out_path) -> bool:

@@ -160,6 +160,19 @@ class TestTrainCommand:
             main(self.args(toy_csv, str(out)) + [flag, value])
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--dataset", "irsi"], "train: unknown dataset 'irsi'"),
+        (["--dataset", "iris", "--method", "cmaes"], "invalid choice: 'cmaes'"),
+    ], ids=["dataset", "method"])
+    def test_unknown_name_stops_before_any_work(self, tmp_path, capsys,
+                                                argv, message):
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--out", str(out)] + argv)
+        assert exc.value.code != 0
+        assert message in f"{exc.value.code}\n{capsys.readouterr().err}"
+        assert not out.exists()
+
     def test_bad_setting_exit_status_and_stderr(self, tmp_path, toy_csv):
         out = tmp_path / "runs"
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -291,9 +304,12 @@ class TestBenchmarkCommand:
         ({"hybrid": {"iteration": 2}}, "iteration"),
         ({"split": {"test_fraction": 1.5}}, "test_fraction"),
         ({"seed": "zero"}, "zero"),
+        ({"datasets": ["toy", "irsi"]}, "unknown dataset 'irsi'"),
+        ({"methods": ["hybrid", "cmaes"]}, "unknown method 'cmaes'"),
+        ({"pso": {"omega2": 1.0}}, "bad parameters for pso: .*'omega2'"),
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
-            "seed"])
+            "seed", "unknown-dataset", "unknown-method", "method-unknown-key"])
     def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
                                                overrides, message):
         out = tmp_path / "bench"

@@ -259,6 +259,34 @@ class TestConverters:
         assert ds.n_features == 2
         assert ds.n_samples == 2
 
+    # an empty edge field in a tab-separated file is a missing value: the
+    # row is dropped, the other rows keep their columns
+    @pytest.mark.parametrize("name, tsv, lines", [
+        ("pima", "a\tb\ttarget\n6\t148\t1\n1\t85\t\n8\t183\t1\n",
+         ["f0,f1,class", "6.0,148.0,1", "8.0,183.0,1"]),
+        ("vehicle", "a\ttarget\tb\n\t2\t2\n1.5\t2\t2\n5\t3\t6.25\n",
+         ["f0,f1,class", "1.5,2.0,2", "5.0,6.25,3"]),
+        ("monks", "target\ta\tb\n1\t1\t2\n0\t3\t\n\t4\t5\n0\t5\t6\n",
+         ["f0,f1,class", "1.0,2.0,1", "5.0,6.0,0"]),
+    ], ids=["pima-last", "vehicle-first", "monks-both"])
+    def test_pmlb_empty_edge_field_drops_row(self, tmp_path, name, tsv, lines):
+        out = tmp_path / f"{name}.csv"
+        convert_to_canonical(REGISTRY[name], gzip.compress(tsv.encode()), out)
+        assert out.read_bytes() == "".join(f"{ln}\r\n" for ln in lines).encode()
+
+    @pytest.mark.parametrize("name, raw", [
+        ("iris", b""),
+        ("iris", b"\n \n"),
+        ("blood", b"Recency,Frequency,whether he/she donated\n"),
+        ("pima", gzip.compress(b"a\tb\ttarget\n")),
+        ("iris", b"5.1,?,1.4,0.2,Iris-setosa\n4.9,3.0,1.4,NA,Iris-setosa\n"),
+        ("iris", b"5.1,3.5,1.4,0.2,Iris-setosa\n4.9,3.0,Iris-setosa\n"),
+    ], ids=["empty", "blank", "header-only", "pmlb-header-only",
+            "all-missing", "ragged"])
+    def test_unusable_raw_file_is_a_fetch_error(self, tmp_path, name, raw):
+        with pytest.raises(FetchError, match="raw file conversion failed"):
+            convert_to_canonical(REGISTRY[name], raw, tmp_path / "out.csv")
+
     def test_ghost_codes_color(self, tmp_path):
         raw = (b"id,bone_length,rotting_flesh,hair_length,has_soul,color,type\n"
                b"0,0.35,0.35,0.47,0.88,clear,Ghoul\n"
