@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import os
 import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import datasets as data_mod
 from .datasets import (
     REGISTRY,
+    FetchError,
     SplitSpec,
     ensure_dataset,
     load_csv,
@@ -28,7 +28,13 @@ from .datasets import (
     zscore_standardize,
 )
 from .hybrid import HybridConfig, train_hybrid, train_single
-from .metrics import REPORT_DECIMALS, aggregate_runs, compute_metrics, rank
+from .metrics import (
+    REPORT_DECIMALS,
+    RunMetrics,
+    aggregate_runs,
+    compute_metrics,
+    rank,
+)
 from .optimizers import METHOD_NAMES, make_optimizer
 
 PORTFOLIO = "hybrid"
@@ -91,6 +97,9 @@ def _check_settings(config: dict, where: str) -> None:
         seed = int(config["seed"])
         cfg = _hybrid_config(config, seed)
         _split_spec(config, seed)
+        for key in ("datasets", "methods"):
+            if len(set(config[key])) != len(config[key]):
+                raise ValueError(f"{key!r} repeats a name: {config[key]!r}")
         for name in config["datasets"]:
             if name not in REGISTRY and name not in (config["paths"] or {}):
                 raise ValueError(f"unknown dataset {name!r}")
@@ -103,19 +112,24 @@ def _check_settings(config: dict, where: str) -> None:
         raise SystemExit(f"{where}: {exc}") from None
 
 
-def _dataset_path(name: str, config: dict) -> str:
-    override = config.get("paths") or {}
-    if name in override:
-        return override[name]
-    return ensure_dataset(name, config.get("data_dir"))
+def _resolve_paths(config: dict, where: str) -> None:
+    """Map every dataset of the run to its canonical CSV in
+    ``config["paths"]``, fetching each registry dataset once, so that a
+    failed fetch stops the command before any output exists."""
+    paths = dict(config["paths"] or {})
+    try:
+        for name in config["datasets"]:
+            if name not in paths:
+                paths[name] = ensure_dataset(name, config["data_dir"])
+    except FetchError as exc:
+        raise SystemExit(f"{where}: {exc}") from None
+    config["paths"] = paths
 
 
 def _load_split(name: str, config: dict, run_seed: int):
-    path = _dataset_path(name, config)
-    descriptor = REGISTRY.get(name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", data_mod.DatasetValidationWarning)
-        ds = load_csv(path, descriptor)
+        ds = load_csv(config["paths"][name], REGISTRY.get(name))
     train, test = stratified_split(ds, _split_spec(config, run_seed))
     if config.get("zscore"):
         train, test = zscore_standardize(train, test)
@@ -136,7 +150,10 @@ def _hybrid_config(config: dict, run_seed: int) -> HybridConfig:
 
 
 def run_cell(spec: CellSpec) -> dict:
-    """Train one (dataset, method, run) cell and measure it on the test split."""
+    """Train one (dataset, method, run) cell and measure it on the test split.
+
+    ``config["paths"]`` must map every dataset of the run to its CSV.
+    """
     config = spec.config
     run_seed = int(config["seed"]) + spec.run_index
     train, test = _load_split(spec.dataset, config, run_seed)
@@ -172,15 +189,6 @@ def _write_trace(path, trace) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in trace:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _metrics_from_cells(cells):
-    from .metrics import RunMetrics
-
-    return [RunMetrics(c["metrics"]["accuracy"], c["metrics"]["precision"],
-                       c["metrics"]["recall"],
-                       np.asarray(c["metrics"]["confusion"]),
-                       c["metrics"]["seed"]) for c in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +236,20 @@ def cmd_train(args) -> int:
     if args.test_fraction is not None:
         config["split"] = {"test_fraction": args.test_fraction}
     _check_settings(config, "train")
+    _resolve_paths(config, "train")
 
     out_dir = os.path.join(args.out, f"{args.dataset}_{args.method}")
     os.makedirs(out_dir, exist_ok=True)
-    cells = []
+    runs = []
     for run_index in range(args.runs):
         cell = run_cell(CellSpec(args.dataset, args.method, run_index, config))
-        cells.append(cell)
         stem = f"run_{run_index:03d}"
         trace = cell.pop("trace")
         _dump_json(os.path.join(out_dir, f"{stem}.json"), cell)
         if args.method == PORTFOLIO:
             _write_trace(os.path.join(out_dir, f"trace_{stem}.jsonl"), trace)
-        cell["trace"] = trace
-    summary = aggregate_runs(_metrics_from_cells(cells))
+        runs.append(RunMetrics(**cell["metrics"]))
+    summary = aggregate_runs(runs)
     _dump_json(os.path.join(out_dir, "summary.json"), summary.to_jsonable())
     lines = [f"{args.dataset} / {args.method} over {args.runs} runs"]
     for metric in ("accuracy", "precision", "recall"):
@@ -323,81 +331,55 @@ def cmd_benchmark(args) -> int:
     config = load_config(args.config)
     if args.jobs is not None:
         config["jobs"] = args.jobs
+    _resolve_paths(config, "config")
     out = args.out
-    os.makedirs(out, exist_ok=True)
-    for sub in ("tables", "selection"):
+    for sub in ("tables", "selection") + (("charts",) if args.charts else ()):
         os.makedirs(os.path.join(out, sub), exist_ok=True)
-    if args.charts:
-        os.makedirs(os.path.join(out, "charts"), exist_ok=True)
-
-    # fetch up front so workers only read cached files
-    for name in config["datasets"]:
-        if name not in (config.get("paths") or {}):
-            ensure_dataset(name, config.get("data_dir"))
 
     specs = [CellSpec(ds, method, run, config)
              for ds in config["datasets"]
              for method in config["methods"]
              for run in range(config["runs"])]
-    results, failures = {}, {}
+    grouped, failures = {}, {}  # (dataset, method) -> cells, in spec order
     # the pool forks all its workers at the first submit: no idle ones
     jobs = min(config["jobs"], len(specs))
-    if jobs <= 1:
-        for spec in specs:
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+          if jobs > 1 else contextlib.nullcontext()) as pool:
+        futures = [pool.submit(run_cell, spec) if pool else None
+                   for spec in specs]
+        for spec, future in zip(specs, futures):
             try:
-                cell = run_cell(spec)
-                results[(spec.dataset, spec.method, spec.run_index)] = cell
+                cell = future.result() if pool else run_cell(spec)
             except Exception as exc:
                 failures[f"{spec.dataset}/{spec.method}/run{spec.run_index}"] = str(exc)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_cell, spec): spec for spec in specs}
-            for future in concurrent.futures.as_completed(futures):
-                spec = futures[future]
-                try:
-                    results[(spec.dataset, spec.method, spec.run_index)] = future.result()
-                except Exception as exc:
-                    failures[f"{spec.dataset}/{spec.method}/run{spec.run_index}"] = str(exc)
+            else:
+                grouped.setdefault((spec.dataset, spec.method), []).append(cell)
 
-    per_cell_summaries = {}
-    raw = {}
-    for ds in config["datasets"]:
-        for method in config["methods"]:
-            cells = [results.get((ds, method, run))
-                     for run in range(config["runs"])]
-            cells = [c for c in cells if c is not None]
-            if not cells:
-                continue
-            summary = aggregate_runs(_metrics_from_cells(cells))
-            per_cell_summaries[(ds, method)] = summary
-            raw.setdefault(ds, {})[method] = {
-                "summary": summary.to_jsonable(),
-                "runs": [{k: c[k] for k in
-                          ("run_index", "seed", "metrics", "train_error",
-                           "test_error", "evaluations", "stop_reason")}
-                         for c in cells],
-            }
-
-    for table_metric in METRIC_TABLES:
-        _write_metric_table(os.path.join(out, "tables", f"{table_metric}.csv"),
-                            table_metric, config["datasets"],
-                            config["methods"], per_cell_summaries)
-
-    for ds in config["datasets"]:
-        hybrid_cells = [results[(ds, PORTFOLIO, run)]
-                        for run in range(config["runs"])
-                        if (ds, PORTFOLIO, run) in results]
-        if not hybrid_cells:
+    summaries, raw = {}, {}
+    for (ds, method), cells in grouped.items():
+        summary = summaries[ds, method] = aggregate_runs(
+            [RunMetrics(**c["metrics"]) for c in cells])
+        entry = raw.setdefault(ds, {})[method] = {
+            "summary": summary.to_jsonable(),
+            "runs": [{k: c[k] for k in
+                      ("run_index", "seed", "metrics", "train_error",
+                       "test_error", "evaluations", "stop_reason")}
+                     for c in cells],
+        }
+        if method != PORTFOLIO:
             continue
-        counts = _selection_counts(hybrid_cells)
+        entry["iterations_executed"] = [len(c["trace"]) for c in cells]
+        counts = _selection_counts(cells)
         _write_selection_csv(os.path.join(out, "selection", f"{ds}.csv"), counts)
         if args.charts:
             with open(os.path.join(out, "charts", f"{ds}.svg"), "w",
                       encoding="utf-8") as fh:
                 fh.write(_selection_chart_svg(ds, counts))
-        raw.setdefault(ds, {}).setdefault(PORTFOLIO, {})["iterations_executed"] = [
-            len(c["trace"]) for c in hybrid_cells]
 
+    for table_metric in METRIC_TABLES:
+        _write_metric_table(os.path.join(out, "tables", f"{table_metric}.csv"),
+                            table_metric, config["datasets"],
+                            config["methods"], summaries)
     _dump_json(os.path.join(out, "summary.json"),
                {"config": {k: v for k, v in config.items() if k != "paths"},
                 "results": raw})
@@ -405,7 +387,7 @@ def cmd_benchmark(args) -> int:
         _dump_json(os.path.join(out, "failures.json"), failures)
         print(f"{len(failures)} cells failed; see failures.json", file=sys.stderr)
         return 1
-    print(f"benchmark complete: {len(results)} cells -> {out}")
+    print(f"benchmark complete: {len(specs)} cells -> {out}")
     return 0
 
 
@@ -423,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fetch = sub.add_parser("fetch", help="download benchmark datasets")
-    fetch.add_argument("--dataset", action="append",
+    fetch.add_argument("--dataset", action="append", choices=sorted(REGISTRY),
                        help="dataset name (repeatable); default: all")
     fetch.add_argument("--data-dir", default=None)
     fetch.set_defaults(fn=cmd_fetch)

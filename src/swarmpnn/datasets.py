@@ -122,9 +122,10 @@ _LAYOUTS = {
 
 def _read_table(lines, layout: dict):
     """(feature names, features, labels, dropped) of ``lines`` laid out as
-    ``layout``; labels stay strings. Blank lines are skipped, a ragged row or
-    a non-numeric feature is an error, and rows holding a missing token are
-    dropped: ``dropped`` lists their indices, counted after the header."""
+    ``layout``; labels stay strings. Blank lines are skipped; a ragged row, a
+    non-numeric feature or a table with no usable row is an error; rows
+    holding a missing token are dropped: ``dropped`` lists their indices,
+    counted after the header."""
     sep = layout.get("sep", ",")
     lines = (ln if ln.strip() else "" for ln in lines)
     records = csv.reader(lines, delimiter=sep) if sep else map(str.split, lines)
@@ -170,6 +171,8 @@ def _read_table(lines, layout: dict):
         labels.append(row[label])
     counts = Counter(labels)
     kept = [counts[y] >= layout.get("min_class", 1) for y in labels]
+    if not any(kept):
+        raise ValueError("no usable data rows")
     return ([header[c] for c in cols], list(compress(features, kept)),
             list(compress(labels, kept)), dropped)
 
@@ -247,8 +250,6 @@ def load_csv(path, descriptor: DatasetDescriptor | None = None) -> Dataset:
     if dropped:
         warnings.warn(f"{path}: dropped rows with missing values: {dropped}",
                       DatasetValidationWarning, stacklevel=2)
-    if not features:
-        raise ValueError(f"{path}: no usable data rows")
     class_names = []
     encoded = []
     for label in labels:

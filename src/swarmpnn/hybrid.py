@@ -207,26 +207,24 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
         best = _fold_best(best, probe.optimizers.values())
         _notify(observer, "select", iteration=iteration, method=probe.winner,
                 tied=probe.tied, converged=probe.converged)
-        if probe.converged:
-            trace.append(IterationRecord(
-                iteration, probe.scores, probe.evals, probe.winner,
-                len(probe.tied) > 1, probe.scores[probe.winner], 0, best[0]))
-            stop_reason = "train_threshold"
-            break
-
-        fit_pop = probe.winner_population.positions_only()
-        _notify(observer, "fit_start", iteration=iteration,
-                method=probe.winner, fingerprint=fit_pop.fingerprint())
-        fit_budget = FeBudget(cfg.fit_cap(eval_cost), eval_cost)
-        opt = probe.optimizers[probe.winner]
-        opt.run(fit_pop, objective, fit_budget, target=cfg.fitness_threshold)
-        best = _fold_best(best, [opt])
-        _notify(observer, "fit_end", iteration=iteration, method=probe.winner,
-                fitness=opt.best_fitness, evals=fit_budget.used)
+        # a converged probe skips the fit; its best is already at threshold
+        fitness, fit_evals = probe.scores[probe.winner], 0
+        if not probe.converged:
+            fit_pop = probe.winner_population.positions_only()
+            _notify(observer, "fit_start", iteration=iteration,
+                    method=probe.winner, fingerprint=fit_pop.fingerprint())
+            fit_budget = FeBudget(cfg.fit_cap(eval_cost), eval_cost)
+            opt = probe.optimizers[probe.winner]
+            opt.run(fit_pop, objective, fit_budget,
+                    target=cfg.fitness_threshold)
+            best = _fold_best(best, [opt])
+            fitness, fit_evals = opt.best_fitness, fit_budget.used
+            _notify(observer, "fit_end", iteration=iteration,
+                    method=probe.winner, fitness=fitness, evals=fit_evals)
+            positions = fit_pop.positions.copy()
         trace.append(IterationRecord(
             iteration, probe.scores, probe.evals, probe.winner,
-            len(probe.tied) > 1, opt.best_fitness, fit_budget.used, best[0]))
-        positions = fit_pop.positions.copy()
+            len(probe.tied) > 1, fitness, fit_evals, best[0]))
 
         if best[0] <= cfg.fitness_threshold:
             stop_reason = "train_threshold"

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmpnn import datasets
+from swarmpnn import cli, datasets
 from swarmpnn.cli import load_config, main
 from swarmpnn.datasets import write_canonical_csv
 
@@ -95,9 +95,6 @@ class TestFetchCommand:
 
     def test_fetch_failure_continues_and_reports(self, tmp_path, capsys,
                                                  monkeypatch):
-        def offline(url):
-            raise OSError(f"offline: {url}")
-
         monkeypatch.setattr(datasets, "_default_opener", offline)
         rc = main(["fetch", "--dataset", "banknote", "--dataset", "iris",
                    "--data-dir", str(tmp_path)])
@@ -105,6 +102,17 @@ class TestFetchCommand:
         assert rc != 0
         assert "banknote: FAILED" in captured.err
         assert (tmp_path / "iris.csv").exists()
+
+    def test_unknown_dataset_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fetch", "--dataset", "irsi", "--data-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'irsi'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+def offline(url):
+    raise OSError(f"offline: {url}")
 
 
 class TestTrainCommand:
@@ -163,9 +171,12 @@ class TestTrainCommand:
     @pytest.mark.parametrize("argv, message", [
         (["--dataset", "irsi"], "train: unknown dataset 'irsi'"),
         (["--dataset", "iris", "--method", "cmaes"], "invalid choice: 'cmaes'"),
-    ], ids=["dataset", "method"])
+        (["--dataset", "banknote"], "train: banknote: download failed"),
+    ], ids=["dataset", "method", "unfetchable"])
     def test_unknown_name_stops_before_any_work(self, tmp_path, capsys,
-                                                argv, message):
+                                                monkeypatch, argv, message):
+        monkeypatch.setattr(datasets, "_default_opener", offline)
+        monkeypatch.setenv(datasets.DATA_DIR_ENV, str(tmp_path / "data"))
         out = tmp_path / "runs"
         with pytest.raises(SystemExit) as exc:
             main(["train", "--out", str(out)] + argv)
@@ -307,17 +318,41 @@ class TestBenchmarkCommand:
         ({"datasets": ["toy", "irsi"]}, "unknown dataset 'irsi'"),
         ({"methods": ["hybrid", "cmaes"]}, "unknown method 'cmaes'"),
         ({"pso": {"omega2": 1.0}}, "bad parameters for pso: .*'omega2'"),
+        ({"datasets": ["toy", "toy"]}, "'datasets' repeats a name"),
+        ({"methods": ["hybrid", "pso", "pso"]}, "'methods' repeats a name"),
+        ({"datasets": ["toy", "banknote"]}, "banknote: download failed"),
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
-            "seed", "unknown-dataset", "unknown-method", "method-unknown-key"])
+            "seed", "unknown-dataset", "unknown-method", "method-unknown-key",
+            "repeated-dataset", "repeated-method", "unfetchable-dataset"])
     def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
-                                               overrides, message):
+                                               monkeypatch, overrides, message):
+        monkeypatch.setattr(datasets, "_default_opener", offline)
+        monkeypatch.setenv(datasets.DATA_DIR_ENV, str(tmp_path / "data"))
         out = tmp_path / "bench"
         with pytest.raises(SystemExit, match=f"config: .*{message}"):
             main(["benchmark", "--config",
                   bench_config(tmp_path, toy_csv, **overrides),
                   "--out", str(out)])
         assert not out.exists()
+
+    def test_registry_dataset_resolved_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(name, data_dir=None):
+            calls.append(name)
+            return datasets.ensure_dataset(name, data_dir)
+
+        monkeypatch.setattr(cli, "ensure_dataset", counting)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "datasets": ["iris"], "methods": ["pso", "sa"], "runs": 2,
+            "data_dir": str(tmp_path / "data"),
+            "hybrid": {"iterations": 1, "population_size": 4,
+                       "probing_multiplier": 1, "fit_multiplier": 1}}))
+        assert main(["benchmark", "--config", str(cfg), "--out",
+                     str(tmp_path / "bench")]) == 0
+        assert calls == ["iris"]
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

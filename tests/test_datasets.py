@@ -274,17 +274,22 @@ class TestConverters:
         convert_to_canonical(REGISTRY[name], gzip.compress(tsv.encode()), out)
         assert out.read_bytes() == "".join(f"{ln}\r\n" for ln in lines).encode()
 
-    @pytest.mark.parametrize("name, raw", [
-        ("iris", b""),
-        ("iris", b"\n \n"),
-        ("blood", b"Recency,Frequency,whether he/she donated\n"),
-        ("pima", gzip.compress(b"a\tb\ttarget\n")),
-        ("iris", b"5.1,?,1.4,0.2,Iris-setosa\n4.9,3.0,1.4,NA,Iris-setosa\n"),
-        ("iris", b"5.1,3.5,1.4,0.2,Iris-setosa\n4.9,3.0,Iris-setosa\n"),
+    @pytest.mark.parametrize("name, raw, fault", [
+        ("iris", b"", "empty file"),
+        ("iris", b"\n \n", "empty file"),
+        ("blood", b"Recency,Frequency,whether he/she donated\n",
+         "no usable data rows"),
+        ("pima", gzip.compress(b"a\tb\ttarget\n"), "no usable data rows"),
+        ("iris", b"5.1,?,1.4,0.2,Iris-setosa\n4.9,3.0,1.4,NA,Iris-setosa\n",
+         "no usable data rows"),
+        ("iris", b"5.1,3.5,1.4,0.2,Iris-setosa\n4.9,3.0,Iris-setosa\n",
+         "row 1 has 3 fields"),
     ], ids=["empty", "blank", "header-only", "pmlb-header-only",
             "all-missing", "ragged"])
-    def test_unusable_raw_file_is_a_fetch_error(self, tmp_path, name, raw):
-        with pytest.raises(FetchError, match="raw file conversion failed"):
+    def test_unusable_raw_file_is_a_fetch_error(self, tmp_path, name, raw,
+                                                fault):
+        with pytest.raises(FetchError,
+                           match=f"raw file conversion failed: {fault}"):
             convert_to_canonical(REGISTRY[name], raw, tmp_path / "out.csv")
 
     def test_ghost_codes_color(self, tmp_path):
