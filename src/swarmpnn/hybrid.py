@@ -191,11 +191,11 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
                     converged=None, observer=None) -> HybridResult:
     """Minimize ``objective`` with the probe-then-commit portfolio.
 
-    ``eval_cost`` is charged per objective call (the number of samples one
-    call evaluates). ``converged(position, fitness) -> bool`` is consulted
-    after each fit phase for an external stop condition. The run's best is
-    the first-seen minimum over all phases, and ``evaluations`` the sum of
-    their budgets' use.
+    ``objective`` must return finite values (``ValueError`` otherwise);
+    ``eval_cost`` is charged per call (the samples one call scores).
+    ``converged(position, fitness) -> bool`` is consulted after each fit
+    phase for an external stop condition. The run's best is the first-seen
+    minimum over all phases; ``evaluations`` sums their budgets' use.
     """
     positions = cfg.initial_positions(dim)
     best = (np.inf, None)

@@ -1,10 +1,11 @@
 """Shared machinery for the population optimizers: bounded populations,
-function-evaluation budgets and the common stepping loop.
+function-evaluation budgets and :meth:`Optimizer.run`, the one driver that
+scores the candidates each method's generation yields.
 
 Budget convention: every objective call costs ``eval_cost`` evaluation units
-(one unit per sample the objective classifies internally). Optimizers check
-the budget before each objective call, so a running generation may overshoot
-the cap by at most one population batch.
+(one unit per sample the objective classifies internally). The budget is
+checked before every objective call, so a run overshoots its cap by less than
+one call's cost.
 """
 
 from __future__ import annotations
@@ -105,11 +106,12 @@ class Population:
 class Optimizer:
     """Base class for the population methods.
 
-    Subclasses implement :meth:`step` (one generation, in place) and keep any
-    internal state (velocities, temperatures, ...) on the instance. Every
-    objective call goes through :meth:`evaluate`, which charges the budget
-    and maintains the best-seen archive that makes progress monotone for all
-    methods.
+    A subclass implements :meth:`generation` as a generator that yields each
+    position it wants scored and receives its fitness back
+    (``value = yield candidate``); method state such as velocities stays on
+    the instance. :meth:`run` is the one driver: only it calls the objective,
+    charges the budget and keeps the best-seen archive. A generation checks
+    :attr:`halted` before each member's random draws and position writes.
     """
 
     name = "base"
@@ -122,55 +124,56 @@ class Optimizer:
         self.rng = np.random.default_rng(seed)
         self.best_position = None
         self.best_fitness = np.inf
-        self._target = -np.inf
-
-    def evaluate(self, position, objective, budget: FeBudget) -> float:
-        budget.charge()
-        value = float(objective(position))
-        if value < self.best_fitness:
-            self.best_fitness = value
-            self.best_position = np.array(position, dtype=np.float64)
-        return value
 
     def reflect(self, position) -> np.ndarray:
         return reflect(position, self.lower, self.upper)
 
-    def halted(self, budget: FeBudget) -> bool:
-        """True once the budget is spent or the run target has been hit.
+    @property
+    def halted(self) -> bool:
+        """True once the run's budget is spent or its target has been hit."""
+        return self._budget.exhausted or self.best_fitness <= self._target
 
-        Checked before every objective call so that finding a target-reaching
-        solution stops a generation within the current batch.
-        """
-        return budget.exhausted or self.best_fitness <= self._target
+    def _attach(self, pop: Population) -> None:
+        """Size per-member state to ``pop``; kept across runs of one size."""
 
-    def sync_archive(self, pop: Population) -> None:
-        """Absorb any cached population fitness into the best-seen archive."""
-        if np.all(np.isnan(pop.fitness)):
-            return
-        i = pop.best_index
-        if pop.fitness[i] < self.best_fitness:
-            self.best_fitness = float(pop.fitness[i])
-            self.best_position = pop.positions[i].copy()
-
-    def ensure_evaluated(self, pop: Population, objective, budget: FeBudget) -> None:
-        """Evaluate members with no cached fitness, stopping when halted,
-        then absorb the population into the best-seen archive."""
-        for i in range(pop.size):
-            if not np.isnan(pop.fitness[i]):
-                continue
-            if self.halted(budget):
-                break
-            pop.fitness[i] = self.evaluate(pop.positions[i], objective, budget)
-        self.sync_archive(pop)
-
-    def step(self, pop: Population, objective, budget: FeBudget) -> None:
+    def generation(self, pop: Population):
+        """Advance ``pop`` one generation in place, yielding each candidate."""
         raise NotImplementedError
+
+    def _candidates(self, pop: Population):
+        # a generation starts even if the first evaluations spent the budget;
+        # a later run continues the PSO personal bests and bat count it sets
+        while not self.halted:
+            self._attach(pop)
+            for i in np.flatnonzero(np.isnan(pop.fitness)):
+                if self.halted:
+                    break
+                pop.fitness[i] = yield pop.positions[i]
+            yield from self.generation(pop)
 
     def run(self, pop: Population, objective, budget: FeBudget,
             target: float = 0.0) -> Population:
-        """Step until the budget cap is reached or the best hits ``target``."""
-        self._target = target
-        self.sync_archive(pop)
-        while not self.halted(budget):
-            self.step(pop, objective, budget)
-        return pop
+        """Score the unset (NaN) members of ``pop``, then step generations
+        until the budget is spent or the best reaches ``target``. Cached
+        fitness enters the archive first; non-finite fitness is an error."""
+        if np.isinf(pop.fitness).any():
+            raise ValueError("cached fitness must be finite, or NaN if unset")
+        self._budget, self._target = budget, target
+        if np.nanmin(pop.fitness, initial=np.inf) < self.best_fitness:
+            i = pop.best_index
+            self.best_fitness = float(pop.fitness[i])
+            self.best_position = pop.positions[i].copy()
+        candidates = self._candidates(pop)
+        value = None
+        while True:
+            try:
+                candidate = candidates.send(value)
+            except StopIteration:
+                return pop
+            budget.charge()
+            value = float(objective(candidate))
+            if not np.isfinite(value):
+                raise ValueError(f"objective returned {value}, not finite")
+            if value < self.best_fitness:
+                self.best_fitness = value
+                self.best_position = np.array(candidate, dtype=np.float64)

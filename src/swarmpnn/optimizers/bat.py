@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FeBudget, Optimizer, Population
+from .base import Optimizer, Population
 
 
 class BatSearch(Optimizer):
@@ -32,15 +32,11 @@ class BatSearch(Optimizer):
             self._pulse0 = self.rng.uniform(size=pop.size)
             self._pulse = self._pulse0.copy()
 
-    def step(self, pop: Population, objective, budget: FeBudget) -> None:
-        self._attach(pop)
-        self.ensure_evaluated(pop, objective, budget)
-        if self.best_position is None:
-            return
+    def generation(self, pop: Population):
         self._generation += 1
         mean_loudness = float(self._loudness.mean())
         for i in range(pop.size):
-            if self.halted(budget):
+            if self.halted:
                 return
             beta = self.rng.uniform()
             freq = self.min_f + (self.max_f - self.min_f) * beta
@@ -50,7 +46,7 @@ class BatSearch(Optimizer):
                 walk = self.rng.uniform(-1.0, 1.0, size=self.dim)
                 candidate = self.best_position + walk * mean_loudness
             candidate = self.reflect(candidate)
-            value = self.evaluate(candidate, objective, budget)
+            value = yield candidate
             if value <= pop.fitness[i] and self.rng.uniform() < self._loudness[i]:
                 pop.positions[i] = candidate
                 pop.fitness[i] = value

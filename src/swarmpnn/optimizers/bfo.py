@@ -2,7 +2,7 @@
 swarming, periodic reproduction of the healthier half, and random
 elimination-dispersal events.
 
-One :meth:`step` performs a single chemotaxis sweep over the population;
+One :meth:`generation` performs a single chemotaxis sweep over the population;
 reproduction and dispersal fire on schedule between sweeps. The schedule
 wraps around if the budget outlasts a full dispersal cycle.
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FeBudget, Optimizer, Population
+from .base import Optimizer, Population
 
 REPRODUCTIONS_PER_DISPERSAL = 2
 
@@ -56,9 +56,9 @@ class BacterialForaging(Optimizer):
             return np.zeros(self.dim)
         return delta / norm
 
-    def _chemotaxis_sweep(self, pop, objective, budget) -> None:
+    def _chemotaxis_sweep(self, pop: Population):
         for i in range(pop.size):
-            if self.halted(budget):
+            if self.halted:
                 return
             j_last = pop.fitness[i] + self._swarming(pop.positions[i], pop)
             self._health[i] += j_last
@@ -66,15 +66,15 @@ class BacterialForaging(Optimizer):
             # the tumble move is always taken; improvement only decides
             # whether swimming continues in the same direction
             pop.positions[i] = self.reflect(pop.positions[i] + self.c_i * direction)
-            pop.fitness[i] = self.evaluate(pop.positions[i], objective, budget)
+            pop.fitness[i] = yield pop.positions[i]
             j_new = pop.fitness[i] + self._swarming(pop.positions[i], pop)
             self._health[i] += j_new
             swims = 0
-            while swims < self.n_s and j_new < j_last and not self.halted(budget):
+            while swims < self.n_s and j_new < j_last and not self.halted:
                 j_last = j_new
                 pop.positions[i] = self.reflect(
                     pop.positions[i] + self.c_i * direction)
-                pop.fitness[i] = self.evaluate(pop.positions[i], objective, budget)
+                pop.fitness[i] = yield pop.positions[i]
                 j_new = pop.fitness[i] + self._swarming(pop.positions[i], pop)
                 self._health[i] += j_new
                 swims += 1
@@ -87,21 +87,19 @@ class BacterialForaging(Optimizer):
         pop.fitness[losers] = pop.fitness[winners]
         self._health[:] = 0.0
 
-    def _disperse(self, pop, objective, budget) -> None:
+    def _disperse(self, pop: Population):
         for i in range(pop.size):
-            if self.halted(budget):
+            if self.halted:
                 return
             if self.rng.uniform() < self.p_ed:
                 pop.positions[i] = self.rng.uniform(self.lower, self.upper,
                                                     size=self.dim)
-                pop.fitness[i] = self.evaluate(pop.positions[i], objective, budget)
+                pop.fitness[i] = yield pop.positions[i]
 
-    def step(self, pop: Population, objective, budget: FeBudget) -> None:
-        self._attach(pop)
-        self.ensure_evaluated(pop, objective, budget)
-        if self.halted(budget):
+    def generation(self, pop: Population):
+        if self.halted:
             return
-        self._chemotaxis_sweep(pop, objective, budget)
+        yield from self._chemotaxis_sweep(pop)
         self._chem += 1
         if self._chem < self.n_c:
             return
@@ -111,4 +109,4 @@ class BacterialForaging(Optimizer):
         if self._repro < REPRODUCTIONS_PER_DISPERSAL:
             return
         self._repro = 0
-        self._disperse(pop, objective, budget)
+        yield from self._disperse(pop)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .base import FeBudget, Optimizer, Population
+from .base import Optimizer, Population
 
 LEVY_BETA = 1.5
 
@@ -32,12 +32,9 @@ class FlowerPollination(Optimizer):
         v = self.rng.normal(0.0, 1.0, size=self.dim)
         return u / np.abs(v) ** (1.0 / LEVY_BETA)
 
-    def step(self, pop: Population, objective, budget: FeBudget) -> None:
-        self.ensure_evaluated(pop, objective, budget)
-        if self.best_position is None:
-            return
+    def generation(self, pop: Population):
         for i in range(pop.size):
-            if self.halted(budget):
+            if self.halted:
                 return
             if self.rng.uniform() < self.switch_p:
                 steps = self._levy_steps()
@@ -49,7 +46,7 @@ class FlowerPollination(Optimizer):
                 candidate = pop.positions[i] + eps * (
                     pop.positions[a] - pop.positions[b])
             candidate = self.reflect(candidate)
-            value = self.evaluate(candidate, objective, budget)
+            value = yield candidate
             if value < pop.fitness[i]:
                 pop.positions[i] = candidate
                 pop.fitness[i] = value

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FeBudget, Optimizer, Population
+from .base import Optimizer, Population
 
 OMEGA_END = 0.4  # inertia floor reached when the FE budget runs out
 
@@ -29,23 +29,20 @@ class ParticleSwarm(Optimizer):
             self._pbest = pop.positions.copy()
             self._pbest_fit = np.full(pop.size, np.inf)
 
-    def _current_omega(self, budget: FeBudget) -> float:
-        if not self.adjust_omega or not np.isfinite(budget.cap) or budget.cap <= 0:
+    def _current_omega(self) -> float:
+        # run starts no generation at a cap <= 0; an infinite cap gives 0
+        if not self.adjust_omega:
             return self.omega
-        progress = min(1.0, budget.used / budget.cap)
+        progress = min(1.0, self._budget.used / self._budget.cap)
         return self.omega + (OMEGA_END - self.omega) * progress
 
-    def step(self, pop: Population, objective, budget: FeBudget) -> None:
-        self._attach(pop)
-        self.ensure_evaluated(pop, objective, budget)
+    def generation(self, pop: Population):
         improved = pop.fitness < self._pbest_fit
         self._pbest[improved] = pop.positions[improved]
         self._pbest_fit[improved] = pop.fitness[improved]
-        if self.best_position is None:
-            return
-        omega = self._current_omega(budget)
+        omega = self._current_omega()
         for i in range(pop.size):
-            if self.halted(budget):
+            if self.halted:
                 return
             r1 = self.rng.uniform(size=self.dim)
             r2 = self.rng.uniform(size=self.dim)
@@ -55,7 +52,7 @@ class ParticleSwarm(Optimizer):
                 + self.c2 * r2 * (self.best_position - pop.positions[i])
             )
             pop.positions[i] = self.reflect(pop.positions[i] + self._velocities[i])
-            pop.fitness[i] = self.evaluate(pop.positions[i], objective, budget)
+            pop.fitness[i] = yield pop.positions[i]
             if pop.fitness[i] < self._pbest_fit[i]:
                 self._pbest[i] = pop.positions[i].copy()
                 self._pbest_fit[i] = pop.fitness[i]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FeBudget, Optimizer, Population
+from .base import Optimizer, Population
 
 
 class SimulatedAnnealing(Optimizer):
@@ -20,15 +20,14 @@ class SimulatedAnnealing(Optimizer):
         self.d = float(d)
         self.temperature = float(temperature)
 
-    def step(self, pop: Population, objective, budget: FeBudget) -> None:
-        self.ensure_evaluated(pop, objective, budget)
+    def generation(self, pop: Population):
         sigma = self.d * (self.upper - self.lower)
         for i in range(pop.size):
-            if self.halted(budget):
+            if self.halted:
                 return
             proposal = self.reflect(
                 pop.positions[i] + self.rng.normal(0.0, sigma, size=self.dim))
-            value = self.evaluate(proposal, objective, budget)
+            value = yield proposal
             delta = value - pop.fitness[i]
             if delta <= 0.0 or self.rng.uniform() < np.exp(-delta / self.temperature):
                 pop.positions[i] = proposal

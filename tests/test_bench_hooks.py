@@ -3,8 +3,11 @@
 ``bench/tracer.py`` replaces ``DensityEvaluator.__init__`` with a wrapper of
 a fixed signature and times ``DensityEvaluator.error_rate``. A refactor that
 changes the signature, or an objective that bypasses ``error_rate``, would
-break the benchmark's runs or leave its per-layer figures empty. The run
-happens in a child process, so the tracer's patches stay out of this one.
+break the benchmark's runs or leave its per-layer figures empty. The tracer
+also wraps each optimizer's ``run`` and charges every objective call to the
+method whose ``run`` encloses it, so no objective call may happen outside
+``run``. The run happens in a child process, so the tracer's patches stay
+out of this one.
 """
 
 import json
@@ -12,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from swarmpnn.optimizers import METHOD_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,5 +49,9 @@ def test_tracer_sees_every_objective_call():
     assert metrics["pnn.objective_calls"] > 0
     assert (metrics["pnn.objective_calls"] * metrics["n_t"]
             == metrics["evaluations"])
+    # every objective call happens inside some method's traced ``run``
+    calls = [metrics[f"optimizers.{m}.calls"] for m in METHOD_NAMES]
+    assert min(calls) > 0
+    assert sum(calls) == metrics["pnn.objective_calls"]
     assert metrics["pnn.error_rate_us.p50"] > 0
     assert metrics["pnn.bytes_per_call"] > 0

@@ -114,12 +114,18 @@ class TestEveryMethod:
         rng = np.random.default_rng(3)
         pop = fresh_population(rng)
         opt = make_optimizer(method, pop.dim, BOUNDS, 13)
-        budget = FeBudget(cap=10 ** 9, eval_cost=1)
-        last = np.inf
-        for _ in range(40):
-            opt.step(pop, sphere, budget)
-            assert opt.best_fitness <= last
-            last = opt.best_fitness
+        best_seen, values = [], []
+
+        def recording(x):
+            best_seen.append(opt.best_fitness)
+            values.append(sphere(x))
+            return values[-1]
+
+        opt.run(pop, recording, FeBudget(cap=20 * 41, eval_cost=1),
+                target=-1.0)
+        best_seen.append(opt.best_fitness)
+        assert np.all(np.diff(best_seen) <= 0)
+        assert opt.best_fitness == min(values)
 
     def test_bound_safety_under_outward_pressure(self, method):
         # objective rewards running past the lower bound
@@ -150,11 +156,26 @@ class TestEveryMethod:
         rng = np.random.default_rng(6)
         pop = fresh_population(rng)
         opt = make_optimizer(method, pop.dim, (0.0, 10.0), 23)
-        budget = FeBudget(cap=20 * 500, eval_cost=1)
-        opt.ensure_evaluated(pop, sphere, budget)
-        initial_best = pop.best_fitness
-        opt.run(pop, sphere, budget, target=0.0)
+        initial_best = min(sphere(x) for x in pop.positions)
+        opt.run(pop, sphere, FeBudget(cap=20 * 500, eval_cost=1), target=0.0)
         assert opt.best_fitness <= 0.1 * initial_best
+
+    @pytest.mark.parametrize("calls", [20 * 3 + 7, 20 * 11 + 13, 20 * 40 + 1])
+    def test_halt_mid_generation_keeps_fitness_current(self, method, calls):
+        # the halt check precedes each member's draws and position writes, so
+        # every cached fitness still belongs to its member's position
+        rng = np.random.default_rng(14)
+        pop = fresh_population(rng)
+        opt = make_optimizer(method, pop.dim, (0.0, 10.0), 43)
+        opt.run(pop, sphere, FeBudget(cap=calls, eval_cost=1), target=-1.0)
+        assert pop.fitness.tolist() == [sphere(x) for x in pop.positions]
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_objective_raises(self, method, value):
+        pop = fresh_population(np.random.default_rng(15), size=5)
+        opt = make_optimizer(method, pop.dim, BOUNDS, 47)
+        with pytest.raises(ValueError, match=f"returned {value}"):
+            opt.run(pop, lambda x: value, FeBudget(cap=100), target=0.0)
 
 
 class TestStepContracts:
@@ -164,11 +185,11 @@ class TestStepContracts:
         rng = np.random.default_rng(8)
         pop = fresh_population(rng)
         opt = make_optimizer("pso", pop.dim, (0.0, 10.0), 29)
-        budget = FeBudget(cap=20 * 201, eval_cost=1)
-        opt.ensure_evaluated(pop, sphere, budget)
-        initial_best = pop.best_fitness
-        for _ in range(200):
-            opt.step(pop, sphere, budget)
+        initial_best = min(sphere(x) for x in pop.positions)
+        counting = CountingObjective(sphere)
+        opt.run(pop, counting, FeBudget(cap=20 * 201, eval_cost=1),
+                target=-np.inf)
+        assert counting.calls == 20 * 201
         assert opt.best_fitness < 1e-2 * initial_best
 
     def test_single_batch_cap_runs_one_generation(self):
@@ -203,6 +224,13 @@ class TestStepContracts:
         opt.run(pop, counting, budget, target=0.0)
         assert counting.calls == 0
         assert opt.best_fitness == 0.0
+
+    def test_run_rejects_infinite_cached_fitness(self):
+        pop = fresh_population(np.random.default_rng(16), size=5)
+        pop.fitness[:] = np.inf
+        opt = make_optimizer("pso", pop.dim, BOUNDS, 53)
+        with pytest.raises(ValueError, match="cached fitness"):
+            opt.run(pop, sphere, FeBudget(cap=100), target=0.0)
 
     def test_population_best_tracking(self):
         pop = Population([[1.0, 1.0], [2.0, 2.0]], [4.0, 1.0])

@@ -1,17 +1,36 @@
-"""SHA-256 over a fixed set of seeded iris training results.
+"""SHA-256 over a fixed set of seeded training results and optimizer runs.
 
-Two checkouts that print the same digest train to the same bandwidths, errors,
-evaluation counts, stop reasons and traces, bit for bit. The script imports
-the ``swarmpnn`` of its own checkout, so a second copy of the repository can
-be compared with this one by running each copy's script:
+Two checkouts that print the same digests train to the same bandwidths,
+errors, evaluation counts, stop reasons and traces, bit for bit. The script
+imports the ``swarmpnn`` (and the ``bench/inputs.py`` data generator) of its
+own checkout, so a second copy of the repository can be compared with this
+one by running the same copy of the script in each:
 
     python tools/seeded_hash.py
 
-It trains 48 results: split seeds 0-5, each of the four smoothing kinds, and
-both ``train_hybrid`` and ``train_single("pso")``, with 2 iterations and
-probing and fit multipliers 3 and 10. Each result enters the hash as sorted
-JSON of its smoothing values, train and test error, evaluations, stop reason
-and trace; Python writes floats in their shortest round-trip form.
+It prints two lines. The first is the original iris digest over 48 results:
+split seeds 0-5, each of the four smoothing kinds, and both ``train_hybrid``
+and ``train_single("pso")``, with 2 iterations and probing and fit
+multipliers 3 and 10. The second, wider digest covers those 48 and adds:
+
+- ``train_hybrid`` and all five ``train_single`` methods, ``per_feature``
+  and ``per_class_feature``, on iris (split seeds 0-1) and on the seeded
+  synthetic 6-class ``glass-shape`` set of ``bench/inputs.py``;
+- the same on two seeded separable 2-class sets, where a probe converges
+  during the initial evaluations or mid-generation (``train_threshold``);
+- ``train_hybrid`` on iris with probing and fit multipliers 1 and 3, where
+  every probe ends exactly after its initial evaluations and the tied
+  winner's state carries into the fit phase;
+- direct ``Optimizer.run`` calls of every method on a 3-D quadratic, with
+  caps that are and are not multiples of the population, evaluation costs
+  1 and 3, and targets that are never or are hit mid-generation. A second
+  ``run`` on the same optimizer with a fresh population and three times the
+  cap mimics the probe-to-fit reuse. Each enters the hash with its
+  positions, fitness, ``budget.used``, best-seen archive and the
+  optimizer's next ``rng.uniform()``.
+
+Each result enters the hash as sorted JSON; Python writes floats in their
+shortest round-trip form.
 """
 
 import hashlib
@@ -19,10 +38,15 @@ import json
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
+sys.path.insert(0, str(ROOT / "bench"))
 
 import swarmpnn  # noqa: E402
+from inputs import synthetic  # noqa: E402
 from swarmpnn.datasets import (  # noqa: E402
     REGISTRY,
     SplitSpec,
@@ -30,22 +54,100 @@ from swarmpnn.datasets import (  # noqa: E402
     stratified_split,
 )
 from swarmpnn.hybrid import HybridConfig, train_hybrid, train_single  # noqa: E402
-from swarmpnn.pnn import Smoothing  # noqa: E402
+from swarmpnn.optimizers import (  # noqa: E402
+    METHOD_NAMES,
+    FeBudget,
+    Population,
+    make_optimizer,
+)
+from swarmpnn.pnn import Dataset, Smoothing  # noqa: E402
 
 SEEDS = range(6)
+WIDE_KINDS = ("per_feature", "per_class_feature")
+# (cap in objective calls, eval_cost, target) of the first of two direct
+# optimizer runs; the second gets three times the cap
+RUN_CASES = (
+    (20, 1, -np.inf),
+    (20 * 3 + 7, 1, -np.inf),
+    (20 * 11 + 13, 1, 2.0),
+    (20 * 40 + 1, 3, 0.05),
+)
 
 
-def results():
-    iris = load_csv(Path(swarmpnn.__file__).parent / "data" / "iris.csv",
+def _iris():
+    return load_csv(Path(swarmpnn.__file__).parent / "data" / "iris.csv",
                     REGISTRY["iris"])
+
+
+def _config(seed, kind, probing=3, fit=10):
+    return HybridConfig(iterations=2, probing_multiplier=probing,
+                        fit_multiplier=fit, seed=seed, smoothing_kind=kind)
+
+
+def iris_results():
+    iris = _iris()
     for seed in SEEDS:
         train, test = stratified_split(iris, SplitSpec(0.2, seed=seed))
         for kind in Smoothing.KINDS:
-            cfg = HybridConfig(iterations=2, probing_multiplier=3,
-                               fit_multiplier=10, seed=seed,
-                               smoothing_kind=kind)
+            cfg = _config(seed, kind)
             yield train_hybrid(train, test, cfg)
             yield train_single(train, test, "pso", cfg)
+
+
+def _separable(gap):
+    rng = np.random.default_rng(7)
+    features = np.vstack([rng.normal(0.0, 1.0, size=(30, 2)),
+                          rng.normal(gap, 1.0, size=(30, 2))])
+    return Dataset(features, [0] * 30 + [1] * 30)
+
+
+def wide_results():
+    iris = _iris()
+    sets = [(iris, 0), (iris, 1), (Dataset(*synthetic("glass-shape", 0)), 0),
+            (_separable(3.0), 0), (_separable(4.0), 0)]
+    for ds, seed in sets:
+        train, test = stratified_split(ds, SplitSpec(0.2, seed=seed))
+        for kind in WIDE_KINDS:
+            cfg = _config(seed, kind)
+            yield train_hybrid(train, test, cfg)
+            for method in METHOD_NAMES:
+                yield train_single(train, test, method, cfg)
+    train, test = stratified_split(iris, SplitSpec(0.2, seed=0))
+    for run in SEEDS:
+        yield train_hybrid(train, test, _config(run, "per_feature", 1, 3))
+
+
+def _quadratic(x):
+    return float(np.sum(((np.asarray(x) - 3.0) / [1.0, 2.0, 0.5]) ** 2))
+
+
+def optimizer_runs():
+    for index, method in enumerate(METHOD_NAMES):
+        for case, (calls, eval_cost, target) in enumerate(RUN_CASES):
+            rng = np.random.default_rng([index, case])
+            opt = make_optimizer(method, 3, (0.0, 10.0), [index, case, 1])
+            runs = []
+            for repeat in (1, 3):
+                pop = Population(rng.uniform(0.0, 10.0, size=(20, 3)))
+                budget = FeBudget(repeat * calls * eval_cost - eval_cost // 2,
+                                  eval_cost)
+                opt.run(pop, _quadratic, budget, target=target)
+                runs.append({"positions": pop.positions.tolist(),
+                             "fitness": pop.fitness.tolist(),
+                             "used": budget.used,
+                             "best_fitness": opt.best_fitness,
+                             "best_position": opt.best_position.tolist()})
+            yield {"method": method, "case": case, "runs": runs,
+                   "next_uniform": float(opt.rng.uniform())}
+
+
+def _train_record(result):
+    return {"smoothing": result.smoothing.values.tolist(),
+            "train_error": result.train_error,
+            "test_error": result.test_error,
+            "evaluations": result.evaluations,
+            "stop_reason": result.stop_reason,
+            "trace": [r.to_jsonable() for r in result.trace]}
 
 
 def main() -> int:
@@ -53,18 +155,22 @@ def main() -> int:
         print(f"swarmpnn imported from {swarmpnn.__file__}, not {SRC}",
               file=sys.stderr)
         return 2
-    digest = hashlib.sha256()
-    count = 0
-    for result in results():
-        record = {"smoothing": result.smoothing.values.tolist(),
-                  "train_error": result.train_error,
-                  "test_error": result.test_error,
-                  "evaluations": result.evaluations,
-                  "stop_reason": result.stop_reason,
-                  "trace": [r.to_jsonable() for r in result.trace]}
-        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-        count += 1
-    print(f"{digest.hexdigest()}  ({count} seeded iris results)")
+    iris, wide = hashlib.sha256(), hashlib.sha256()
+    counts = {"iris": 0, "wide": 0, "runs": 0}
+    for record in map(_train_record, iris_results()):
+        line = json.dumps(record, sort_keys=True).encode() + b"\n"
+        iris.update(line)
+        wide.update(line)
+        counts["iris"] += 1
+    for record in map(_train_record, wide_results()):
+        wide.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        counts["wide"] += 1
+    for record in optimizer_runs():
+        wide.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        counts["runs"] += 1
+    print(f"{iris.hexdigest()}  ({counts['iris']} seeded iris results)")
+    print(f"{wide.hexdigest()}  ({counts['iris']} iris, {counts['wide']} "
+          f"wider training results, {counts['runs']} optimizer runs)")
     return 0
 
 
