@@ -50,9 +50,6 @@ class FeBudget:
     def exhausted(self) -> bool:
         return self.used >= self.cap
 
-    def __repr__(self):
-        return f"FeBudget(used={self.used}, cap={self.cap}, eval_cost={self.eval_cost})"
-
 
 class Population:
     """Positions plus cached fitness for a group of candidates.
@@ -76,22 +73,10 @@ class Population:
         return len(self.positions)
 
     @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
-    @property
     def best_index(self) -> int:
         if np.all(np.isnan(self.fitness)):
             raise ValueError("population has no evaluated member")
         return int(np.nanargmin(self.fitness))
-
-    @property
-    def best_fitness(self) -> float:
-        return float(self.fitness[self.best_index])
-
-    @property
-    def best_position(self) -> np.ndarray:
-        return self.positions[self.best_index].copy()
 
     def positions_only(self) -> "Population":
         """Copy carrying positions but no cached fitness."""

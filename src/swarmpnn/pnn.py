@@ -310,39 +310,51 @@ def apply_modification(model: PnnModel, cfg: ModificationConfig) -> PnnModel:
 SAFE_SUM = 1e-250
 # Pair terms per block of rows in the exact log-space path.
 _LOG_BLOCK = 1 << 16
+# Pairs per leave-one-out fill tile: its terms and scratch, 1 MB, stay in L2.
+_TILE = 1 << 16
 
 
-def _loo_pairs(bounds):
-    """Each unordered pair (u, v), u < v, of the class-sorted patterns once.
-
-    The pairs come in blocks (a, b), a <= b, of the classes of u and v, each
-    in row-major order, so all blocks of class a are contiguous. Returns the
-    endpoints, the main segments (start, stop, class of u), the cross blocks
-    (start, stop, class of v) and the start of each run of pairs that share
-    u within a block.
+def _loo_pairs(bounds, per_class):
+    """The leave-one-out pairs (u, v), u < v, of the class-sorted patterns
+    in regions (see :class:`DensityEvaluator`): per class c, the blocks
+    (c, b > c), then (c, c), then with ``per_class`` copies of (a < c, c);
+    without it one region holds all. Block (a, b) pairs each row of class a
+    with each of class b in row-major order. Returns u, v, each region's
+    (start, end of head, stop), the start of each run of pairs sharing u in
+    a block, and whether the u side skips the run (a copied cross block).
     """
-    us, vs, main, cross, runs = [], [], [], [], []
+    pairs, runs, unread, regions = [], [], [], []
     m = 0
-    for a in range(len(bounds) - 1):
-        first, size = m, bounds[a + 1] - bounds[a]
-        u, v = np.triu_indices(size, 1)
-        us.append(u + bounds[a])
-        vs.append(v + bounds[a])
-        r = np.arange(size - 1)  # row r of the triangle has size - 1 - r pairs
-        runs.append(m + r * (size - 1) - r * (r - 1) // 2)
+
+    def block(a, b, read=True):
+        nonlocal m
+        rows, cols = (np.arange(bounds[c], bounds[c + 1]) for c in (a, b))
+        if a == b:
+            u, v = (rows[i] for i in np.triu_indices(len(rows), 1))
+            r = np.arange(len(rows) - 1)  # row r has len(rows) - 1 - r pairs
+            starts = r * (len(rows) - 1) - r * (r - 1) // 2
+        else:
+            u, v = np.repeat(rows, len(cols)), np.tile(cols, len(rows))
+            starts = np.arange(len(rows)) * len(cols)
+        runs.append(m + starts)
+        unread.append(np.full(len(starts), not read))
+        pairs.append((u, v))
         m += len(u)
-        rows = np.arange(bounds[a], bounds[a + 1])
-        for b in range(a + 1, len(bounds) - 1):
-            cols = np.arange(bounds[b], bounds[b + 1])
-            us.append(np.repeat(rows, len(cols)))
-            vs.append(np.tile(cols, size))
-            runs.append(m + np.arange(size) * len(cols))
-            cross.append((m, m + size * len(cols), b))
-            m += size * len(cols)
-        if first < m:
-            main.append((first, m, a))
-    return (np.concatenate(us), np.concatenate(vs), main, cross,
-            np.concatenate(runs))
+
+    g = len(bounds) - 1
+    for c in range(g):
+        start = m
+        for b in range(c + 1, g):
+            block(c, b, read=not per_class)
+        block(c, c)
+        head = m
+        for a in range(c if per_class else 0):
+            block(a, c)
+        regions.append((start, head, m))
+    if not per_class:
+        regions = [(0, m, m)]
+    u, v = map(np.concatenate, zip(*pairs))
+    return u, v, regions, np.concatenate(runs), np.concatenate(unread)
 
 
 class DensityEvaluator:
@@ -355,22 +367,27 @@ class DensityEvaluator:
     order, and each query's own pattern is left out of its class sum
     (leave-one-out). Training scores many candidate bandwidths against this
     set, so only here are the squared differences of every pair laid out
-    once, one feature at a time, and reused for every candidate. The layout
-    holds each unordered pair (u, v), u < v, once, in blocks (a, b), a <= b,
-    of the classes of u and v, each in row-major order. The blocks of class
-    a are contiguous and are evaluated at the bandwidths of class a, as row
-    v needs. Row u needs those of class b: a within-class term, or any term
-    when bandwidths are shared across classes, serves it as it is;
-    otherwise, once the v side is summed, each cross block (a, b) is
-    overwritten in place with its terms at the bandwidths of class b.
+    once, one feature at a time, and reused for every candidate. The term of
+    a pair (u, v) counts for row v's sum of the class of u (the v side) and
+    for row u's sum of the class of v (the u side), each at that class's
+    bandwidths. :func:`_loo_pairs` groups the pairs in regions by the row
+    they need; each is filled at its row in tiles of :data:`_TILE` pairs.
+    With one row, one region holds each pair once and serves both sides.
+    With G rows, region c is filled at row c: its head, the cross blocks
+    (c, b > c) and the within block, gives the v side, and its tail, the
+    within block and a copy of each cross block (a < c, c), the u side.
+    Construction lays out one row; the first call with G rows replaces it
+    with the G-row layout, which serves every later call.
 
     Leave-one-out class sums are a ``bincount`` over (row, class) slots of
-    the linear pair terms; on the u side a row's terms of one class lie in
-    one run, and the run sums are counted instead. Rows with a class sum
-    below :data:`SAFE_SUM` are recomputed in log space from the data rows,
-    with a per-row max shift, so no row falls back to class 0 through
-    underflow. Every other evaluator lays out nothing and computes each row
-    in log space from the data rows.
+    the linear pair terms of each head; in a tail a row's terms of one class
+    lie in one run, and the run sums are counted instead. Each side of a
+    class sum comes from one block, in row-major order in either layout, so
+    every sum adds the same terms in the same order in both. Rows with a
+    class sum below :data:`SAFE_SUM` are recomputed in log space from the
+    data rows, with a per-row max shift, so no row falls back to class 0
+    through underflow. Every other evaluator lays out nothing and computes
+    each row in log space from the data rows.
 
     ``pattern_scales`` (one positive s_p per pattern, default all one)
     divides each pattern's kernel argument by s_p and its kernel by
@@ -387,8 +404,7 @@ class DensityEvaluator:
                 queries.shape == pattern_set.features.shape
                 and np.array_equal(queries, pattern_set.features)):
             raise ValueError("exclude_self requires queries == pattern rows")
-        ds = pattern_set
-        g, n, p = ds.n_classes, ds.n_features, ds.n_samples
+        ds, p = pattern_set, pattern_set.n_samples
         scales = np.ones(p) if pattern_scales is None else np.asarray(
             pattern_scales, dtype=np.float64)
         if scales.shape != (p,) or np.any(scales <= 0):
@@ -400,47 +416,57 @@ class DensityEvaluator:
         self.n_queries = q = queries.shape[0]
         self._queries = queries
 
-        order = np.argsort(ds.labels, kind="stable")
-        classes = ds.labels[order]
-        columns = np.ascontiguousarray(ds.features[order].T)
-        bounds = np.concatenate(([0], np.cumsum(ds.class_counts)))
-        self._columns = columns
-        self._col_class = classes
-        self._starts = bounds[:-1]
+        self._order = order = np.argsort(ds.labels, kind="stable")
+        self._columns = np.ascontiguousarray(ds.features[order].T)
+        self._col_class = ds.labels[order]
+        self._starts = np.concatenate(([0], np.cumsum(ds.class_counts)))[:-1]
         self._scales = scales[order]
         counts = np.tile(ds.class_counts.astype(np.float64), (q, 1))
         if exclude_self:
-            u, v, self._main, self._cross, self._runs = _loo_pairs(bounds)
-            self._d2, self._buf = np.empty((n, len(u))), np.empty(len(u))
-            for f in range(n):
-                np.take(columns[f], u, out=self._d2[f])
-                np.take(columns[f], v, out=self._buf)
-                self._d2[f] -= self._buf
-            np.square(self._d2, out=self._d2)
-            self._terms = np.empty(len(u))
-            # class sums are indexed by query, i.e. by pattern in input order;
-            # the v side is scattered, the u side comes in runs of equal slots
-            self._slots = order[v] * g + classes[u]
-            self._run_slots = (order[u[self._runs]] * g
-                               + classes[v[self._runs]])
-            self._own_col = np.empty(p, dtype=np.intp)
-            self._own_col[order] = np.arange(p)
+            self._lay_out(per_class=False)
+            self._own_col = np.argsort(order)  # pattern -> its column
             counts[np.arange(q), ds.labels] -= 1.0
         with np.errstate(divide="ignore"):
             # a class left empty by the exclusion scores -inf
             self._log_counts = np.where(counts > 0, np.log(counts), np.inf)
 
-    def _fill_terms(self, inv_h2, segments) -> None:
-        """Pair terms 1 / prod_f (1 + d_f^2 / h_f^2)^2 of each segment
-        (start, stop, row of ``inv_h2`` it uses), written to ``_terms``."""
+    def _lay_out(self, per_class) -> None:
+        """Lay out the leave-one-out pairs for one or G bandwidth rows."""
+        self._d2 = self._terms = None  # free the layout this one replaces
+        g, order, classes = (self.pattern_set.n_classes, self._order,
+                             self._col_class)
+        u, v, regions, runs, unread = _loo_pairs(
+            np.append(self._starts, len(order)), per_class)
+        self._d2 = np.empty((len(self._columns), len(u)))
+        for f, column in enumerate(self._columns):
+            np.take(column, u, out=self._d2[f])
+            self._d2[f] -= column[v]
+        np.square(self._d2, out=self._d2)
+        self._terms, self._buf = np.empty(len(u)), np.empty(min(len(u), _TILE))
+        self._tiles = [(first, min(first + _TILE, stop), c)
+                       for c, (start, _, stop) in enumerate(regions)
+                       for first in range(start, stop, _TILE)]
+        # a slot is (query, class), queries being patterns in input order;
+        # the u side sums runs of equal slots, its skipped runs in a spare one
+        self._heads = [(start, head, order[v[start:head]] * g
+                        + classes[u[start:head]])
+                       for start, head, _ in regions]
+        self._runs = runs
+        self._run_slots = np.where(unread, self.n_queries * g,
+                                   order[u[runs]] * g + classes[v[runs]])
+
+    def _fill_terms(self, inv_h2) -> None:
+        """Pair terms 1 / prod_f (1 + d_f^2 / h_f^2)^2 of each region at its
+        row of ``inv_h2`` (or its one row), into ``_terms`` tile by tile."""
+        rows = inv_h2.tolist() * (len(self._heads) // len(inv_h2))
         with np.errstate(over="ignore", under="ignore"):
-            for start, stop, c in segments:
-                d2, out = self._d2[:, start:stop], self._terms[start:stop]
-                buf = self._buf[:stop - start]
-                np.multiply(d2[0], inv_h2[c, 0], out=out)
+            for first, last, c in self._tiles:
+                d2, out = self._d2[:, first:last], self._terms[first:last]
+                buf, w = self._buf[:last - first], rows[c]
+                np.multiply(d2[0], w[0], out=out)
                 out += 1.0
                 for f in range(1, len(d2)):
-                    np.multiply(d2[f], inv_h2[c, f], out=buf)
+                    np.multiply(d2[f], w[f], out=buf)
                     buf += 1.0
                     out *= buf
                 np.reciprocal(out, out=out)
@@ -448,15 +474,14 @@ class DensityEvaluator:
 
     def _linear_sums(self, inv_h2) -> np.ndarray:
         """(Q, G) leave-one-out class sums of the linear pair terms."""
-        shared = len(inv_h2) == 1
-        self._fill_terms(inv_h2, [(0, len(self._terms), 0)] if shared
-                         else self._main)
+        if len(inv_h2) > len(self._heads):
+            self._lay_out(per_class=True)
+        self._fill_terms(inv_h2)
         size = self.n_queries * self.pattern_set.n_classes
-        sums = np.bincount(self._slots, self._terms, size)
-        if not shared:
-            self._fill_terms(inv_h2, self._cross)
-        sums += np.bincount(self._run_slots,
-                            np.add.reduceat(self._terms, self._runs), size)
+        sums = np.bincount(self._run_slots, np.add.reduceat(
+            self._terms, self._runs), size + 1)[:size]
+        for start, head, slots in self._heads:
+            sums += np.bincount(slots, self._terms[start:head], size)
         return sums.reshape(self.n_queries, -1)
 
     def _log_scores(self, smoothing: Smoothing, every_class) -> np.ndarray:

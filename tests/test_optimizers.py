@@ -93,7 +93,7 @@ class TestEveryMethod:
     def test_constant_objective_keeps_best_and_bounds(self, method):
         rng = np.random.default_rng(1)
         pop = fresh_population(rng)
-        opt = make_optimizer(method, pop.dim, BOUNDS, 7)
+        opt = make_optimizer(method, pop.positions.shape[1], BOUNDS, 7)
         budget = FeBudget(cap=20 * 30, eval_cost=1)
         opt.run(pop, lambda x: 0.5, budget, target=0.0)
         assert opt.best_fitness == 0.5
@@ -103,7 +103,7 @@ class TestEveryMethod:
     def test_budget_accounting_is_exact(self, method):
         rng = np.random.default_rng(2)
         pop = fresh_population(rng)
-        opt = make_optimizer(method, pop.dim, BOUNDS, 11)
+        opt = make_optimizer(method, pop.positions.shape[1], BOUNDS, 11)
         counting = CountingObjective(sphere)
         budget = FeBudget(cap=20 * 50 * 17, eval_cost=17)
         opt.run(pop, counting, budget, target=-1.0)
@@ -113,7 +113,7 @@ class TestEveryMethod:
     def test_elitism_is_monotone(self, method):
         rng = np.random.default_rng(3)
         pop = fresh_population(rng)
-        opt = make_optimizer(method, pop.dim, BOUNDS, 13)
+        opt = make_optimizer(method, pop.positions.shape[1], BOUNDS, 13)
         best_seen, values = [], []
 
         def recording(x):
@@ -131,7 +131,7 @@ class TestEveryMethod:
         # objective rewards running past the lower bound
         rng = np.random.default_rng(4)
         pop = fresh_population(rng, low=0.0, high=100.0)
-        opt = make_optimizer(method, pop.dim, (0.0, 100.0), 17)
+        opt = make_optimizer(method, pop.positions.shape[1], (0.0, 100.0), 17)
         budget = FeBudget(cap=2000, eval_cost=1)
         opt.run(pop, lambda x: float(np.sum(x)), budget, target=-1.0)
         assert np.all(pop.positions >= 0.0)
@@ -142,7 +142,7 @@ class TestEveryMethod:
         for _ in range(2):
             rng = np.random.default_rng(5)
             pop = fresh_population(rng)
-            opt = make_optimizer(method, pop.dim, BOUNDS, 19)
+            opt = make_optimizer(method, pop.positions.shape[1], BOUNDS, 19)
             budget = FeBudget(cap=1500, eval_cost=1)
             opt.run(pop, sphere, budget, target=0.0)
             results.append((pop.positions.copy(), pop.fitness.copy(),
@@ -155,7 +155,7 @@ class TestEveryMethod:
         # search domain brackets the optimum so relative step sizes are sane
         rng = np.random.default_rng(6)
         pop = fresh_population(rng)
-        opt = make_optimizer(method, pop.dim, (0.0, 10.0), 23)
+        opt = make_optimizer(method, pop.positions.shape[1], (0.0, 10.0), 23)
         initial_best = min(sphere(x) for x in pop.positions)
         opt.run(pop, sphere, FeBudget(cap=20 * 500, eval_cost=1), target=0.0)
         assert opt.best_fitness <= 0.1 * initial_best
@@ -166,14 +166,14 @@ class TestEveryMethod:
         # every cached fitness still belongs to its member's position
         rng = np.random.default_rng(14)
         pop = fresh_population(rng)
-        opt = make_optimizer(method, pop.dim, (0.0, 10.0), 43)
+        opt = make_optimizer(method, pop.positions.shape[1], (0.0, 10.0), 43)
         opt.run(pop, sphere, FeBudget(cap=calls, eval_cost=1), target=-1.0)
         assert pop.fitness.tolist() == [sphere(x) for x in pop.positions]
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_objective_raises(self, method, value):
         pop = fresh_population(np.random.default_rng(15), size=5)
-        opt = make_optimizer(method, pop.dim, BOUNDS, 47)
+        opt = make_optimizer(method, pop.positions.shape[1], BOUNDS, 47)
         with pytest.raises(ValueError, match=f"returned {value}"):
             opt.run(pop, lambda x: value, FeBudget(cap=100), target=0.0)
 
@@ -184,7 +184,7 @@ class TestStepContracts:
         # initial best on the 2-D sphere
         rng = np.random.default_rng(8)
         pop = fresh_population(rng)
-        opt = make_optimizer("pso", pop.dim, (0.0, 10.0), 29)
+        opt = make_optimizer("pso", pop.positions.shape[1], (0.0, 10.0), 29)
         initial_best = min(sphere(x) for x in pop.positions)
         counting = CountingObjective(sphere)
         opt.run(pop, counting, FeBudget(cap=20 * 201, eval_cost=1),
@@ -196,7 +196,7 @@ class TestStepContracts:
         rng = np.random.default_rng(9)
         pop = fresh_population(rng)
         pop.fitness[:] = [sphere(x) for x in pop.positions]
-        opt = make_optimizer("pso", pop.dim, BOUNDS, 31)
+        opt = make_optimizer("pso", pop.positions.shape[1], BOUNDS, 31)
         counting = CountingObjective(sphere)
         budget = FeBudget(cap=20 * 3, eval_cost=3)  # exactly one batch
         opt.run(pop, counting, budget, target=0.0)
@@ -207,7 +207,7 @@ class TestStepContracts:
         rng = np.random.default_rng(10)
         pop = fresh_population(rng)
         before = pop.positions.copy()
-        opt = make_optimizer("fpa", pop.dim, BOUNDS, 37)
+        opt = make_optimizer("fpa", pop.positions.shape[1], BOUNDS, 37)
         budget = FeBudget(cap=0, eval_cost=1)
         opt.run(pop, sphere, budget, target=0.0)
         assert budget.used == 0
@@ -218,7 +218,7 @@ class TestStepContracts:
         pop = fresh_population(rng)
         pop.fitness[:] = 1.0
         pop.fitness[3] = 0.0
-        opt = make_optimizer("bat", pop.dim, BOUNDS, 41)
+        opt = make_optimizer("bat", pop.positions.shape[1], BOUNDS, 41)
         counting = CountingObjective(sphere)
         budget = FeBudget(cap=10 ** 6, eval_cost=1)
         opt.run(pop, counting, budget, target=0.0)
@@ -228,15 +228,15 @@ class TestStepContracts:
     def test_run_rejects_infinite_cached_fitness(self):
         pop = fresh_population(np.random.default_rng(16), size=5)
         pop.fitness[:] = np.inf
-        opt = make_optimizer("pso", pop.dim, BOUNDS, 53)
+        opt = make_optimizer("pso", pop.positions.shape[1], BOUNDS, 53)
         with pytest.raises(ValueError, match="cached fitness"):
             opt.run(pop, sphere, FeBudget(cap=100), target=0.0)
 
     def test_population_best_tracking(self):
         pop = Population([[1.0, 1.0], [2.0, 2.0]], [4.0, 1.0])
         assert pop.best_index == 1
-        assert pop.best_fitness == 1.0
-        np.testing.assert_array_equal(pop.best_position, [2.0, 2.0])
+        assert pop.fitness[pop.best_index] == 1.0
+        np.testing.assert_array_equal(pop.positions[pop.best_index], [2.0, 2.0])
         with pytest.raises(ValueError):
             Population([[1.0]]).best_index
 

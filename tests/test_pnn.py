@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from swarmpnn import pnn
 from swarmpnn.pnn import (
     Dataset,
     DensityEvaluator,
@@ -502,6 +503,59 @@ class TestExactness:
             scales=scales)
         assert int(np.argmax(want)) == 1
         assert classify(PnnModel(ds, sm, scales), query) == 1
+
+
+def assert_loo_matches_oracle(ev, ds, sm, rows):
+    """Leave-one-out densities of ``rows`` within 1e-10 of the oracle's,
+    and each prediction its argmax up to ties within 1e-9."""
+    features, labels = ds.features.tolist(), ds.labels.tolist()
+    bandwidths = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+    densities, predicted = ev.class_densities(sm), ev.predict(sm)
+    for q in rows:
+        want = oracles.log_class_densities(features, labels, bandwidths,
+                                           features[q], ds.n_classes,
+                                           exclude=q)
+        np.testing.assert_allclose(densities[q], np.exp(want), rtol=1e-10)
+        assert want[predicted[q]] >= max(want) - 1e-9, (q, want)
+
+
+class TestLeaveOneOutLayouts:
+    """One evaluator scored with the kinds in this order covers the one-row
+    layout, the switch to the G-row layout, and one-row calls on it."""
+
+    KINDS = ("per_feature", "per_class_feature", "scalar", "per_class")
+
+    @staticmethod
+    def clustered(rng, sizes, n):
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        rng.shuffle(labels)
+        centres = rng.normal(0, 2, size=(len(sizes), n))
+        return Dataset(centres[labels] + rng.normal(size=(len(labels), n)),
+                       labels)
+
+    # G = 2, 3, 5 and 6; a one-pattern class has an empty within block and
+    # is empty in its own row's leave-one-out sum. At 300/300 each region of
+    # either layout spans several tiles; a sample of its rows is checked.
+    @pytest.mark.parametrize("sizes, n, sample", [
+        ((5, 4), 3, 0), ((6, 1, 4), 3, 0), ((4, 3, 1, 5, 2), 3, 0),
+        ((9, 7, 5, 4, 2, 1), 3, 0), ((300, 300), 2, 25)])
+    def test_matches_oracle_through_the_switch(self, sizes, n, sample):
+        rng = np.random.default_rng(list(sizes))
+        ds = self.clustered(rng, sizes, n)
+        rows = range(ds.n_samples)
+        if sample:
+            assert min(sizes) ** 2 > pnn._TILE  # one cross block > a tile
+            rows = np.sort(rng.choice(ds.n_samples, sample, replace=False))
+        ev = DensityEvaluator(ds, ds.features, exclude_self=True)
+        fresh = DensityEvaluator(ds, ds.features, exclude_self=True)
+        for kind in self.KINDS:
+            for _ in range(3):
+                sm = log_uniform_smoothing(rng, kind, ds, 0.2, 3.0)
+                assert_loo_matches_oracle(ev, ds, sm, rows)
+                if kind in ("per_feature", "scalar"):
+                    # the G-row layout serves one-row calls bit-identically
+                    np.testing.assert_array_equal(ev.class_densities(sm),
+                                                  fresh.class_densities(sm))
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ one by running the same copy of the script in each:
 
     python tools/seeded_hash.py
 
-It prints two lines. The first is the original iris digest over 48 results:
+It prints three lines. The first is the original iris digest over 48 results:
 split seeds 0-5, each of the four smoothing kinds, and both ``train_hybrid``
 and ``train_single("pso")``, with 2 iterations and probing and fit
 multipliers 3 and 10. The second, wider digest covers those 48 and adds:
@@ -28,6 +28,15 @@ multipliers 3 and 10. The second, wider digest covers those 48 and adds:
   cap mimics the probe-to-fit reuse. Each enters the hash with its
   positions, fitness, ``budget.used``, best-seen archive and the
   optimizer's next ``rng.uniform()``.
+
+The third digest covers everything the second does and adds runs where the
+leave-one-out fill crosses tiles and the per-class layout copies its cross
+blocks: ``train_hybrid`` and ``train_single("pso")``, ``per_feature`` and
+``per_class_feature``, at population 20, one iteration and probing and fit
+multipliers 1, on the raw-scale ``wide-raw`` set of ``bench/inputs.py`` and
+on two seeded Gaussian sets generated here, one banknote-like (762 and 610
+rows, 4 features) and one ecoli-like (143, 77, 52, 35, 20 and 5 rows, 7
+features).
 
 Each result enters the hash as sorted JSON; Python writes floats in their
 shortest round-trip form.
@@ -64,6 +73,8 @@ from swarmpnn.pnn import Dataset, Smoothing  # noqa: E402
 
 SEEDS = range(6)
 WIDE_KINDS = ("per_feature", "per_class_feature")
+# (class counts, features) of the seeded Gaussian sets of the third digest
+SHAPE_SETS = (((762, 610), 4), ((143, 77, 52, 35, 20, 5), 7))
 # (cap in objective calls, eval_cost, target) of the first of two direct
 # optimizer runs; the second gets three times the cap
 RUN_CASES = (
@@ -117,6 +128,28 @@ def wide_results():
         yield train_hybrid(train, test, _config(run, "per_feature", 1, 3))
 
 
+def _clusters(counts, n_features, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(len(counts)), counts)
+    rng.shuffle(labels)
+    centres = rng.normal(0.0, 1.0, size=(len(counts), n_features))
+    return Dataset(centres[labels] + rng.normal(
+        0.0, 1.0, size=(len(labels), n_features)), labels)
+
+
+def shape_results():
+    sets = [Dataset(*synthetic("wide-raw", 0))]
+    sets += [_clusters(counts, n, seed) for seed, (counts, n)
+             in enumerate(SHAPE_SETS)]
+    for ds in sets:
+        train, test = stratified_split(ds, SplitSpec(0.2, seed=0))
+        for kind in WIDE_KINDS:
+            cfg = HybridConfig(iterations=1, probing_multiplier=1,
+                               fit_multiplier=1, seed=0, smoothing_kind=kind)
+            yield train_hybrid(train, test, cfg)
+            yield train_single(train, test, "pso", cfg)
+
+
 def _quadratic(x):
     return float(np.sum(((np.asarray(x) - 3.0) / [1.0, 2.0, 0.5]) ** 2))
 
@@ -155,22 +188,25 @@ def main() -> int:
         print(f"swarmpnn imported from {swarmpnn.__file__}, not {SRC}",
               file=sys.stderr)
         return 2
-    iris, wide = hashlib.sha256(), hashlib.sha256()
-    counts = {"iris": 0, "wide": 0, "runs": 0}
-    for record in map(_train_record, iris_results()):
-        line = json.dumps(record, sort_keys=True).encode() + b"\n"
-        iris.update(line)
-        wide.update(line)
-        counts["iris"] += 1
-    for record in map(_train_record, wide_results()):
-        wide.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-        counts["wide"] += 1
-    for record in optimizer_runs():
-        wide.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-        counts["runs"] += 1
+    iris, wide, shapes = (hashlib.sha256() for _ in range(3))
+    counts = {"iris": 0, "wide": 0, "runs": 0, "shapes": 0}
+    # each group enters its own digest and every wider one
+    groups = (("iris", map(_train_record, iris_results()),
+               (iris, wide, shapes)),
+              ("wide", map(_train_record, wide_results()), (wide, shapes)),
+              ("runs", optimizer_runs(), (wide, shapes)),
+              ("shapes", map(_train_record, shape_results()), (shapes,)))
+    for name, records, digests in groups:
+        for record in records:
+            line = json.dumps(record, sort_keys=True).encode() + b"\n"
+            for digest in digests:
+                digest.update(line)
+            counts[name] += 1
     print(f"{iris.hexdigest()}  ({counts['iris']} seeded iris results)")
     print(f"{wide.hexdigest()}  ({counts['iris']} iris, {counts['wide']} "
           f"wider training results, {counts['runs']} optimizer runs)")
+    print(f"{shapes.hexdigest()}  (all of the above and {counts['shapes']} "
+          f"results at the wide-raw, banknote and ecoli shapes)")
     return 0
 
 
