@@ -249,19 +249,13 @@ class TrainResult:
     stop_reason: str
 
 
-def _clamped_smoothing(kind, vector, n_classes, n_features) -> Smoothing:
-    return Smoothing.from_vector(kind, np.maximum(vector, BANDWIDTH_FLOOR),
-                                 n_classes, n_features)
-
-
 def fitness_of(candidate, train: Dataset, eval_set: Dataset,
                kind: str = "per_feature") -> float:
     """Error rate on ``eval_set`` of a classifier whose pattern layer is
     ``train`` with the candidate bandwidth vector."""
-    smoothing = _clamped_smoothing(kind, np.asarray(candidate, dtype=float),
-                                   train.n_classes, train.n_features)
+    shape = Smoothing.grid_shape(kind, train.n_classes, train.n_features)
     evaluator = DensityEvaluator(train, eval_set.features)
-    return evaluator.error_rate(smoothing, eval_set.labels)
+    return evaluator.error_rate(np.reshape(candidate, shape), eval_set.labels)
 
 
 def loo_objective(train: Dataset, kind: str = "per_feature"):
@@ -273,11 +267,10 @@ def loo_objective(train: Dataset, kind: str = "per_feature"):
     left out of its class sum.
     """
     evaluator = DensityEvaluator(train, train.features, exclude_self=True)
-    g, n = train.n_classes, train.n_features
+    shape = Smoothing.grid_shape(kind, train.n_classes, train.n_features)
 
     def objective(vector):
-        smoothing = _clamped_smoothing(kind, vector, g, n)
-        return evaluator.error_rate(smoothing, train.labels)
+        return evaluator.error_rate(np.reshape(vector, shape), train.labels)
 
     return objective
 
@@ -285,8 +278,8 @@ def loo_objective(train: Dataset, kind: str = "per_feature"):
 def _train_result(train: Dataset, test: Dataset, kind: str, position,
                   fitness, trace, evaluations, stop_reason) -> TrainResult:
     """The trained classifier, with its one prediction of the test split."""
-    smoothing = _clamped_smoothing(kind, position, train.n_classes,
-                                   train.n_features)
+    smoothing = Smoothing.from_vector(kind, np.maximum(
+        position, BANDWIDTH_FLOOR), train.n_classes, train.n_features)
     predictions = DensityEvaluator(train, test.features).predict(smoothing)
     return TrainResult(smoothing, fitness,
                        float(np.mean(predictions != test.labels)), predictions,

@@ -102,6 +102,11 @@ class Smoothing:
     ``(G, N)``) and ``grid`` is a read-only ``(G or 1, N or 1)`` view of it,
     which broadcasts to the full (classes x features) bandwidth matrix.
 
+    A Smoothing is a validated grid for the API edge. Training passes
+    :class:`DensityEvaluator` bare grids and builds no Smoothing per
+    candidate; ``__array__`` returns ``grid``, so a Smoothing goes wherever
+    the engine takes a grid, through the same code path.
+
     The bandwidth matrix of the density formula is always diagonal, so its
     determinant is the product of the entries and its inverse acts as
     elementwise division.
@@ -133,50 +138,35 @@ class Smoothing:
         return cls.LAYOUTS[kind]
 
     @classmethod
-    def _shape(cls, kind: str, n_classes: int, n_features: int) -> tuple:
-        """Shape of the values of ``kind`` for G classes and N features."""
-        per_class, per_feature = cls._layout(kind)
-        return (n_classes,) * per_class + (n_features,) * per_feature
-
-    @classmethod
-    def scalar(cls, h: float) -> "Smoothing":
-        return cls("scalar", np.float64(h))
-
-    @classmethod
-    def per_class(cls, values) -> "Smoothing":
-        return cls("per_class", values)
-
-    @classmethod
-    def per_feature(cls, values) -> "Smoothing":
-        return cls("per_feature", values)
-
-    @classmethod
-    def per_class_feature(cls, matrix) -> "Smoothing":
-        return cls("per_class_feature", matrix)
-
-    @classmethod
     def from_vector(cls, kind: str, vector, n_classes: int,
                     n_features: int) -> "Smoothing":
         """Rebuild a spec from the flat optimizer vector for ``kind``."""
-        return cls(kind, np.asarray(vector, dtype=np.float64).reshape(
-            cls._shape(kind, n_classes, n_features)))
+        per_class, per_feature = cls._layout(kind)
+        return cls(kind, np.reshape(vector, (n_classes,) * per_class
+                                    + (n_features,) * per_feature))
+
+    @classmethod
+    def grid_shape(cls, kind: str, n_classes: int, n_features: int) -> tuple:
+        """Shape ``(G or 1, N or 1)`` of the ``grid`` of ``kind``."""
+        per_class, per_feature = cls._layout(kind)
+        return (n_classes if per_class else 1, n_features if per_feature else 1)
 
     @classmethod
     def vector_length(cls, kind: str, n_classes: int, n_features: int) -> int:
-        return math.prod(cls._shape(kind, n_classes, n_features))
+        return math.prod(cls.grid_shape(kind, n_classes, n_features))
 
     def validate_for(self, dataset: Dataset, upper: float = 10000.0) -> None:
         g, n = dataset.n_classes, dataset.n_features
-        if self.values.shape != (self._shape(self.kind, g, n) or (1,)):
+        if self.grid.shape != self.grid_shape(self.kind, g, n):
             raise ValueError(
                 f"{self.kind} smoothing shape {self.values.shape} does not "
                 f"match dataset with G={g}, N={n}")
         if np.any(self.values > upper):
             raise ValueError(f"bandwidth exceeds upper bound {upper}")
 
-    def bandwidth_matrix(self, n_classes: int, n_features: int) -> np.ndarray:
-        """Read-only (G, N) matrix of every class's bandwidth vector."""
-        return np.broadcast_to(self.grid, (n_classes, n_features))
+    def __array__(self, dtype=None, copy=None):
+        # numpy 2 passes ``copy`` and warns for a method without it
+        return np.array(self.grid, dtype=dtype, copy=copy)
 
     def to_jsonable(self):
         return {"kind": self.kind, "values": self.values.tolist()}
@@ -247,7 +237,7 @@ def kde(x, patterns, h: float) -> float:
     patterns = np.asarray(patterns, dtype=np.float64)
     ds = Dataset(patterns, np.zeros(len(patterns), dtype=np.int64))
     evaluator = DensityEvaluator(ds, np.reshape(x, (1, -1)))
-    return float(evaluator.class_densities(Smoothing.scalar(h))[0, 0])
+    return float(evaluator.class_densities(Smoothing("scalar", h))[0, 0])
 
 
 def class_density(model: PnnModel, x, j: int) -> float:
@@ -360,8 +350,11 @@ def _loo_pairs(bounds, per_class):
 class DensityEvaluator:
     """Exact evaluation of one query set against one pattern set.
 
-    Every density of the package comes from here. Bandwidths are read from
-    :attr:`Smoothing.grid`: one row serves every class, G rows one each.
+    Every density of the package comes from here. Bandwidths come as a
+    finite 2-D (G or 1, N or 1) grid, or a :class:`Smoothing`: one row
+    serves every class, G rows one each. A flat vector raises ``ValueError``
+    instead of broadcasting as one value per feature. Values below
+    :data:`BANDWIDTH_FLOOR`, such as the optimizers' bound 0, are clamped.
 
     With ``exclude_self=True`` the query rows must be the pattern rows in
     order, and each query's own pattern is left out of its class sum
@@ -484,14 +477,16 @@ class DensityEvaluator:
             sums += np.bincount(slots, self._terms[start:head], size)
         return sums.reshape(self.n_queries, -1)
 
-    def _log_scores(self, smoothing: Smoothing, every_class) -> np.ndarray:
+    def _log_scores(self, bandwidths, every_class) -> np.ndarray:
         """(Q, G) log densities, less the constant N log(2/pi).
 
         A leave-one-out row goes to the exact path when its best class sum,
         or with ``every_class`` any of its class sums, is below SAFE_SUM;
         every row of any other evaluator goes there.
         """
-        ds, grid = self.pattern_set, smoothing.grid
+        ds, grid = self.pattern_set, np.asarray(bandwidths, dtype=np.float64)
+        if grid.ndim != 2 or not np.isfinite(grid).all():
+            raise ValueError("bandwidths must be a finite 2-D grid")
         rows = ds.n_classes if len(grid) > 1 else 1
         h = np.broadcast_to(np.maximum(grid, BANDWIDTH_FLOOR),
                             (rows, ds.n_features))
@@ -558,19 +553,19 @@ class DensityEvaluator:
                 out[first:first + len(rows)] = peak + np.log(sums)
         return out
 
-    def class_densities(self, smoothing: Smoothing) -> np.ndarray:
+    def class_densities(self, bandwidths) -> np.ndarray:
         """True (Q, G) density values for every query and class."""
         n = self.pattern_set.n_features
-        scores = self._log_scores(smoothing, every_class=True)
+        scores = self._log_scores(bandwidths, every_class=True)
         with np.errstate(over="ignore", under="ignore"):
             return np.exp(scores + n * np.log(TWO_OVER_PI))
 
-    def predict(self, smoothing: Smoothing) -> np.ndarray:
+    def predict(self, bandwidths) -> np.ndarray:
         """Argmax class per query; ties resolve to the lowest index."""
-        return np.argmax(self._log_scores(smoothing, every_class=False),
+        return np.argmax(self._log_scores(bandwidths, every_class=False),
                          axis=1)
 
-    def error_rate(self, smoothing: Smoothing, labels) -> float:
+    def error_rate(self, bandwidths, labels) -> float:
         """Fraction of queries whose argmax class differs from ``labels``."""
         labels = np.asarray(labels)
-        return float(np.mean(self.predict(smoothing) != labels))
+        return float(np.mean(self.predict(bandwidths) != labels))

@@ -140,7 +140,7 @@ def test_c01_class_density_matches_brute_force_oracle():
         ds = random_instance(rng, max_p=20, max_n=4, max_g=3)
         sm = random_smoothing(rng, ds)
         model = PnnModel(ds, sm)
-        rows = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+        rows = np.broadcast_to(sm.grid, (ds.n_classes, ds.n_features)).tolist()
         x = rng.normal(0, 2, size=ds.n_features)
         j = int(rng.integers(ds.n_classes))
         want = oracles.class_density(ds.features.tolist(), ds.labels.tolist(),
@@ -177,7 +177,7 @@ def test_c03_fe_budgets_match_published_formulas(available):
     test_eval = DensityEvaluator(train, test.features)
 
     def converged(position, fitness):
-        sm = Smoothing.per_feature(np.maximum(position, 1e-12))
+        sm = Smoothing("per_feature", np.maximum(position, 1e-12))
         return test_eval.error_rate(sm, test.labels) <= cfg.fitness_threshold
 
     result = hybrid_minimize(counting, train.n_features, cfg, eval_cost=n_t,
@@ -312,7 +312,7 @@ def test_c10_separable_data_converges_and_stops_charging():
     assert len(result.trace) == 1
     extra_calls = counting.calls - counting.calls_at_first_zero
     assert extra_calls < cfg.population_size
-    sm = Smoothing.per_feature(np.maximum(result.best_position, 1e-12))
+    sm = Smoothing("per_feature", np.maximum(result.best_position, 1e-12))
     assert DensityEvaluator(train, test.features).error_rate(
         sm, test.labels) == 0.0
     note("c10", f"converged to zero error; {extra_calls} objective calls "

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,12 @@ import pytest
 
 from swarmpnn import cli, datasets
 from swarmpnn.cli import load_config, main
-from swarmpnn.datasets import write_canonical_csv
+from swarmpnn.datasets import (
+    REGISTRY,
+    DatasetValidationWarning,
+    load_csv,
+    write_canonical_csv,
+)
 
 
 @pytest.fixture
@@ -359,3 +365,45 @@ class TestBenchmarkCommand:
         path.write_text(json.dumps({"dataset": ["iris"]}))
         with pytest.raises(SystemExit, match="unknown key"):
             load_config(str(path))
+
+
+def registry_shape_csvs(root):
+    """A seeded synthetic canonical CSV at each registry dataset's shape and
+    class balance, with raw-like feature scales from 1e-2 to 1e3."""
+    paths = {}
+    for index, (name, d) in enumerate(sorted(REGISTRY.items())):
+        rng = np.random.default_rng(index)
+        g, n = len(d.expected_balance), d.expected_features
+        labels = np.repeat(np.arange(g), d.expected_balance)
+        rng.shuffle(labels)
+        scales = 10.0 ** np.linspace(-2.0, 3.0, n)
+        features = scales * (rng.standard_normal((g, n))[labels]
+                             + rng.standard_normal((len(labels), n)))
+        paths[name] = str(root / f"{name}.csv")
+        write_canonical_csv(paths[name], features,
+                            [f"c{label}" for label in labels])
+    return paths
+
+
+@pytest.mark.parametrize("kind", ["per_feature", "per_class_feature"])
+def test_smoke_grid_at_every_registry_shape(tmp_path, kind):
+    """Every method trains end to end on every registry shape."""
+    paths = registry_shape_csvs(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DatasetValidationWarning)
+        for name, path in paths.items():
+            load_csv(path, REGISTRY[name])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "datasets": sorted(paths), "methods": list(cli.DEFAULT_METHODS),
+        "runs": 1, "paths": paths,
+        "hybrid": {"iterations": 1, "population_size": 4,
+                   "probing_multiplier": 1, "fit_multiplier": 1,
+                   "smoothing_kind": kind}}))
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out),
+                 "--jobs", "2"]) == 0
+    assert not (out / "failures.json").exists()
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert sorted(results) == sorted(REGISTRY)
+    assert all(len(methods) == 6 for methods in results.values())

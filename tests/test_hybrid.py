@@ -11,7 +11,7 @@ from swarmpnn.hybrid import (
     train_hybrid,
     train_single,
 )
-from swarmpnn.pnn import Dataset, DensityEvaluator
+from swarmpnn.pnn import Dataset, DensityEvaluator, Smoothing
 
 # critical value of the chi-squared distribution, 4 dof, alpha = 0.01
 CHI2_4DOF_99 = 13.2767
@@ -263,6 +263,14 @@ class TestFitness:
             fitness_of([1.0, 1.0, 1.0], train, train)
         with pytest.raises(ValueError):
             fitness_of([1.0, 1.0], train, train, kind="scalar")
+        with pytest.raises(ValueError):
+            fitness_of([1.0, 1.0, 1.0], train, train, kind="per_class")
+        # G values would pass as one bandwidth per class under a (G, -1)
+        # reshape; per_class_feature needs G * N
+        with pytest.raises(ValueError):
+            fitness_of([1.0, 1.0], train, train, kind="per_class_feature")
+        with pytest.raises(ValueError):
+            loo_objective(train, "per_class_feature")(np.ones(2))
 
     def test_loo_objective_never_sees_own_pattern(self):
         # a memorizing model would score zero; leave-one-out must not
@@ -310,6 +318,28 @@ class TestTrainers:
         assert result.smoothing.kind == kind
         assert result.smoothing.values.size == length
         assert result.test_error == 0.0
+
+    def test_training_run_builds_one_smoothing(self, monkeypatch):
+        # the objective scores grids; only the trained result is a Smoothing
+        built = []
+        init = Smoothing.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Smoothing, "__init__", counting_init)
+        rng = np.random.default_rng(10)
+        features = rng.normal(0, 1, size=(24, 2))
+        labels = (features[:, 0] + rng.normal(0, 0.6, 24) > 0).astype(int)
+        ds = Dataset(features, labels)
+        train = ds.subset(np.arange(0, 24, 2))
+        test = ds.subset(np.arange(1, 24, 2))
+        cfg = small_cfg(seed=13, smoothing_kind="per_class_feature")
+        result = train_hybrid(train, test, cfg)
+        assert result.stop_reason == "iterations"
+        assert result.evaluations > cfg.population_size * train.n_samples
+        assert len(built) == 1
 
     def test_train_determinism(self):
         rng = np.random.default_rng(10)

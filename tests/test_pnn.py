@@ -41,12 +41,12 @@ def random_smoothing(rng, ds):
     kind = rng.choice(Smoothing.KINDS)
     low, high = 0.2, 3.0
     if kind == "scalar":
-        return Smoothing.scalar(rng.uniform(low, high))
+        return Smoothing("scalar", rng.uniform(low, high))
     if kind == "per_class":
-        return Smoothing.per_class(rng.uniform(low, high, ds.n_classes))
+        return Smoothing("per_class", rng.uniform(low, high, ds.n_classes))
     if kind == "per_feature":
-        return Smoothing.per_feature(rng.uniform(low, high, ds.n_features))
-    return Smoothing.per_class_feature(rng.uniform(low, high, (ds.n_classes, ds.n_features)))
+        return Smoothing("per_feature", rng.uniform(low, high, ds.n_features))
+    return Smoothing("per_class_feature", rng.uniform(low, high, (ds.n_classes, ds.n_features)))
 
 
 class TestCauchyKernel:
@@ -122,7 +122,7 @@ class TestClassDensity:
     def test_reduces_to_kde_per_class(self):
         rng = np.random.default_rng(5)
         ds = Dataset(rng.normal(0, 1, size=(9, 2)), [0, 0, 1, 1, 1, 0, 1, 0, 0])
-        model = PnnModel(ds, Smoothing.scalar(0.8))
+        model = PnnModel(ds, Smoothing("scalar", 0.8))
         for j in range(2):
             want = kde(ds.features[0], ds.features[ds.labels == j], 0.8)
             have = class_density(model, ds.features[0], j)
@@ -130,15 +130,15 @@ class TestClassDensity:
 
     def test_single_pattern_at_query(self):
         ds = Dataset([[0.2, 0.4, 0.6]], [0])
-        model = PnnModel(ds, Smoothing.per_feature([1.0, 1.0, 1.0]))
+        model = PnnModel(ds, Smoothing("per_feature", [1.0, 1.0, 1.0]))
         assert class_density(model, [0.2, 0.4, 0.6], 0) == pytest.approx(
             TWO_OVER_PI ** 3, abs=1e-12)
 
     def test_toy_set_against_oracle(self):
         ds = Dataset([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [-1.0, 0.5]], [0, 1, 0, 1])
-        sm = Smoothing.per_feature([0.5, 2.0])
+        sm = Smoothing("per_feature", [0.5, 2.0])
         model = PnnModel(ds, sm)
-        rows = sm.bandwidth_matrix(2, 2).tolist()
+        rows = np.broadcast_to(sm.grid, (2, 2)).tolist()
         for j in range(2):
             want = oracles.class_density(
                 ds.features.tolist(), ds.labels.tolist(), [1.0] * 4, rows, [0.3, 0.7], j)
@@ -146,13 +146,13 @@ class TestClassDensity:
 
     def test_empty_class_rejected(self):
         ds = Dataset([[0.0], [1.0]], [0, 1])
-        model = PnnModel(ds, Smoothing.scalar(1.0))
+        model = PnnModel(ds, Smoothing("scalar", 1.0))
         with pytest.raises(ValueError):
             class_density(model, [0.0], 2)
 
     def test_query_dimension_mismatch_rejected(self):
         ds = Dataset([[0.0, 1.0], [1.0, 0.0]], [0, 1])
-        model = PnnModel(ds, Smoothing.scalar(1.0))
+        model = PnnModel(ds, Smoothing("scalar", 1.0))
         with pytest.raises(ValueError, match="dimension"):
             class_density(model, [0.0], 0)
         with pytest.raises(ValueError, match="dimension"):
@@ -162,10 +162,10 @@ class TestClassDensity:
         rng = np.random.default_rng(19)
         ds = Dataset(rng.normal(0, 1, size=(10, 3)), [0, 1] * 5)
         x = rng.normal(0, 1, size=3)
-        base = PnnModel(ds, Smoothing.scalar(0.9))
+        base = PnnModel(ds, Smoothing("scalar", 0.9))
         for t in (0.25, 3.0, 40.0):
             scaled_ds = Dataset(t * ds.features, ds.labels)
-            scaled = PnnModel(scaled_ds, Smoothing.scalar(0.9 * t))
+            scaled = PnnModel(scaled_ds, Smoothing("scalar", 0.9 * t))
             for j in range(2):
                 assert class_density(scaled, t * x, j) == pytest.approx(
                     class_density(base, x, j) * t ** -3, rel=1e-10)
@@ -177,7 +177,7 @@ class TestClassDensity:
             sm = random_smoothing(rng, ds)
             scales = rng.uniform(0.5, 2.0, ds.n_samples)
             model = PnnModel(ds, sm, scales)
-            rows = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+            rows = np.broadcast_to(sm.grid, (ds.n_classes, ds.n_features)).tolist()
             x = rng.normal(0, 2, size=ds.n_features)
             for j in range(ds.n_classes):
                 want = oracles.class_density(
@@ -189,9 +189,9 @@ class TestClassDensity:
         # every kernel factor is about 1e-13 at h = 1e-6, so a linear product
         # over 30 features underflows; the class-0 density is still 1.3e-186
         ds = Dataset([[1e-3] * 30, [5.0] * 30], [0, 1])
-        sm = Smoothing.scalar(1e-6)
+        sm = Smoothing("scalar", 1e-6)
         x = [0.0] * 30
-        rows = sm.bandwidth_matrix(2, 30).tolist()
+        rows = np.broadcast_to(sm.grid, (2, 30)).tolist()
         want = oracles.log_class_density(
             ds.features.tolist(), ds.labels.tolist(), rows, x, 0)
         assert want == pytest.approx(-428.013, abs=1e-3)
@@ -201,7 +201,7 @@ class TestClassDensity:
     def test_grid_normalization_1d(self):
         # each class density integrates to ~1 on a fine 1-D grid
         ds = Dataset([[0.0], [0.5], [4.0], [5.0], [5.5]], [0, 0, 1, 1, 1])
-        model = PnnModel(ds, Smoothing.per_class([0.7, 1.2]))
+        model = PnnModel(ds, Smoothing("per_class", [0.7, 1.2]))
         grid = np.linspace(-400.0, 400.0, 200_001)
         dx = grid[1] - grid[0]
         for j in range(2):
@@ -212,12 +212,12 @@ class TestClassDensity:
 class TestClassify:
     def test_single_class(self):
         ds = Dataset([[1.0], [2.0]], [0, 0])
-        model = PnnModel(ds, Smoothing.scalar(1.0))
+        model = PnnModel(ds, Smoothing("scalar", 1.0))
         assert classify(model, [5.0]) == 0
 
     def test_mirror_tie_breaks_to_lowest_index(self):
         ds = Dataset([[-1.0], [-2.0], [1.0], [2.0]], [0, 0, 1, 1])
-        model = PnnModel(ds, Smoothing.scalar(1.0))
+        model = PnnModel(ds, Smoothing("scalar", 1.0))
         d = class_densities(model, [0.0])
         assert d[0] == d[1]
         assert classify(model, [0.0]) == 0
@@ -228,9 +228,9 @@ class TestClassify:
         features = np.vstack([c + rng.normal(0, 0.5, size=(6, 2)) for c in centers])
         labels = np.repeat([0, 1, 2], 6)
         ds = Dataset(features, labels)
-        sm = Smoothing.per_feature([0.8, 1.1])
+        sm = Smoothing("per_feature", [0.8, 1.1])
         model = PnnModel(ds, sm)
-        rows = sm.bandwidth_matrix(3, 2).tolist()
+        rows = np.broadcast_to(sm.grid, (3, 2)).tolist()
         for c, j in zip(centers, range(3)):
             x = c + rng.normal(0, 0.3, size=2)
             want = oracles.classify(
@@ -248,13 +248,13 @@ class TestApplyModification:
     def test_zero_intensity_is_identity(self):
         rng = np.random.default_rng(23)
         ds = random_instance(rng)
-        model = PnnModel(ds, Smoothing.scalar(1.0))
+        model = PnnModel(ds, Smoothing("scalar", 1.0))
         out = apply_modification(model, ModificationConfig(intensity=0.0))
         assert np.all(out.pattern_scales == 1.0)
 
     def test_identical_patterns_give_unit_scales(self):
         ds = Dataset([[2.0, 2.0]] * 4, [0] * 4)
-        model = PnnModel(ds, Smoothing.scalar(0.5))
+        model = PnnModel(ds, Smoothing("scalar", 0.5))
         out = apply_modification(model, ModificationConfig(intensity=1.7))
         np.testing.assert_allclose(out.pattern_scales, 1.0, rtol=1e-12)
 
@@ -262,7 +262,7 @@ class TestApplyModification:
         # patterns {0, 0, 10}, h=1, intensity 0.5; expected values frozen from
         # the loop oracle (densities 0.42443398..., 0.42443398..., 0.21224819...)
         ds = Dataset([[0.0], [0.0], [10.0]], [0, 0, 0])
-        model = PnnModel(ds, Smoothing.scalar(1.0))
+        model = PnnModel(ds, Smoothing("scalar", 1.0))
         out = apply_modification(model, ModificationConfig(intensity=0.5))
         np.testing.assert_allclose(
             out.pattern_scales,
@@ -277,14 +277,14 @@ class TestApplyModification:
             model = PnnModel(ds, sm)
             c = rng.uniform(0.1, 2.0)
             out = apply_modification(model, ModificationConfig(intensity=c))
-            rows = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+            rows = np.broadcast_to(sm.grid, (ds.n_classes, ds.n_features)).tolist()
             want = oracles.modification_scales(
                 ds.features.tolist(), ds.labels.tolist(), rows, c, 1e-300)
             np.testing.assert_allclose(out.pattern_scales, want, rtol=1e-10)
 
     def test_requires_unit_scales(self):
         ds = Dataset([[0.0], [1.0]], [0, 0])
-        model = PnnModel(ds, Smoothing.scalar(1.0), [2.0, 1.0])
+        model = PnnModel(ds, Smoothing("scalar", 1.0), [2.0, 1.0])
         with pytest.raises(ValueError):
             apply_modification(model, ModificationConfig(intensity=0.5))
 
@@ -302,27 +302,27 @@ class TestTypes:
 
     def test_smoothing_validation(self):
         with pytest.raises(ValueError):
-            Smoothing.per_feature([1.0, -1.0])
+            Smoothing("per_feature", [1.0, -1.0])
         with pytest.raises(ValueError):
-            Smoothing.scalar(0.0)
+            Smoothing("scalar", 0.0)
         ds = Dataset([[0.0, 1.0]], [0])
         with pytest.raises(ValueError):
-            Smoothing.per_feature([1.0]).validate_for(ds)
+            Smoothing("per_feature", [1.0]).validate_for(ds)
         with pytest.raises(ValueError):
-            Smoothing.scalar(20000.0).validate_for(ds)
+            Smoothing("scalar", 20000.0).validate_for(ds)
 
     def test_smoothing_round_trip_from_vector(self):
         sm = Smoothing.from_vector("per_class_feature", np.arange(1.0, 7.0), 2, 3)
         assert sm.values.shape == (2, 3)
         np.testing.assert_array_equal(
-            sm.bandwidth_matrix(2, 3)[1], [4.0, 5.0, 6.0])
+            np.broadcast_to(sm.grid, (2, 3))[1], [4.0, 5.0, 6.0])
 
     def test_model_scale_validation(self):
         ds = Dataset([[0.0], [1.0]], [0, 0])
         with pytest.raises(ValueError):
-            PnnModel(ds, Smoothing.scalar(1.0), [1.0, 0.0])
+            PnnModel(ds, Smoothing("scalar", 1.0), [1.0, 0.0])
         with pytest.raises(ValueError):
-            PnnModel(ds, Smoothing.scalar(1.0), [1.0])
+            PnnModel(ds, Smoothing("scalar", 1.0), [1.0])
 
 
 class TestDensityEvaluator:
@@ -337,9 +337,9 @@ class TestDensityEvaluator:
         # class-1 sum of 2; true class-0 density 1.097e-232
         cases.append((Dataset([[0.0] * 10, [0.0] * 10, [3162.0] * 10],
                               [1, 1, 0]),
-                      Smoothing.scalar(1e-3), np.zeros((1, 10))))
+                      Smoothing("scalar", 1e-3), np.zeros((1, 10))))
         for ds, sm, queries in cases:
-            rows = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+            rows = np.broadcast_to(sm.grid, (ds.n_classes, ds.n_features)).tolist()
             want = [[oracles.class_density(ds.features.tolist(),
                                            ds.labels.tolist(),
                                            [1.0] * ds.n_samples, rows,
@@ -355,7 +355,7 @@ class TestDensityEvaluator:
             sm = random_smoothing(rng, ds)
             queries = rng.normal(0, 2, size=(8, ds.n_features))
             ev = DensityEvaluator(ds, queries)
-            rows = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+            rows = np.broadcast_to(sm.grid, (ds.n_classes, ds.n_features)).tolist()
             want = [oracles.classify(ds.features.tolist(), ds.labels.tolist(),
                                      [1.0] * ds.n_samples, rows, x.tolist(),
                                      ds.n_classes)
@@ -382,7 +382,7 @@ class TestDensityEvaluator:
     def test_error_rate_counts_mismatches(self):
         ds = Dataset([[0.0], [0.1], [5.0], [5.1]], [0, 0, 1, 1])
         ev = DensityEvaluator(ds, np.array([[0.05], [5.05], [0.0]]))
-        sm = Smoothing.scalar(0.5)
+        sm = Smoothing("scalar", 0.5)
         assert ev.error_rate(sm, [0, 1, 1]) == pytest.approx(1.0 / 3.0)
 
     def test_exclude_self_requires_matching_queries(self):
@@ -392,6 +392,36 @@ class TestDensityEvaluator:
         with pytest.raises(ValueError, match="unit pattern scales"):
             DensityEvaluator(ds, ds.features, exclude_self=True,
                              pattern_scales=[1.0, 2.0])
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    @pytest.mark.parametrize("kind", Smoothing.KINDS)
+    def test_grid_and_smoothing_agree_bit_for_bit(self, kind, exclude_self):
+        rng = np.random.default_rng([53, Smoothing.KINDS.index(kind)])
+        ds = Dataset(rng.normal(0, 1, size=(24, 3)), np.arange(24) % 3)
+        queries = ds.features if exclude_self else rng.normal(0, 1, (7, 3))
+        by_grid, by_smoothing = (
+            DensityEvaluator(ds, queries, exclude_self=exclude_self)
+            for _ in range(2))
+        shape = Smoothing.grid_shape(kind, ds.n_classes, ds.n_features)
+        for _ in range(3):
+            sm = log_uniform_smoothing(rng, kind, ds, 0.2, 3.0)
+            grid = np.array(sm.values).reshape(shape)
+            np.testing.assert_array_equal(by_grid.class_densities(grid),
+                                          by_smoothing.class_densities(sm))
+            np.testing.assert_array_equal(by_grid.predict(grid),
+                                          by_smoothing.predict(sm))
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_rejects_grids_that_are_not_finite_and_2d(self, exclude_self):
+        # G == N == 2, so a flat vector would broadcast as per_feature
+        ds = Dataset([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], [0, 1, 1])
+        ev = DensityEvaluator(ds, ds.features, exclude_self=exclude_self)
+        for grid in (np.ones(2), np.ones((1, 1, 2)), [[1.0, np.nan]],
+                     [[np.inf, 1.0]], np.ones((3, 2))):
+            with pytest.raises(ValueError):
+                ev.class_densities(grid)
+            with pytest.raises(ValueError):
+                ev.predict(grid)
 
     def test_scaled_build_lays_out_no_pairs(self):
         # only leave-one-out lays out pairs: a query set, scaled or not, is
@@ -436,7 +466,7 @@ def assert_oracle_argmax(predicted, ds, sm, queries, leave_one_out):
     """Each prediction is the oracle's argmax; classes within 1e-9 of the
     best log density count as ties that may go either way."""
     features, labels = ds.features.tolist(), ds.labels.tolist()
-    rows = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+    rows = np.broadcast_to(sm.grid, (ds.n_classes, ds.n_features)).tolist()
     for q, (x, got) in enumerate(zip(queries, predicted)):
         scores = oracles.log_class_densities(
             features, labels, rows, x.tolist(), ds.n_classes,
@@ -489,7 +519,7 @@ class TestExactness:
         # every product kernel underflows at h = 1e-6 over 30 features, but
         # the query is twice as close to the class-1 pattern in each one
         ds = Dataset([[0.0] * 30, [3.0] * 30, [2.9] * 30], [0, 1, 1])
-        sm = Smoothing.scalar(1e-6)
+        sm = Smoothing("scalar", 1e-6)
         query = np.full(30, 2.0)
         assert classify(PnnModel(ds, sm), query) == 1
         assert DensityEvaluator(ds, query[None, :]).predict(sm).tolist() == [1]
@@ -499,7 +529,7 @@ class TestExactness:
         scales = [1.0, 1.0, 2.0]
         want = oracles.log_class_densities(
             ds.features.tolist(), ds.labels.tolist(),
-            sm.bandwidth_matrix(2, 30).tolist(), query.tolist(), 2,
+            np.broadcast_to(sm.grid, (2, 30)).tolist(), query.tolist(), 2,
             scales=scales)
         assert int(np.argmax(want)) == 1
         assert classify(PnnModel(ds, sm, scales), query) == 1
@@ -509,7 +539,7 @@ def assert_loo_matches_oracle(ev, ds, sm, rows):
     """Leave-one-out densities of ``rows`` within 1e-10 of the oracle's,
     and each prediction its argmax up to ties within 1e-9."""
     features, labels = ds.features.tolist(), ds.labels.tolist()
-    bandwidths = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+    bandwidths = np.broadcast_to(sm.grid, (ds.n_classes, ds.n_features)).tolist()
     densities, predicted = ev.class_densities(sm), ev.predict(sm)
     for q in rows:
         want = oracles.log_class_densities(features, labels, bandwidths,
@@ -566,7 +596,7 @@ def test_density_evaluator_agrees_with_oracle(seed):
     sm = random_smoothing(rng, ds)
     x = rng.normal(0, 2, size=(1, ds.n_features))
     ev = DensityEvaluator(ds, x)
-    rows = sm.bandwidth_matrix(ds.n_classes, ds.n_features).tolist()
+    rows = np.broadcast_to(sm.grid, (ds.n_classes, ds.n_features)).tolist()
     want = [oracles.class_density(ds.features.tolist(), ds.labels.tolist(),
                                   [1.0] * ds.n_samples, rows, x[0].tolist(), j)
             for j in range(ds.n_classes)]

@@ -2,17 +2,19 @@
 
     python tools/loo_ab.py OTHER_CHECKOUT [--shapes iris,glass] [--blocks 11]
 
-It loads ``src/swarmpnn/pnn.py`` of this checkout and of OTHER_CHECKOUT as
-two modules in one process. For each registry dataset shape it draws a
+It imports the ``swarmpnn`` package of this checkout and of OTHER_CHECKOUT
+under two names in one process. For each registry dataset shape it draws a
 seeded synthetic set at that dataset's class balance and feature count
-(``REGISTRY``'s ``expected_balance`` and ``expected_features``), keeps the
-training split of ``stratified_split`` at test fraction 0.2, and builds each
-side's leave-one-out ``DensityEvaluator`` on it. For each smoothing kind it
-asserts that both sides' ``class_densities`` are bit-equal on 10 seeded
-candidate bandwidth vectors, then times alternating blocks of
-``class_densities`` calls on them in CPU time. Each block builds both
-evaluators anew, and the side that is built and timed first switches from
-block to block. It prints, per shape and kind, the median
+(``REGISTRY``'s ``expected_balance`` and ``expected_features``) and keeps
+the training split of ``stratified_split`` at test fraction 0.2. For each
+smoothing kind it asserts, on 10 seeded candidate bandwidth vectors, that
+both sides' leave-one-out ``DensityEvaluator.class_densities`` are
+bit-equal and that both sides' ``hybrid.loo_objective`` give equal error
+rates. It then times, in CPU time, alternating blocks of ``class_densities``
+calls (the class sums) and of whole objective calls, which take the flat
+optimizer vector. Each block builds both sides' evaluator or objective
+anew, and the side that is built and timed first switches from block to
+block. It prints, per shape and kind and for each of the two, the median
 microseconds per call of each side, their ratio (OTHER / this, so above 1
 means this checkout is faster) and the number of blocks this checkout won.
 
@@ -44,13 +46,15 @@ CANDIDATES = 10
 BLOCK_SECONDS = 0.1
 
 
-def load_pnn(checkout: Path, name: str):
-    path = checkout / "src" / "swarmpnn" / "pnn.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+def load_package(checkout: Path, name: str):
+    """The ``swarmpnn`` package of ``checkout``, imported as ``name``."""
+    init = checkout / "src" / "swarmpnn" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package  # its relative imports look it up
+    spec.loader.exec_module(package)
+    return package
 
 
 def train_set(shape: str, seed: int = 0):
@@ -74,52 +78,66 @@ def candidates(kind: str, g: int, n: int, seed: int = 0):
     return [rng.uniform(0.05, 1.5, shape) for _ in range(CANDIDATES)]
 
 
-def time_calls(evaluator, smoothings, calls: int) -> float:
-    """CPU microseconds per ``class_densities`` call over ``calls`` calls."""
+def time_calls(call, calls: int) -> float:
+    """CPU microseconds per ``call(i)`` over ``calls`` calls."""
     start = time.process_time_ns()
     for i in range(calls):
-        evaluator.class_densities(smoothings[i % len(smoothings)])
+        call(i)
     return (time.process_time_ns() - start) / calls / 1e3
 
 
-def build(sides, features, labels, order):
-    """Each side's leave-one-out evaluator, built in ``order``."""
-    evaluators = [None, None]
-    for side in order:
-        pnn = sides[side]
-        evaluators[side] = pnn.DensityEvaluator(
-            pnn.Dataset(features, labels), features, exclude_self=True)
-    return evaluators
-
-
-def compare(sides, features, labels, kind, blocks):
-    """Check bit-equality, then time; returns the median us of each side
-    and this side's win count."""
-    g, n = int(labels.max()) + 1, features.shape[1]
-    smoothings = [[pnn.Smoothing(kind, v) for v in candidates(kind, g, n)]
-                  for pnn in sides]
-    evaluators = build(sides, features, labels, (0, 1))
-    for i in range(CANDIDATES):
-        mine, theirs = (e.class_densities(s[i])
-                        for e, s in zip(evaluators, smoothings))
-        if not np.array_equal(mine, theirs):
-            raise SystemExit(f"class densities differ for {kind} "
-                             f"candidate {i}")
-    per_call = time_calls(evaluators[0], smoothings[0], CANDIDATES)
-    calls = max(1, round(BLOCK_SECONDS * 1e6 / per_call))
+def race(make, blocks):
+    """Time alternating blocks of each side's calls; returns the median us
+    of each side and this side's win count. ``make(side)`` builds a side's
+    evaluator and returns its ``call(i)``."""
+    calls = max(1, round(BLOCK_SECONDS * 1e6 / time_calls(make(0),
+                                                           CANDIDATES)))
     times = ([], [])
     for block in range(blocks):
         # where an evaluator's arrays land in memory moves its speed by a
         # few percent, so each block builds both anew, in alternating order
         order = (0, 1) if block % 2 else (1, 0)
-        evaluators = build(sides, features, labels, order)
+        timed = [None, None]
         for side in order:
-            evaluators[side].class_densities(smoothings[side][0])
+            timed[side] = make(side)
         for side in order:
-            times[side].append(time_calls(evaluators[side], smoothings[side],
-                                          calls))
+            timed[side](0)
+        for side in order:
+            times[side].append(time_calls(timed[side], calls))
     wins = sum(a < b for a, b in zip(*times))
     return statistics.median(times[0]), statistics.median(times[1]), wins
+
+
+def compare(sides, features, labels, kind, blocks):
+    """Check that both sides give bit-equal class densities and equal error
+    rates, then time ``class_densities`` and whole objective calls; returns
+    :func:`race`'s figures for each."""
+    g, n = int(labels.max()) + 1, features.shape[1]
+    values = candidates(kind, g, n)
+    smoothings = [[pkg.Smoothing(kind, v) for v in values] for pkg in sides]
+
+    def densities(side):
+        pkg = sides[side]
+        evaluator = pkg.DensityEvaluator(pkg.Dataset(features, labels),
+                                         features, exclude_self=True)
+        return lambda i: evaluator.class_densities(
+            smoothings[side][i % CANDIDATES])
+
+    def objective(side):
+        pkg = sides[side]
+        call = pkg.hybrid.loo_objective(pkg.Dataset(features, labels), kind)
+        return lambda i: call(values[i % CANDIDATES].ravel())
+
+    mine, theirs = densities(0), densities(1)
+    for i in range(CANDIDATES):
+        if not np.array_equal(mine(i), theirs(i)):
+            raise SystemExit(f"class densities differ for {kind} "
+                             f"candidate {i}")
+    mine, theirs = objective(0), objective(1)
+    for i in range(CANDIDATES):
+        if mine(i) != theirs(i):
+            raise SystemExit(f"error rates differ for {kind} candidate {i}")
+    return race(densities, blocks), race(objective, blocks)
 
 
 def main(argv=None) -> int:
@@ -130,20 +148,24 @@ def main(argv=None) -> int:
                         help="comma-separated registry dataset names")
     parser.add_argument("--blocks", type=int, default=11)
     args = parser.parse_args(argv)
-    sides = (load_pnn(ROOT, "pnn_this"), load_pnn(args.other, "pnn_other"))
+    sides = (load_package(ROOT, "swarmpnn_this"),
+             load_package(args.other, "swarmpnn_other"))
     print(f"this: {ROOT}\nother: {args.other.resolve()}\n"
           f"numpy {np.__version__}, {args.blocks} blocks, CPU time")
-    print(f"{'shape':<10}{'kind':<19}{'P':>6}{'G':>3}{'N':>4}"
-          f"{'this_us':>11}{'other_us':>11}{'ratio':>8}{'wins':>7}")
+    columns = "".join(f"{c:>11}{'other_us':>11}{'ratio':>8}{'wins':>7}"
+                      for c in ("sums_us", "call_us"))
+    print(f"{'shape':<10}{'kind':<19}{'P':>6}{'G':>3}{'N':>4}{columns}")
     for shape in args.shapes.split(","):
         features, labels = train_set(shape)
         for kind in KINDS:
-            mine, theirs, wins = compare(sides, features, labels, kind,
-                                         args.blocks)
+            timings = compare(sides, features, labels, kind, args.blocks)
+            row = "".join(
+                f"{mine:>11.1f}{theirs:>11.1f}{theirs / mine:>8.2f}"
+                f"{wins:>4}/{args.blocks}"
+                for mine, theirs, wins in timings)
             print(f"{shape:<10}{kind:<19}{len(labels):>6}"
-                  f"{labels.max() + 1:>3}{features.shape[1]:>4}"
-                  f"{mine:>11.1f}{theirs:>11.1f}{theirs / mine:>8.2f}"
-                  f"{wins:>4}/{args.blocks}", flush=True)
+                  f"{labels.max() + 1:>3}{features.shape[1]:>4}{row}",
+                  flush=True)
     return 0
 
 

@@ -8,7 +8,7 @@ one by running the same copy of the script in each:
 
     python tools/seeded_hash.py
 
-It prints three lines. The first is the original iris digest over 48 results:
+It prints four lines. The first is the original iris digest over 48 results:
 split seeds 0-5, each of the four smoothing kinds, and both ``train_hybrid``
 and ``train_single("pso")``, with 2 iterations and probing and fit
 multipliers 3 and 10. The second, wider digest covers those 48 and adds:
@@ -38,8 +38,16 @@ on two seeded Gaussian sets generated here, one banknote-like (762 and 610
 rows, 4 features) and one ecoli-like (143, 77, 52, 35, 20 and 5 rows, 7
 features).
 
-Each result enters the hash as sorted JSON; Python writes floats in their
-shortest round-trip form.
+Training results rarely move with a last-bit change in the class sums, so
+the fourth digest hashes the sums themselves: the bytes of the leave-one-out
+``class_densities`` of ``Smoothing(kind, values)`` for 10 seeded candidates
+per smoothing kind, drawn log-uniformly from 1e-2 to 1e3 so that rows take
+both the linear and the exact log-space path, each kind on a fresh
+evaluator, on the training splits of iris, ``glass-shape``, ``wide-raw`` and
+the banknote-like and ecoli-like sets.
+
+Each result enters the first three hashes as sorted JSON; Python writes
+floats in their shortest round-trip form.
 """
 
 import hashlib
@@ -69,12 +77,14 @@ from swarmpnn.optimizers import (  # noqa: E402
     Population,
     make_optimizer,
 )
-from swarmpnn.pnn import Dataset, Smoothing  # noqa: E402
+from swarmpnn.pnn import Dataset, DensityEvaluator, Smoothing  # noqa: E402
 
 SEEDS = range(6)
 WIDE_KINDS = ("per_feature", "per_class_feature")
 # (class counts, features) of the seeded Gaussian sets of the third digest
 SHAPE_SETS = (((762, 610), 4), ((143, 77, 52, 35, 20, 5), 7))
+# seeded candidates per smoothing kind and set of the fourth digest
+CANDIDATES = 10
 # (cap in objective calls, eval_cost, target) of the first of two direct
 # optimizer runs; the second gets three times the cap
 RUN_CASES = (
@@ -137,17 +147,37 @@ def _clusters(counts, n_features, seed):
         0.0, 1.0, size=(len(labels), n_features)), labels)
 
 
+def _shape_sets():
+    yield Dataset(*synthetic("wide-raw", 0))
+    for seed, (counts, n) in enumerate(SHAPE_SETS):
+        yield _clusters(counts, n, seed)
+
+
 def shape_results():
-    sets = [Dataset(*synthetic("wide-raw", 0))]
-    sets += [_clusters(counts, n, seed) for seed, (counts, n)
-             in enumerate(SHAPE_SETS)]
-    for ds in sets:
+    for ds in _shape_sets():
         train, test = stratified_split(ds, SplitSpec(0.2, seed=0))
         for kind in WIDE_KINDS:
             cfg = HybridConfig(iterations=1, probing_multiplier=1,
                                fit_multiplier=1, seed=0, smoothing_kind=kind)
             yield train_hybrid(train, test, cfg)
             yield train_single(train, test, "pso", cfg)
+
+
+def loo_densities():
+    """Bytes of leave-one-out class densities, per set, kind and candidate."""
+    sets = [_iris(), Dataset(*synthetic("glass-shape", 0)), *_shape_sets()]
+    for index, ds in enumerate(sets):
+        train, _ = stratified_split(ds, SplitSpec(0.2, seed=0))
+        g, n = train.n_classes, train.n_features
+        for kind, (per_class, per_feature) in Smoothing.LAYOUTS.items():
+            rng = np.random.default_rng([index, Smoothing.KINDS.index(kind)])
+            shape = (g,) * per_class + (n,) * per_feature
+            evaluator = DensityEvaluator(train, train.features,
+                                         exclude_self=True)
+            for _ in range(CANDIDATES):
+                values = np.exp(rng.uniform(np.log(1e-2), np.log(1e3), shape))
+                yield evaluator.class_densities(
+                    Smoothing(kind, values)).tobytes()
 
 
 def _quadratic(x):
@@ -207,6 +237,11 @@ def main() -> int:
           f"wider training results, {counts['runs']} optimizer runs)")
     print(f"{shapes.hexdigest()}  (all of the above and {counts['shapes']} "
           f"results at the wide-raw, banknote and ecoli shapes)")
+    sums = hashlib.sha256()
+    for count, densities in enumerate(loo_densities(), 1):
+        sums.update(densities)
+    print(f"{sums.hexdigest()}  ({count} leave-one-out class density arrays "
+          f"at the iris, glass, wide-raw, banknote and ecoli shapes)")
     return 0
 
 
