@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import datasets as data_mod
 from .datasets import (
@@ -36,6 +36,7 @@ from .metrics import (
     rank,
 )
 from .optimizers import METHOD_NAMES, make_optimizer
+from .pnn import Dataset
 
 PORTFOLIO = "hybrid"
 # default table column order mirrors the published comparison tables
@@ -43,14 +44,18 @@ DEFAULT_METHODS = (PORTFOLIO, "bat", "bfo", "pso", "fpa", "sa")
 METRIC_TABLES = ("avg_accuracy", "max_accuracy", "avg_precision", "avg_recall")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellSpec:
-    """One benchmark grid cell: a (dataset, method, run) triple."""
+    """One grid cell: a (dataset, method, run) triple with its loaded data
+    and the run's seeded settings."""
 
     dataset: str
     method: str
     run_index: int
-    config: dict
+    data: Dataset
+    hybrid: HybridConfig
+    split: SplitSpec
+    zscore: bool
 
 
 def default_config() -> dict:
@@ -86,89 +91,67 @@ def load_config(path) -> dict:
         if type(cfg[key]) is not int or cfg[key] < 1:
             raise SystemExit(
                 f"config: {key!r} must be an integer >= 1, got {cfg[key]!r}")
-    _check_settings(cfg, "config")
     return cfg
 
 
-def _check_settings(config: dict, where: str) -> None:
-    """Check the run's names and settings once, so that a bad value stops
-    the command before any work instead of failing every cell."""
+def _cells(config: dict, where: str) -> list[CellSpec]:
+    """The run's cells in grid order, one per (dataset, method, run).
+
+    Names and settings are checked first, then each dataset is fetched and
+    loaded once, so that a bad value or an unreadable dataset stops the
+    command before any output exists instead of failing every cell.
+    """
     try:
         seed = int(config["seed"])
-        cfg = _hybrid_config(config, seed)
-        _split_spec(config, seed)
+        overrides = dict(config["hybrid"] or {})
+        for key in ("methods", "init_range", "bounds"):
+            if isinstance(overrides.get(key), list):
+                overrides[key] = tuple(overrides[key])
+        cfg = HybridConfig(seed=seed, **overrides, method_params={
+            m: config[m] or {} for m in METHOD_NAMES})
+        split = SplitSpec(config["split"].get("test_fraction", 0.2), seed=seed)
+        paths = config["paths"] or {}
         for key in ("datasets", "methods"):
             if len(set(config[key])) != len(config[key]):
                 raise ValueError(f"{key!r} repeats a name: {config[key]!r}")
         for name in config["datasets"]:
-            if name not in REGISTRY and name not in (config["paths"] or {}):
+            if name not in REGISTRY and name not in paths:
                 raise ValueError(f"unknown dataset {name!r}")
         for method in config["methods"]:
             if method != PORTFOLIO and method not in METHOD_NAMES:
                 raise ValueError(f"unknown method {method!r}")
         for method in METHOD_NAMES:
             make_optimizer(method, 1, cfg.bounds, seed, cfg.params_for(method))
-    except (AttributeError, TypeError, ValueError) as exc:
+        data = {name: load_csv(paths[name] if name in paths
+                               else ensure_dataset(name, config["data_dir"]),
+                               REGISTRY.get(name))
+                for name in config["datasets"]}
+    except (AttributeError, TypeError, ValueError, OSError, FetchError) as exc:
         raise SystemExit(f"{where}: {exc}") from None
-
-
-def _resolve_paths(config: dict, where: str) -> None:
-    """Map every dataset of the run to its canonical CSV in
-    ``config["paths"]``, fetching each registry dataset once, so that a
-    failed fetch stops the command before any output exists."""
-    paths = dict(config["paths"] or {})
-    try:
-        for name in config["datasets"]:
-            if name not in paths:
-                paths[name] = ensure_dataset(name, config["data_dir"])
-    except FetchError as exc:
-        raise SystemExit(f"{where}: {exc}") from None
-    config["paths"] = paths
-
-
-def _load_split(name: str, config: dict, run_seed: int):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", data_mod.DatasetValidationWarning)
-        ds = load_csv(config["paths"][name], REGISTRY.get(name))
-    train, test = stratified_split(ds, _split_spec(config, run_seed))
-    if config.get("zscore"):
-        train, test = zscore_standardize(train, test)
-    return train, test
-
-
-def _split_spec(config: dict, run_seed: int) -> SplitSpec:
-    return SplitSpec(config["split"].get("test_fraction", 0.2), seed=run_seed)
-
-
-def _hybrid_config(config: dict, run_seed: int) -> HybridConfig:
-    overrides = dict(config.get("hybrid") or {})
-    method_params = {m: config.get(m) or {} for m in METHOD_NAMES}
-    for key in ("methods", "init_range", "bounds"):
-        if key in overrides and isinstance(overrides[key], list):
-            overrides[key] = tuple(overrides[key])
-    return HybridConfig(seed=run_seed, method_params=method_params, **overrides)
+    return [CellSpec(name, method, run, data[name],
+                     replace(cfg, seed=seed + run),
+                     replace(split, seed=seed + run), bool(config["zscore"]))
+            for name in config["datasets"]
+            for method in config["methods"]
+            for run in range(config["runs"])]
 
 
 def run_cell(spec: CellSpec) -> dict:
-    """Train one (dataset, method, run) cell and measure it on the test split.
-
-    ``config["paths"]`` must map every dataset of the run to its CSV.
-    """
-    config = spec.config
-    run_seed = int(config["seed"]) + spec.run_index
-    train, test = _load_split(spec.dataset, config, run_seed)
-    cfg = _hybrid_config(config, run_seed)
+    """Train one (dataset, method, run) cell and measure it on the test split."""
+    train, test = stratified_split(spec.data, spec.split)
+    if spec.zscore:
+        train, test = zscore_standardize(train, test)
     if spec.method == PORTFOLIO:
-        result = train_hybrid(train, test, cfg)
+        result = train_hybrid(train, test, spec.hybrid)
     else:
-        result = train_single(train, test, spec.method, cfg)
+        result = train_single(train, test, spec.method, spec.hybrid)
     run_metrics = compute_metrics(result.test_predictions, test.labels,
-                                  train.n_classes, seed=run_seed)
+                                  train.n_classes, seed=spec.hybrid.seed)
     return {
         "dataset": spec.dataset,
         "method": spec.method,
         "run_index": spec.run_index,
-        "seed": run_seed,
+        "seed": spec.hybrid.seed,
         "metrics": run_metrics.to_jsonable(),
         "train_error": result.train_error,
         "test_error": result.test_error,
@@ -235,15 +218,14 @@ def cmd_train(args) -> int:
     config["zscore"] = args.zscore
     if args.test_fraction is not None:
         config["split"] = {"test_fraction": args.test_fraction}
-    _check_settings(config, "train")
-    _resolve_paths(config, "train")
+    specs = _cells(config, "train")
 
     out_dir = os.path.join(args.out, f"{args.dataset}_{args.method}")
     os.makedirs(out_dir, exist_ok=True)
     runs = []
-    for run_index in range(args.runs):
-        cell = run_cell(CellSpec(args.dataset, args.method, run_index, config))
-        stem = f"run_{run_index:03d}"
+    for spec in specs:
+        cell = run_cell(spec)
+        stem = f"run_{spec.run_index:03d}"
         trace = cell.pop("trace")
         _dump_json(os.path.join(out_dir, f"{stem}.json"), cell)
         if args.method == PORTFOLIO:
@@ -331,15 +313,11 @@ def cmd_benchmark(args) -> int:
     config = load_config(args.config)
     if args.jobs is not None:
         config["jobs"] = args.jobs
-    _resolve_paths(config, "config")
+    specs = _cells(config, "config")
     out = args.out
     for sub in ("tables", "selection") + (("charts",) if args.charts else ()):
         os.makedirs(os.path.join(out, sub), exist_ok=True)
 
-    specs = [CellSpec(ds, method, run, config)
-             for ds in config["datasets"]
-             for method in config["methods"]
-             for run in range(config["runs"])]
     grouped, failures = {}, {}  # (dataset, method) -> cells, in spec order
     # the pool forks all its workers at the first submit: no idle ones
     jobs = min(config["jobs"], len(specs))

@@ -155,14 +155,12 @@ class Smoothing:
     def vector_length(cls, kind: str, n_classes: int, n_features: int) -> int:
         return math.prod(cls.grid_shape(kind, n_classes, n_features))
 
-    def validate_for(self, dataset: Dataset, upper: float = 10000.0) -> None:
+    def validate_for(self, dataset: Dataset) -> None:
         g, n = dataset.n_classes, dataset.n_features
         if self.grid.shape != self.grid_shape(self.kind, g, n):
             raise ValueError(
                 f"{self.kind} smoothing shape {self.values.shape} does not "
                 f"match dataset with G={g}, N={n}")
-        if np.any(self.values > upper):
-            raise ValueError(f"bandwidth exceeds upper bound {upper}")
 
     def __array__(self, dtype=None, copy=None):
         # numpy 2 passes ``copy`` and warns for a method without it

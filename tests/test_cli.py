@@ -61,14 +61,16 @@ ROOT = Path(__file__).resolve().parents[1]
 SMOKE_CELL = """
 import json, os, sys
 import swarmpnn
-from swarmpnn.cli import CellSpec, default_config, run_cell
+from swarmpnn.cli import _cells, default_config, run_cell
 
 config = default_config()
+config["methods"], config["runs"] = ["hybrid"], 1
 config["paths"] = {"iris": os.path.join(os.path.dirname(swarmpnn.__file__),
                                         "data", "iris.csv")}
 config["hybrid"] = {"iterations": 1, "probing_multiplier": 1,
                     "fit_multiplier": 1}
-cell = run_cell(CellSpec("iris", "hybrid", 0, config))
+(spec,) = _cells(config, "smoke")
+cell = run_cell(spec)
 print(json.dumps({"evaluations": cell["evaluations"],
                   "modules": sorted(sys.modules)}))
 """
@@ -291,10 +293,13 @@ class TestBenchmarkCommand:
         assert sizes == pools
 
     def test_partial_failure_reported(self, tmp_path, toy_csv):
+        # ghostly loads, but its one-pattern class fails every split
+        ghostly = str(tmp_path / "ghostly.csv")
+        write_canonical_csv(ghostly, [[0.0], [1.0], [2.0], [9.0]],
+                            ["a", "a", "a", "lonely"])
         cfg = bench_config(tmp_path, toy_csv,
                            datasets=["toy", "ghostly"],
-                           paths={"toy": toy_csv,
-                                  "ghostly": str(tmp_path / "missing.csv")})
+                           paths={"toy": toy_csv, "ghostly": ghostly})
         out = str(tmp_path / "bench")
         rc = main(["benchmark", "--config", cfg, "--out", out])
         assert rc == 1
@@ -327,10 +332,12 @@ class TestBenchmarkCommand:
         ({"datasets": ["toy", "toy"]}, "'datasets' repeats a name"),
         ({"methods": ["hybrid", "pso", "pso"]}, "'methods' repeats a name"),
         ({"datasets": ["toy", "banknote"]}, "banknote: download failed"),
+        ({"paths": {"toy": "missing/toy.csv"}}, "missing/toy.csv"),
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
             "seed", "unknown-dataset", "unknown-method", "method-unknown-key",
-            "repeated-dataset", "repeated-method", "unfetchable-dataset"])
+            "repeated-dataset", "repeated-method", "unfetchable-dataset",
+            "unreadable-path"])
     def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
                                                monkeypatch, overrides, message):
         monkeypatch.setattr(datasets, "_default_opener", offline)
@@ -359,6 +366,34 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--config", str(cfg), "--out",
                      str(tmp_path / "bench")]) == 0
         assert calls == ["iris"]
+
+    def test_each_dataset_loaded_once(self, tmp_path, toy_csv, monkeypatch):
+        loaded = []
+
+        def counting(path, descriptor=None):
+            loaded.append(os.path.basename(path))
+            return load_csv(path, descriptor)
+
+        monkeypatch.setattr(cli, "load_csv", counting)
+        cfg = bench_config(tmp_path, toy_csv, datasets=["toy", "iris"],
+                           methods=["pso", "sa"],
+                           data_dir=str(tmp_path / "data"))
+        assert main(["benchmark", "--config", cfg, "--out",
+                     str(tmp_path / "bench")]) == 0
+        assert loaded == ["toy.csv", "iris.csv"]
+
+    def test_validation_warning_emitted_once(self, tmp_path, toy_csv):
+        # a CSV under a registry name that disagrees with the registry
+        cfg = bench_config(tmp_path, toy_csv, datasets=["iris"],
+                           methods=["pso", "sa"], paths={"iris": toy_csv})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DatasetValidationWarning)
+            assert main(["benchmark", "--config", cfg, "--out",
+                         str(tmp_path / "bench")]) == 0
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, DatasetValidationWarning)]
+        assert len(messages) == 1
+        assert messages[0].startswith("iris (")
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 import oracles
+from swarmpnn.datasets import (
+    BUNDLED_DIR,
+    SplitSpec,
+    load_csv,
+    stratified_split,
+)
 from swarmpnn.hybrid import (
     HybridConfig,
     fitness_of,
@@ -11,7 +19,13 @@ from swarmpnn.hybrid import (
     train_hybrid,
     train_single,
 )
-from swarmpnn.pnn import Dataset, DensityEvaluator, Smoothing
+from swarmpnn.pnn import (
+    Dataset,
+    DensityEvaluator,
+    PnnModel,
+    Smoothing,
+    classify_batch,
+)
 
 # critical value of the chi-squared distribution, 4 dof, alpha = 0.01
 CHI2_4DOF_99 = 13.2767
@@ -340,6 +354,22 @@ class TestTrainers:
         assert result.stop_reason == "iterations"
         assert result.evaluations > cfg.population_size * train.n_samples
         assert len(built) == 1
+
+    def test_model_accepts_bandwidths_above_the_default_bound(self):
+        # features at 1e5 scale train to bandwidths above 10000, inside bounds
+        iris = load_csv(os.path.join(BUNDLED_DIR, "iris.csv"))
+        ds = Dataset(iris.features * 1e5, iris.labels)
+        for seed in range(6):
+            train, test = stratified_split(ds, SplitSpec(0.2, seed=seed))
+            cfg = HybridConfig(bounds=(0.0, 1e6), methods=("bfo", "sa"),
+                               iterations=1, population_size=8,
+                               probing_multiplier=2, fit_multiplier=4,
+                               seed=seed)
+            result = train_hybrid(train, test, cfg)
+            assert result.smoothing.values.max() > 10000.0
+            model = PnnModel(train, result.smoothing)
+            np.testing.assert_array_equal(
+                classify_batch(model, test.features), result.test_predictions)
 
     def test_train_determinism(self):
         rng = np.random.default_rng(10)

@@ -8,7 +8,7 @@ one by running the same copy of the script in each:
 
     python tools/seeded_hash.py
 
-It prints four lines. The first is the original iris digest over 48 results:
+It prints five lines. The first is the original iris digest over 48 results:
 split seeds 0-5, each of the four smoothing kinds, and both ``train_hybrid``
 and ``train_single("pso")``, with 2 iterations and probing and fit
 multipliers 3 and 10. The second, wider digest covers those 48 and adds:
@@ -48,11 +48,25 @@ the banknote-like and ecoli-like sets.
 
 Each result enters the first three hashes as sorted JSON; Python writes
 floats in their shortest round-trip form.
+
+The fifth digest pins what the command line writes. In a temporary working
+directory it runs, in-process and with ``--jobs 1``, ``swarmpnn benchmark``
+with all six methods, 2 runs, small budgets and ``--charts`` on iris (taken
+from the registry into ``./data``) and ``bench/inputs.py``'s ``glass-shape``
+set (from ``paths``), once for ``per_feature`` and once for
+``per_class_feature`` with ``zscore`` on, then ``swarmpnn train`` for
+``hybrid`` and ``pso``, 2 runs each, on ``glass-shape`` through
+``--dataset-path``. It hashes the relative path and bytes of every file the
+runs write.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +77,8 @@ sys.path.insert(0, str(SRC))
 sys.path.insert(0, str(ROOT / "bench"))
 
 import swarmpnn  # noqa: E402
-from inputs import synthetic  # noqa: E402
+from inputs import synthetic, write_synthetic  # noqa: E402
+from swarmpnn import cli  # noqa: E402
 from swarmpnn.datasets import (  # noqa: E402
     REGISTRY,
     SplitSpec,
@@ -85,6 +100,9 @@ WIDE_KINDS = ("per_feature", "per_class_feature")
 SHAPE_SETS = (((762, 610), 4), ((143, 77, 52, 35, 20, 5), 7))
 # seeded candidates per smoothing kind and set of the fourth digest
 CANDIDATES = 10
+# small budgets of the command-line runs of the fifth digest
+CLI_BUDGET = {"iterations": 2, "population_size": 8, "probing_multiplier": 2,
+              "fit_multiplier": 4}
 # (cap in objective calls, eval_cost, target) of the first of two direct
 # optimizer runs; the second gets three times the cap
 RUN_CASES = (
@@ -204,6 +222,44 @@ def optimizer_runs():
                    "next_uniform": float(opt.rng.uniform())}
 
 
+def _cli_commands():
+    path = write_synthetic("glass-shape", 0, ".")["path"]
+    for kind, zscore in (("per_feature", False), ("per_class_feature", True)):
+        with open(f"{kind}.json", "w", encoding="utf-8") as fh:
+            json.dump({"datasets": ["iris", "glass-shape"],
+                       "methods": list(cli.DEFAULT_METHODS), "runs": 2,
+                       "data_dir": "data", "paths": {"glass-shape": path},
+                       "zscore": zscore,
+                       "hybrid": {**CLI_BUDGET, "smoothing_kind": kind}}, fh)
+        yield ["benchmark", "--config", f"{kind}.json", "--out",
+               f"out/{kind}", "--jobs", "1", "--charts"]
+    for method in ("hybrid", "pso"):
+        yield (["train", "--dataset", "glass-shape", "--dataset-path", path,
+                "--method", method, "--runs", "2", "--seed", "3", "--out",
+                "out/train"]
+               + [f"--{key.replace('_', '-')}={value}"
+                  for key, value in CLI_BUDGET.items()])
+
+
+def cli_outputs():
+    """Relative path and bytes of each file the command-line runs write."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                for argv in _cli_commands():
+                    if cli.main(argv) != 0:
+                        raise RuntimeError(f"swarmpnn {argv} failed")
+            for path in sorted(Path("out").rglob("*")):
+                if path.is_file():
+                    data = path.read_bytes()
+                    yield (f"{path.relative_to('out')}\0{len(data)}\0"
+                           .encode() + data)
+        finally:
+            os.chdir(cwd)
+
+
 def _train_record(result):
     return {"smoothing": result.smoothing.values.tolist(),
             "train_error": result.train_error,
@@ -242,6 +298,11 @@ def main() -> int:
         sums.update(densities)
     print(f"{sums.hexdigest()}  ({count} leave-one-out class density arrays "
           f"at the iris, glass, wide-raw, banknote and ecoli shapes)")
+    outputs = hashlib.sha256()
+    for count, output in enumerate(cli_outputs(), 1):
+        outputs.update(output)
+    print(f"{outputs.hexdigest()}  ({count} files written by swarmpnn "
+          f"benchmark and train)")
     return 0
 
 
