@@ -22,7 +22,8 @@ from .datasets import (
     REGISTRY,
     FetchError,
     SplitSpec,
-    ensure_dataset,
+    dataset_path,
+    load_benchmark,
     load_csv,
     stratified_split,
     zscore_standardize,
@@ -122,9 +123,8 @@ def _cells(config: dict, where: str) -> list[CellSpec]:
                 raise ValueError(f"unknown method {method!r}")
         for method in METHOD_NAMES:
             make_optimizer(method, 1, cfg.bounds, seed, cfg.params_for(method))
-        data = {name: load_csv(paths[name] if name in paths
-                               else ensure_dataset(name, config["data_dir"]),
-                               REGISTRY.get(name))
+        data = {name: load_csv(paths[name], REGISTRY.get(name))
+                if name in paths else load_benchmark(name, config["data_dir"])
                 for name in config["datasets"]}
     except (AttributeError, TypeError, ValueError, OSError, FetchError) as exc:
         raise SystemExit(f"{where}: {exc}") from None
@@ -183,14 +183,13 @@ def cmd_fetch(args) -> int:
     failures = {}
     for name in names:
         try:
-            path = ensure_dataset(name, args.data_dir)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", data_mod.DatasetValidationWarning)
-                load_csv(path, REGISTRY[name])
+                load_benchmark(name, args.data_dir)
             status = "ok" if not caught else "ok (with validation warnings)"
             for w in caught:
                 print(f"  warning: {w.message}", file=sys.stderr)
-            print(f"{name}: {status} -> {path}")
+            print(f"{name}: {status} -> {dataset_path(name, args.data_dir)}")
         except Exception as exc:
             failures[name] = str(exc)
             print(f"{name}: FAILED ({exc})", file=sys.stderr)

@@ -234,6 +234,37 @@ def write_canonical_csv(path, features, labels, feature_names=None) -> None:
             writer.writerow([repr(float(v)) for v in row] + [str(label)])
 
 
+def _parse_csv(path):
+    """The :class:`Dataset` of a canonical CSV and the indices of the rows
+    dropped for holding a missing value."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            names, features, labels, dropped = _read_table(
+                fh, {"header": True, "label": "class"})
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    class_names = []
+    encoded = []
+    for label in labels:
+        if label not in class_names:
+            class_names.append(label)
+        encoded.append(class_names.index(label))
+    return Dataset(np.array(features), encoded, feature_names=names,
+                   class_names=class_names), dropped
+
+
+def _checked(path, parsed, descriptor: DatasetDescriptor | None) -> Dataset:
+    """The parsed dataset, after warning about its dropped rows and about
+    any disagreement with ``descriptor``."""
+    ds, dropped = parsed
+    if dropped:
+        warnings.warn(f"{path}: dropped rows with missing values: {dropped}",
+                      DatasetValidationWarning, stacklevel=3)
+    if descriptor is not None:
+        _validate(ds, descriptor, path)
+    return ds
+
+
 def load_csv(path, descriptor: DatasetDescriptor | None = None) -> Dataset:
     """Load a canonical CSV into a :class:`Dataset`.
 
@@ -241,26 +272,7 @@ def load_csv(path, descriptor: DatasetDescriptor | None = None) -> Dataset:
     missing values are dropped with a warning naming their indices;
     non-numeric feature tokens are an error.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            names, features, labels, dropped = _read_table(
-                fh, {"header": True, "label": "class"})
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if dropped:
-        warnings.warn(f"{path}: dropped rows with missing values: {dropped}",
-                      DatasetValidationWarning, stacklevel=2)
-    class_names = []
-    encoded = []
-    for label in labels:
-        if label not in class_names:
-            class_names.append(label)
-        encoded.append(class_names.index(label))
-    ds = Dataset(np.array(features), encoded, feature_names=names,
-                 class_names=class_names)
-    if descriptor is not None:
-        _validate(ds, descriptor, path)
-    return ds
+    return _checked(path, _parse_csv(path), descriptor)
 
 
 def _validate(ds: Dataset, d: DatasetDescriptor, path) -> None:
@@ -280,7 +292,7 @@ def _validate(ds: Dataset, d: DatasetDescriptor, path) -> None:
             problems.append(f"class balance {got} != expected {want}")
     if problems:
         warnings.warn(f"{d.name} ({path}): " + "; ".join(problems),
-                      DatasetValidationWarning, stacklevel=3)
+                      DatasetValidationWarning, stacklevel=4)
 
 
 def zscore_standardize(train: Dataset, test: Dataset | None = None):
@@ -409,6 +421,43 @@ def _sklearn_canonical(descriptor: DatasetDescriptor, out_path) -> bool:
     return True
 
 
+def dataset_path(name: str, data_dir=None) -> str:
+    """Where the canonical CSV of registry dataset ``name`` is cached."""
+    return os.path.join(data_dir or default_data_dir(), f"{name}.csv")
+
+
+def _materialize(name: str, data_dir, opener, refetch: bool):
+    """The path of ``name``'s canonical CSV and the parse of the copy
+    settled on (see :func:`ensure_dataset`); each copy is parsed once."""
+    if name not in REGISTRY:
+        raise KeyError(f"unknown dataset {name!r}; known: {sorted(REGISTRY)}")
+    descriptor = REGISTRY[name]
+    path = dataset_path(name, data_dir)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+
+    def parsed():
+        try:
+            return _parse_csv(path)
+        except (OSError, ValueError):
+            return None
+
+    loaded = None
+    if not refetch and os.path.exists(path):
+        loaded = parsed()
+    bundled = os.path.join(BUNDLED_DIR, f"{name}.csv")
+    if loaded is None and os.path.exists(bundled):
+        shutil.copyfile(bundled, path)
+        loaded = parsed()
+    if loaded is None and _sklearn_canonical(descriptor, path):
+        loaded = parsed()
+    if loaded is None:
+        convert_to_canonical(descriptor, fetch_raw(descriptor, opener), path)
+        loaded = parsed()
+        if loaded is None:
+            raise FetchError(f"{name}: fetched file failed to parse")
+    return path, loaded
+
+
 def ensure_dataset(name: str, data_dir=None, opener=None,
                    refetch: bool = False) -> str:
     """Return the path of the canonical CSV for ``name``, materializing it
@@ -420,37 +469,11 @@ def ensure_dataset(name: str, data_dir=None, opener=None,
     any source is used only if it parses; otherwise the next source is
     tried, and a download that does not parse is an error.
     """
-    if name not in REGISTRY:
-        raise KeyError(f"unknown dataset {name!r}; known: {sorted(REGISTRY)}")
-    descriptor = REGISTRY[name]
-    data_dir = data_dir or default_data_dir()
-    os.makedirs(data_dir, exist_ok=True)
-    path = os.path.join(data_dir, f"{name}.csv")
-
-    def usable() -> bool:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DatasetValidationWarning)
-                load_csv(path)
-            return True
-        except (OSError, ValueError):
-            return False
-
-    if not refetch and os.path.exists(path) and usable():
-        return path
-    bundled = os.path.join(BUNDLED_DIR, f"{name}.csv")
-    if os.path.exists(bundled):
-        shutil.copyfile(bundled, path)
-        if usable():
-            return path
-    if _sklearn_canonical(descriptor, path) and usable():
-        return path
-    convert_to_canonical(descriptor, fetch_raw(descriptor, opener), path)
-    if not usable():
-        raise FetchError(f"{name}: fetched file failed to parse")
-    return path
+    return _materialize(name, data_dir, opener, refetch)[0]
 
 
 def load_benchmark(name: str, data_dir=None, opener=None) -> Dataset:
-    """Ensure then load one registry dataset, with validation warnings."""
-    return load_csv(ensure_dataset(name, data_dir, opener), REGISTRY[name])
+    """Ensure then load one registry dataset, with validation warnings; the
+    copy that :func:`ensure_dataset` settles on is parsed once."""
+    path, parsed = _materialize(name, data_dir, opener, refetch=False)
+    return _checked(path, parsed, REGISTRY[name])

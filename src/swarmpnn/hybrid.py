@@ -5,7 +5,10 @@ population under a fixed evaluation budget, commits to the best prober for a
 larger fitting budget, and hands the resulting population to the next
 iteration. Method-internal state is rebuilt for every probing phase; only
 positions survive phase boundaries (cached fitness is dropped and re-charged
-to the receiving phase's budget, which keeps per-phase accounting clean).
+to the receiving phase's budget, which keeps per-phase accounting clean). A
+re-charged position still costs ``n_t`` evaluations, but the training
+objective looks its error rate up instead of computing it again: each run's
+:func:`loo_objective` remembers every candidate it has scored.
 
 Training stops early as soon as any evaluation reaches the fitness threshold,
 or when the per-iteration check on the held-out split reaches it.
@@ -265,12 +268,23 @@ def loo_objective(train: Dataset, kind: str = "per_feature"):
     Classifying a memorizing density model on its own patterns without
     exclusion would always report zero error, so each sample's own pattern is
     left out of its class sum.
+
+    The objective remembers the error rate of every vector it has scored,
+    keyed by the vector's float64 bytes, and answers an exact repeat from
+    that memo; the memo lives as long as the objective, one training run.
+    Callers still charge every call: a repeat costs the same evaluations.
     """
     evaluator = DensityEvaluator(train, train.features, exclude_self=True)
     shape = Smoothing.grid_shape(kind, train.n_classes, train.n_features)
+    seen = {}
 
     def objective(vector):
-        return evaluator.error_rate(np.reshape(vector, shape), train.labels)
+        key = np.asarray(vector, dtype=np.float64).tobytes()
+        value = seen.get(key)
+        if value is None:
+            value = seen[key] = evaluator.error_rate(
+                np.reshape(vector, shape), train.labels)
+        return value
 
     return objective
 

@@ -88,7 +88,28 @@ def test_training_process_loads_no_network_stack():
     assert sorted(network & set(report["modules"])) == []
 
 
+def count_parses(monkeypatch):
+    """The base name of every file parsed from now on, in order."""
+    parsed = []
+    read_table = datasets._read_table
+
+    def counting(lines, layout):
+        parsed.append(os.path.basename(lines.name))
+        return read_table(lines, layout)
+
+    monkeypatch.setattr(datasets, "_read_table", counting)
+    return parsed
+
+
 class TestFetchCommand:
+    def test_each_dataset_parsed_once(self, tmp_path, monkeypatch):
+        # once when the bundled copy is materialized, once when it is cached
+        parsed = count_parses(monkeypatch)
+        for _ in range(2):
+            assert main(["fetch", "--dataset", "iris",
+                         "--data-dir", str(tmp_path)]) == 0
+        assert parsed == ["iris.csv", "iris.csv"]
+
     def test_fetch_local_provider(self, tmp_path, capsys):
         rc = main(["fetch", "--dataset", "iris", "--data-dir", str(tmp_path)])
         assert rc == 0
@@ -354,9 +375,9 @@ class TestBenchmarkCommand:
 
         def counting(name, data_dir=None):
             calls.append(name)
-            return datasets.ensure_dataset(name, data_dir)
+            return datasets.load_benchmark(name, data_dir)
 
-        monkeypatch.setattr(cli, "ensure_dataset", counting)
+        monkeypatch.setattr(cli, "load_benchmark", counting)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({
             "datasets": ["iris"], "methods": ["pso", "sa"], "runs": 2,
@@ -368,13 +389,7 @@ class TestBenchmarkCommand:
         assert calls == ["iris"]
 
     def test_each_dataset_loaded_once(self, tmp_path, toy_csv, monkeypatch):
-        loaded = []
-
-        def counting(path, descriptor=None):
-            loaded.append(os.path.basename(path))
-            return load_csv(path, descriptor)
-
-        monkeypatch.setattr(cli, "load_csv", counting)
+        loaded = count_parses(monkeypatch)
         cfg = bench_config(tmp_path, toy_csv, datasets=["toy", "iris"],
                            methods=["pso", "sa"],
                            data_dir=str(tmp_path / "data"))

@@ -20,6 +20,7 @@ from swarmpnn.hybrid import (
     train_single,
 )
 from swarmpnn.pnn import (
+    BANDWIDTH_FLOOR,
     Dataset,
     DensityEvaluator,
     PnnModel,
@@ -292,6 +293,36 @@ class TestFitness:
         objective = loo_objective(ds)
         assert objective(np.array([1.0])) > 0.0
 
+    def test_loo_objective_scores_a_repeated_vector_once(self, monkeypatch):
+        scored = []
+        error_rate = DensityEvaluator.error_rate
+
+        def counting(self, bandwidths, labels):
+            scored.append(np.array(bandwidths))
+            return error_rate(self, bandwidths, labels)
+
+        monkeypatch.setattr(DensityEvaluator, "error_rate", counting)
+        rng = np.random.default_rng(3)
+        ds = Dataset(rng.normal(size=(20, 2)), [0, 1] * 10)
+        objective = loo_objective(ds, "per_class_feature")
+        vector = rng.uniform(0.1, 2.0, 4)
+        first = objective(vector)
+        # equal values as a copy, a list, a reshaped view and a strided view
+        for same in (vector.copy(), vector.tolist(), vector.reshape(2, 2),
+                     np.repeat(vector, 2)[::2]):
+            value = objective(same)
+            assert value == first
+            assert np.float64(value).tobytes() == np.float64(first).tobytes()
+        assert len(scored) == 1
+        nudged = vector.copy()
+        nudged[-1] = np.nextafter(nudged[-1], np.inf)
+        objective(nudged)
+        assert len(scored) == 2
+        np.testing.assert_array_equal(scored[1].ravel(), nudged)
+        # a fresh objective keeps no memo of another's vectors
+        assert loo_objective(ds, "per_class_feature")(vector) == first
+        assert len(scored) == 3
+
 
 class TestTrainers:
     def test_separable_data_converges_in_first_iteration(self):
@@ -354,6 +385,45 @@ class TestTrainers:
         assert result.stop_reason == "iterations"
         assert result.evaluations > cfg.population_size * train.n_samples
         assert len(built) == 1
+
+    def test_repeated_positions_are_charged_but_scored_once(self,
+                                                            monkeypatch):
+        # at multipliers 1/1 every probe and the fit score only their initial
+        # population, which is the one the first probe scored
+        iris = load_csv(os.path.join(BUNDLED_DIR, "iris.csv"))
+        train, test = stratified_split(iris, SplitSpec(0.2, seed=0))
+        n_t = train.n_samples
+        cfg = HybridConfig(iterations=1, population_size=20,
+                           probing_multiplier=1, fit_multiplier=1, seed=0)
+        engine_calls = []
+        error_rate = DensityEvaluator.error_rate
+
+        def counting(self, bandwidths, labels):
+            if self.exclude_self:
+                engine_calls.append(1)
+            return error_rate(self, bandwidths, labels)
+
+        monkeypatch.setattr(DensityEvaluator, "error_rate", counting)
+        result = train_hybrid(train, test, cfg)
+        (record,) = result.trace
+        assert record.fit_evals > 0  # no probe converged
+        assert result.evaluations == 6 * cfg.population_size * n_t
+        assert len(engine_calls) <= result.evaluations // n_t - 100
+        # the same run on an objective without a memo: equal in every result
+        evaluator = DensityEvaluator(train, train.features, exclude_self=True)
+        plain = hybrid_minimize(
+            lambda v: error_rate(evaluator, np.reshape(v, (1, -1)),
+                                 train.labels),
+            train.n_features, cfg, eval_cost=n_t,
+            converged=lambda pos, fit: fitness_of(pos, train, test)
+            <= cfg.fitness_threshold)
+        assert plain.evaluations == result.evaluations
+        assert plain.best_fitness == result.train_error
+        assert ([r.to_jsonable() for r in plain.trace]
+                == [r.to_jsonable() for r in result.trace])
+        np.testing.assert_array_equal(
+            np.maximum(plain.best_position, BANDWIDTH_FLOOR),
+            result.smoothing.values)
 
     def test_model_accepts_bandwidths_above_the_default_bound(self):
         # features at 1e5 scale train to bandwidths above 10000, inside bounds

@@ -12,11 +12,14 @@ both sides' leave-one-out ``DensityEvaluator.class_densities`` are
 bit-equal and that both sides' ``hybrid.loo_objective`` give equal error
 rates. It then times, in CPU time, alternating blocks of ``class_densities``
 calls (the class sums) and of whole objective calls, which take the flat
-optimizer vector. Each block builds both sides' evaluator or objective
-anew, and the side that is built and timed first switches from block to
-block. It prints, per shape and kind and for each of the two, the median
-microseconds per call of each side, their ratio (OTHER / this, so above 1
-means this checkout is faster) and the number of blocks this checkout won.
+optimizer vector. An objective remembers the vectors it has scored, so each
+of its timed calls scores a vector that objective has not seen: the k-th
+pass over the 10 candidates scales them by 1 + k * 2**-20. Each block
+builds both sides' evaluator or objective anew, and the side that is built
+and timed first switches from block to block. It prints, per shape and kind
+and for each of the two, the median microseconds per call of each side,
+their ratio (OTHER / this, so above 1 means this checkout is faster) and the
+number of blocks this checkout won.
 
 Each block runs about 0.1 s of calls per side. The host drifts, so only
 figures from one run of the tool compare with each other.
@@ -78,6 +81,13 @@ def candidates(kind: str, g: int, n: int, seed: int = 0):
     return [rng.uniform(0.05, 1.5, shape) for _ in range(CANDIDATES)]
 
 
+def distinct_vectors(values, count):
+    """``count`` distinct flat vectors: ``values`` in turn, the k-th pass
+    over them scaled by 1 + k * 2**-20; the first pass is ``values``."""
+    return [values[i % CANDIDATES].ravel()
+            * (1.0 + (i // CANDIDATES) * 2.0 ** -20) for i in range(count)]
+
+
 def time_calls(call, calls: int) -> float:
     """CPU microseconds per ``call(i)`` over ``calls`` calls."""
     start = time.process_time_ns()
@@ -88,10 +98,11 @@ def time_calls(call, calls: int) -> float:
 
 def race(make, blocks):
     """Time alternating blocks of each side's calls; returns the median us
-    of each side and this side's win count. ``make(side)`` builds a side's
-    evaluator and returns its ``call(i)``."""
-    calls = max(1, round(BLOCK_SECONDS * 1e6 / time_calls(make(0),
-                                                           CANDIDATES)))
+    of each side and this side's win count. ``make(side, calls)`` builds a
+    side's evaluator or objective and returns its ``call(i)`` for
+    ``i < calls``."""
+    calls = max(1, round(BLOCK_SECONDS * 1e6 / time_calls(
+        make(0, CANDIDATES), CANDIDATES)))
     times = ([], [])
     for block in range(blocks):
         # where an evaluator's arrays land in memory moves its speed by a
@@ -99,9 +110,9 @@ def race(make, blocks):
         order = (0, 1) if block % 2 else (1, 0)
         timed = [None, None]
         for side in order:
-            timed[side] = make(side)
-        for side in order:
-            timed[side](0)
+            timed[side] = make(side, calls + 1)
+        for side in order:  # warm up on the one index the timing skips
+            timed[side](calls)
         for side in order:
             times[side].append(time_calls(timed[side], calls))
     wins = sum(a < b for a, b in zip(*times))
@@ -116,17 +127,18 @@ def compare(sides, features, labels, kind, blocks):
     values = candidates(kind, g, n)
     smoothings = [[pkg.Smoothing(kind, v) for v in values] for pkg in sides]
 
-    def densities(side):
+    def densities(side, calls=CANDIDATES):
         pkg = sides[side]
         evaluator = pkg.DensityEvaluator(pkg.Dataset(features, labels),
                                          features, exclude_self=True)
         return lambda i: evaluator.class_densities(
             smoothings[side][i % CANDIDATES])
 
-    def objective(side):
+    def objective(side, calls=CANDIDATES):
         pkg = sides[side]
         call = pkg.hybrid.loo_objective(pkg.Dataset(features, labels), kind)
-        return lambda i: call(values[i % CANDIDATES].ravel())
+        vectors = distinct_vectors(values, calls)
+        return lambda i: call(vectors[i])
 
     mine, theirs = densities(0), densities(1)
     for i in range(CANDIDATES):
