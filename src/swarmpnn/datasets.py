@@ -317,9 +317,12 @@ def zscore_standardize(train: Dataset, test: Dataset | None = None):
 def stratified_split(ds: Dataset, spec: SplitSpec):
     """Split into (train, test) preserving class proportions.
 
-    Per-class test counts follow the largest-remainder rule so the test size
-    is exactly ``round(P * test_fraction)``; every class keeps at least one
-    training sample. Classes with fewer than two samples are an error.
+    Per-class test counts follow the largest-remainder rule towards a test
+    size of ``round(P * test_fraction)``, but every class keeps at least one
+    training sample, and that cap wins: a seat a capped class cannot take
+    goes to the next class with room, and when none has room the test split
+    is smaller (two classes of two rows at fraction 0.9 give two test rows,
+    not four). Classes with fewer than two samples are an error.
     """
     if np.any(ds.class_counts < 2):
         raise ValueError("stratified split needs >= 2 samples per class")

@@ -308,13 +308,13 @@ def _loo_pairs(bounds, per_class):
     (c, b > c), then (c, c), then with ``per_class`` copies of (a < c, c);
     without it one region holds all. Block (a, b) pairs each row of class a
     with each of class b in row-major order. Returns u, v, each region's
-    (start, end of head, stop), the start of each run of pairs sharing u in
-    a block, and whether the u side skips the run (a copied cross block).
+    (start, start of tail, end of head, stop) and the start of each run of
+    pairs sharing u in a block.
     """
-    pairs, runs, unread, regions = [], [], [], []
+    pairs, runs, regions = [], [], []
     m = 0
 
-    def block(a, b, read=True):
+    def block(a, b):
         nonlocal m
         rows, cols = (np.arange(bounds[c], bounds[c + 1]) for c in (a, b))
         if a == b:
@@ -325,7 +325,6 @@ def _loo_pairs(bounds, per_class):
             u, v = np.repeat(rows, len(cols)), np.tile(cols, len(rows))
             starts = np.arange(len(rows)) * len(cols)
         runs.append(m + starts)
-        unread.append(np.full(len(starts), not read))
         pairs.append((u, v))
         m += len(u)
 
@@ -333,16 +332,17 @@ def _loo_pairs(bounds, per_class):
     for c in range(g):
         start = m
         for b in range(c + 1, g):
-            block(c, b, read=not per_class)
+            block(c, b)
+        tail = m
         block(c, c)
         head = m
         for a in range(c if per_class else 0):
             block(a, c)
-        regions.append((start, head, m))
+        regions.append((start, tail, head, m))
     if not per_class:
-        regions = [(0, m, m)]
+        regions = [(0, 0, m, m)]
     u, v = map(np.concatenate, zip(*pairs))
-    return u, v, regions, np.concatenate(runs), np.concatenate(unread)
+    return u, v, regions, np.concatenate(runs)
 
 
 class DensityEvaluator:
@@ -357,28 +357,30 @@ class DensityEvaluator:
     With ``exclude_self=True`` the query rows must be the pattern rows in
     order, and each query's own pattern is left out of its class sum
     (leave-one-out). Training scores many candidate bandwidths against this
-    set, so only here are the squared differences of every pair laid out
-    once, one feature at a time, and reused for every candidate. The term of
-    a pair (u, v) counts for row v's sum of the class of u (the v side) and
+    set, so only here are the squared differences of every pair laid out,
+    one feature at a time, and reused for every candidate. The term of a
+    pair (u, v) counts for row v's sum of the class of u (the v side) and
     for row u's sum of the class of v (the u side), each at that class's
     bandwidths. :func:`_loo_pairs` groups the pairs in regions by the row
     they need; each is filled at its row in tiles of :data:`_TILE` pairs.
-    With one row, one region holds each pair once and serves both sides.
-    With G rows, region c is filled at row c: its head, the cross blocks
-    (c, b > c) and the within block, gives the v side, and its tail, the
-    within block and a copy of each cross block (a < c, c), the u side.
-    Construction lays out one row; the first call with G rows replaces it
-    with the G-row layout, which serves every later call.
+    Construction lays out no pairs: the first call lays them out for its
+    number of bandwidth rows, and a call with the other number lays them
+    out anew. With one row, one region holds each pair once and is its own
+    head and tail. With G rows, region c is filled at row c: its head, the
+    cross blocks (c, b > c) and the within block, gives the v side, and its
+    tail, the within block and a copy of each cross block (a < c, c), the
+    u side.
 
     Leave-one-out class sums are a ``bincount`` over (row, class) slots of
     the linear pair terms of each head; in a tail a row's terms of one class
-    lie in one run, and the run sums are counted instead. Each side of a
-    class sum comes from one block, in row-major order in either layout, so
-    every sum adds the same terms in the same order in both. Rows with a
+    lie in one run, and the run sums are counted instead. A slot gets one
+    head block and one tail run at most, each in row-major order, so every
+    sum adds the same terms in the same order in either layout. Rows with a
     class sum below :data:`SAFE_SUM` are recomputed in log space from the
     data rows, with a per-row max shift, so no row falls back to class 0
     through underflow. Every other evaluator lays out nothing and computes
-    each row in log space from the data rows.
+    each row in log space from the data rows. An evaluator keeps its layout
+    and per-call scratch arrays, so it must not be shared between threads.
 
     ``pattern_scales`` (one positive s_p per pattern, default all one)
     divides each pattern's kernel argument by s_p and its kernel by
@@ -414,20 +416,19 @@ class DensityEvaluator:
         self._scales = scales[order]
         counts = np.tile(ds.class_counts.astype(np.float64), (q, 1))
         if exclude_self:
-            self._lay_out(per_class=False)
+            self._regions = ()  # laid out at the first call
             self._own_col = np.argsort(order)  # pattern -> its column
             counts[np.arange(q), ds.labels] -= 1.0
         with np.errstate(divide="ignore"):
             # a class left empty by the exclusion scores -inf
             self._log_counts = np.where(counts > 0, np.log(counts), np.inf)
 
-    def _lay_out(self, per_class) -> None:
+    def _lay_out(self, rows) -> None:
         """Lay out the leave-one-out pairs for one or G bandwidth rows."""
-        self._d2 = self._terms = None  # free the layout this one replaces
         g, order, classes = (self.pattern_set.n_classes, self._order,
                              self._col_class)
-        u, v, regions, runs, unread = _loo_pairs(
-            np.append(self._starts, len(order)), per_class)
+        u, v, regions, runs = _loo_pairs(np.append(self._starts, len(order)),
+                                         per_class=rows > 1)
         self._d2 = np.empty((len(self._columns), len(u)))
         for f, column in enumerate(self._columns):
             np.take(column, u, out=self._d2[f])
@@ -435,21 +436,20 @@ class DensityEvaluator:
         np.square(self._d2, out=self._d2)
         self._terms, self._buf = np.empty(len(u)), np.empty(min(len(u), _TILE))
         self._tiles = [(first, min(first + _TILE, stop), c)
-                       for c, (start, _, stop) in enumerate(regions)
+                       for c, (start, _, _, stop) in enumerate(regions)
                        for first in range(start, stop, _TILE)]
-        # a slot is (query, class), queries being patterns in input order;
-        # the u side sums runs of equal slots, its skipped runs in a spare one
-        self._heads = [(start, head, order[v[start:head]] * g
-                        + classes[u[start:head]])
-                       for start, head, _ in regions]
-        self._runs = runs
-        self._run_slots = np.where(unread, self.n_queries * g,
-                                   order[u[runs]] * g + classes[v[runs]])
+        # a slot is (query, class), queries being patterns in input order
+        self._regions = []
+        for start, tail, head, stop in regions:
+            own = runs[np.searchsorted(runs, tail):np.searchsorted(runs, stop)]
+            self._regions.append((
+                order[v[start:head]] * g + classes[u[start:head]],
+                self._terms[start:head], order[u[own]] * g + classes[v[own]],
+                self._terms[tail:stop], own - tail))
 
     def _fill_terms(self, inv_h2) -> None:
-        """Pair terms 1 / prod_f (1 + d_f^2 / h_f^2)^2 of each region at its
-        row of ``inv_h2`` (or its one row), into ``_terms`` tile by tile."""
-        rows = inv_h2.tolist() * (len(self._heads) // len(inv_h2))
+        """Each region's terms 1 / prod_f (1 + d_f^2 / h_f^2)^2 at its row."""
+        rows = inv_h2.tolist()
         with np.errstate(over="ignore", under="ignore"):
             for first, last, c in self._tiles:
                 d2, out = self._d2[:, first:last], self._terms[first:last]
@@ -465,14 +465,14 @@ class DensityEvaluator:
 
     def _linear_sums(self, inv_h2) -> np.ndarray:
         """(Q, G) leave-one-out class sums of the linear pair terms."""
-        if len(inv_h2) > len(self._heads):
-            self._lay_out(per_class=True)
+        if len(inv_h2) != len(self._regions):
+            self._lay_out(len(inv_h2))
         self._fill_terms(inv_h2)
         size = self.n_queries * self.pattern_set.n_classes
-        sums = np.bincount(self._run_slots, np.add.reduceat(
-            self._terms, self._runs), size + 1)[:size]
-        for start, head, slots in self._heads:
-            sums += np.bincount(slots, self._terms[start:head], size)
+        sums = np.zeros(size)
+        for slots, head, run_slots, tail, runs in self._regions:
+            sums += np.bincount(slots, head, size)
+            sums += np.bincount(run_slots, np.add.reduceat(tail, runs), size)
         return sums.reshape(self.n_queries, -1)
 
     def _log_scores(self, bandwidths, every_class) -> np.ndarray:

@@ -126,6 +126,16 @@ class TestStratifiedSplit:
         train, test = stratified_split(ds, SplitSpec(0.5, seed=4))
         assert np.all(train.class_counts >= 1)
 
+    @pytest.mark.parametrize("counts, fraction, want", [
+        ([2, 2], 0.9, [1, 1]),  # round(4 * 0.9) = 4 test rows wanted
+        ([2, 10], 0.9, [1, 9]),  # 11 wanted
+        ([3, 3, 10], 0.8, [2, 2, 9])])  # 13 wanted: the last class has room
+    def test_per_class_cap_wins_over_the_total(self, counts, fraction, want):
+        ds = balanced_dataset(counts)
+        train, test = stratified_split(ds, SplitSpec(fraction, seed=0))
+        assert test.class_counts.tolist() == want
+        assert (train.class_counts + test.class_counts).tolist() == counts
+
     def test_determinism(self):
         ds = balanced_dataset([20, 30])
         a = stratified_split(ds, SplitSpec(0.2, seed=5))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from swarmpnn import pnn
 from swarmpnn.datasets import (
     BUNDLED_DIR,
     SplitSpec,
@@ -385,6 +386,37 @@ class TestTrainers:
         assert result.stop_reason == "iterations"
         assert result.evaluations > cfg.population_size * train.n_samples
         assert len(built) == 1
+
+    @pytest.mark.parametrize("kind, method", [
+        ("per_class_feature", "hybrid"), ("per_class_feature", "pso"),
+        ("per_feature", "hybrid")])
+    def test_training_run_lays_out_pairs_once(self, monkeypatch, kind,
+                                              method):
+        # the leave-one-out evaluator lays out its pairs at its first call,
+        # for that call's number of bandwidth rows, and never again
+        built = []
+        loo_pairs = pnn._loo_pairs
+
+        def counting(bounds, per_class):
+            built.append(per_class)
+            return loo_pairs(bounds, per_class)
+
+        monkeypatch.setattr(pnn, "_loo_pairs", counting)
+        rng = np.random.default_rng(11)
+        features = rng.normal(0, 1, size=(36, 2))
+        labels = np.digitize(features[:, 0] + rng.normal(0, 0.6, 36),
+                             [-0.5, 0.5])
+        ds = Dataset(features, labels)
+        train = ds.subset(np.arange(0, 36, 2))
+        test = ds.subset(np.arange(1, 36, 2))
+        cfg = small_cfg(seed=13, smoothing_kind=kind)
+        result = (train_hybrid(train, test, cfg) if method == "hybrid"
+                  else train_single(train, test, method, cfg))
+        assert result.stop_reason == "iterations"
+        assert built == [kind == "per_class_feature"]
+        built.clear()
+        loo_objective(train, kind)
+        assert built == []
 
     def test_repeated_positions_are_charged_but_scored_once(self,
                                                             monkeypatch):

@@ -550,8 +550,8 @@ def assert_loo_matches_oracle(ev, ds, sm, rows):
 
 
 class TestLeaveOneOutLayouts:
-    """One evaluator scored with the kinds in this order covers the one-row
-    layout, the switch to the G-row layout, and one-row calls on it."""
+    """One evaluator scored with the kinds in this order lays out one row,
+    then G rows, then one row and G rows again."""
 
     KINDS = ("per_feature", "per_class_feature", "scalar", "per_class")
 
@@ -564,11 +564,13 @@ class TestLeaveOneOutLayouts:
                        labels)
 
     # G = 2, 3, 5 and 6; a one-pattern class has an empty within block and
-    # is empty in its own row's leave-one-out sum. At 300/300 each region of
-    # either layout spans several tiles; a sample of its rows is checked.
+    # is empty in its own row's leave-one-out sum, and as the first class
+    # it leaves region 0 of the G-row layout an empty tail. At 300/300 each
+    # region of either layout spans several tiles; a sample of its rows is
+    # checked.
     @pytest.mark.parametrize("sizes, n, sample", [
         ((5, 4), 3, 0), ((6, 1, 4), 3, 0), ((4, 3, 1, 5, 2), 3, 0),
-        ((9, 7, 5, 4, 2, 1), 3, 0), ((300, 300), 2, 25)])
+        ((9, 7, 5, 4, 2, 1), 3, 0), ((300, 300), 2, 25), ((1, 5, 3), 3, 0)])
     def test_matches_oracle_through_the_switch(self, sizes, n, sample):
         rng = np.random.default_rng(list(sizes))
         ds = self.clustered(rng, sizes, n)
@@ -577,15 +579,14 @@ class TestLeaveOneOutLayouts:
             assert min(sizes) ** 2 > pnn._TILE  # one cross block > a tile
             rows = np.sort(rng.choice(ds.n_samples, sample, replace=False))
         ev = DensityEvaluator(ds, ds.features, exclude_self=True)
-        fresh = DensityEvaluator(ds, ds.features, exclude_self=True)
         for kind in self.KINDS:
+            # ev lays its pairs out anew for each kind after the first
+            fresh = DensityEvaluator(ds, ds.features, exclude_self=True)
             for _ in range(3):
                 sm = log_uniform_smoothing(rng, kind, ds, 0.2, 3.0)
                 assert_loo_matches_oracle(ev, ds, sm, rows)
-                if kind in ("per_feature", "scalar"):
-                    # the G-row layout serves one-row calls bit-identically
-                    np.testing.assert_array_equal(ev.class_densities(sm),
-                                                  fresh.class_densities(sm))
+                np.testing.assert_array_equal(ev.class_densities(sm),
+                                              fresh.class_densities(sm))
 
 
 @settings(max_examples=40, deadline=None)

@@ -42,8 +42,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from swarmpnn.datasets import REGISTRY, SplitSpec, stratified_split  # noqa: E402
 from swarmpnn.pnn import Dataset  # noqa: E402
 
-SHAPES = ("iris", "thyroid", "glass", "ecoli", "heart", "vehicle",
-          "banknote", "pima", "cancer")
 KINDS = ("per_feature", "per_class_feature")
 CANDIDATES = 10
 BLOCK_SECONDS = 0.1
@@ -156,8 +154,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path,
                         help="the checkout to compare with")
-    parser.add_argument("--shapes", default=",".join(SHAPES),
-                        help="comma-separated registry dataset names")
+    parser.add_argument("--shapes", default=",".join(sorted(REGISTRY)),
+                        help="comma-separated registry dataset names "
+                             "(default: all)")
     parser.add_argument("--blocks", type=int, default=11)
     args = parser.parse_args(argv)
     sides = (load_package(ROOT, "swarmpnn_this"),
