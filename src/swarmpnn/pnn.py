@@ -362,25 +362,25 @@ class DensityEvaluator:
     pair (u, v) counts for row v's sum of the class of u (the v side) and
     for row u's sum of the class of v (the u side), each at that class's
     bandwidths. :func:`_loo_pairs` groups the pairs in regions by the row
-    they need; each is filled at its row in tiles of :data:`_TILE` pairs.
-    Construction lays out no pairs: the first call lays them out for its
-    number of bandwidth rows, and a call with the other number lays them
-    out anew. With one row, one region holds each pair once and is its own
-    head and tail. With G rows, region c is filled at row c: its head, the
-    cross blocks (c, b > c) and the within block, gives the v side, and its
-    tail, the within block and a copy of each cross block (a < c, c), the
-    u side.
+    they need, for the first call's number of bandwidth rows; a call with
+    the other number lays them out anew. With one row, one region holds each
+    pair once and is its own head and tail. With G rows, region c is filled
+    at row c: its head, the cross blocks (c, b > c) and the within block,
+    gives the v side, and its tail, the within block and a copy of each
+    cross block (a < c, c), the u side. The fill runs in tiles of
+    :data:`_TILE` pairs cut over the whole layout; only the scaling runs per
+    segment, a tile's part of one region, at the region's row.
 
     Leave-one-out class sums are a ``bincount`` over (row, class) slots of
-    the linear pair terms of each head; in a tail a row's terms of one class
-    lie in one run, and the run sums are counted instead. A slot gets one
-    head block and one tail run at most, each in row-major order, so every
-    sum adds the same terms in the same order in either layout. Rows with a
-    class sum below :data:`SAFE_SUM` are recomputed in log space from the
-    data rows, with a per-row max shift, so no row falls back to class 0
-    through underflow. Every other evaluator lays out nothing and computes
-    each row in log space from the data rows. An evaluator keeps its layout
-    and per-call scratch arrays, so it must not be shared between threads.
+    the linear pair terms of each head, then one ``bincount`` of the run
+    sums of every tail, where a row's terms of one class lie in one run. A
+    slot gets one head block and one tail run at most, each in row-major
+    order, so every sum adds the same terms in the same order in either
+    layout. Rows with a class sum below :data:`SAFE_SUM` are recomputed in
+    log space from the data rows, so no row falls back to class 0 through
+    underflow. Every other evaluator lays out nothing and computes each row
+    in log space from the data rows. An evaluator keeps its layout and
+    per-call scratch arrays, so it must not be shared between threads.
 
     ``pattern_scales`` (one positive s_p per pattern, default all one)
     divides each pattern's kernel argument by s_p and its kernel by
@@ -429,37 +429,46 @@ class DensityEvaluator:
                              self._col_class)
         u, v, regions, runs = _loo_pairs(np.append(self._starts, len(order)),
                                          per_class=rows > 1)
-        self._d2 = np.empty((len(self._columns), len(u)))
+        m = len(u)
+        self._d2 = np.empty((len(self._columns), m))
         for f, column in enumerate(self._columns):
             np.take(column, u, out=self._d2[f])
             self._d2[f] -= column[v]
         np.square(self._d2, out=self._d2)
-        self._terms, self._buf = np.empty(len(u)), np.empty(min(len(u), _TILE))
-        self._tiles = [(first, min(first + _TILE, stop), c)
-                       for c, (start, _, _, stop) in enumerate(regions)
-                       for first in range(start, stop, _TILE)]
+        self._terms, self._buf = np.empty(m), np.empty(min(m, _TILE))
+        self._tiles = [(first, last, [
+            (max(start, first) - first, min(stop, last) - first, c)
+            for c, (start, _, _, stop) in enumerate(regions)
+            if start < last and stop > first])
+            for first in range(0, m, _TILE)
+            for last in [min(first + _TILE, m)]]
         # a slot is (query, class), queries being patterns in input order
-        self._regions = []
-        for start, tail, head, stop in regions:
-            own = runs[np.searchsorted(runs, tail):np.searchsorted(runs, stop)]
-            self._regions.append((
-                order[v[start:head]] * g + classes[u[start:head]],
-                self._terms[start:head], order[u[own]] * g + classes[v[own]],
-                self._terms[tail:stop], own - tail))
+        own = [runs[np.searchsorted(runs, tail):np.searchsorted(runs, stop)]
+               for _, tail, _, stop in regions]
+        tails = np.concatenate(own)
+        self._run_slots = order[u[tails]] * g + classes[v[tails]]
+        self._run_sums = np.empty(len(tails))
+        parts = np.split(self._run_sums, np.cumsum([len(r) for r in own[:-1]]))
+        self._regions = [
+            (order[v[start:head]] * g + classes[u[start:head]],
+             self._terms[start:head], self._terms[:stop], r, part)
+            for (start, _, head, stop), r, part in zip(regions, own, parts)]
 
     def _fill_terms(self, inv_h2) -> None:
-        """Each region's terms 1 / prod_f (1 + d_f^2 / h_f^2)^2 at its row."""
+        """Each region's terms 1 / prod_f (1 + d_f^2 / h_f^2)^2 at its row:
+        only the scaling runs per segment, at its row, the rest per tile."""
         rows = inv_h2.tolist()
         with np.errstate(over="ignore", under="ignore"):
-            for first, last, c in self._tiles:
+            for first, last, segments in self._tiles:
                 d2, out = self._d2[:, first:last], self._terms[first:last]
-                buf, w = self._buf[:last - first], rows[c]
-                np.multiply(d2[0], w[0], out=out)
-                out += 1.0
-                for f in range(1, len(d2)):
-                    np.multiply(d2[f], w[f], out=buf)
-                    buf += 1.0
-                    out *= buf
+                buf = self._buf[:last - first]
+                for f in range(len(d2)):
+                    scaled = buf if f else out
+                    for a, b, row in segments:
+                        np.multiply(d2[f, a:b], rows[row][f], out=scaled[a:b])
+                    scaled += 1.0
+                    if f:
+                        out *= buf
                 np.reciprocal(out, out=out)
                 np.square(out, out=out)
 
@@ -470,13 +479,14 @@ class DensityEvaluator:
         self._fill_terms(inv_h2)
         size = self.n_queries * self.pattern_set.n_classes
         sums = np.zeros(size)
-        for slots, head, run_slots, tail, runs in self._regions:
+        for slots, head, terms, runs, run_sums in self._regions:
             sums += np.bincount(slots, head, size)
-            sums += np.bincount(run_slots, np.add.reduceat(tail, runs), size)
+            np.add.reduceat(terms, runs, out=run_sums)
+        sums += np.bincount(self._run_slots, self._run_sums, size)
         return sums.reshape(self.n_queries, -1)
 
-    def _log_scores(self, bandwidths, every_class) -> np.ndarray:
-        """(Q, G) log densities, less the constant N log(2/pi).
+    def _log_scores(self, bandwidths, every_class) -> tuple:
+        """(Q, G) log densities, less N log(2/pi), and each row's argmax.
 
         A leave-one-out row goes to the exact path when its best class sum,
         or with ``every_class`` any of its class sums, is below SAFE_SUM;
@@ -485,26 +495,30 @@ class DensityEvaluator:
         ds, grid = self.pattern_set, np.asarray(bandwidths, dtype=np.float64)
         if grid.ndim != 2 or not np.isfinite(grid).all():
             raise ValueError("bandwidths must be a finite 2-D grid")
-        rows = ds.n_classes if len(grid) > 1 else 1
-        h = np.broadcast_to(np.maximum(grid, BANDWIDTH_FLOOR),
-                            (rows, ds.n_features))
+        shape = (ds.n_classes if len(grid) > 1 else 1, ds.n_features)
+        h = np.maximum(grid, BANDWIDTH_FLOOR)
+        if h.shape != shape:  # a one-column grid; any other shape raises
+            h = np.broadcast_to(h, shape)
         inv_h2 = 1.0 / np.square(h)
         log_det = np.log(h).sum(axis=1)
         if self.exclude_self:
             sums = self._linear_sums(inv_h2)
-            scores = (np.log(np.maximum(sums, SAFE_SUM)) - self._log_counts
-                      - log_det)
-            low = sums < SAFE_SUM
-            low = (low.any(axis=1) if every_class else
-                   low[np.arange(self.n_queries), scores.argmax(axis=1)])
-            exact = np.flatnonzero(low)
+            scores = np.log(np.maximum(sums, SAFE_SUM))
+            scores -= self._log_counts
+            scores -= log_det
+            best = scores.argmax(axis=1)
+            exact = np.flatnonzero(
+                (sums < SAFE_SUM).any(axis=1) if every_class
+                else sums[np.arange(len(sums)), best] < SAFE_SUM)
         else:
             scores = np.empty(self._log_counts.shape)
             exact = np.arange(self.n_queries)
+            best = np.empty(self.n_queries, dtype=np.intp)
         if len(exact):
-            scores[exact] = (self._log_sums(exact, inv_h2)
-                             - self._log_counts[exact] - log_det)
-        return scores
+            scores[exact] = rows = (self._log_sums(exact, inv_h2)
+                                    - self._log_counts[exact] - log_det)
+            best[exact] = rows.argmax(axis=1)
+        return scores, best
 
     def _log_sums(self, queries, inv_h2) -> np.ndarray:
         """Log class sums of the kernel terms of ``queries``, from the data.
@@ -553,17 +567,18 @@ class DensityEvaluator:
 
     def class_densities(self, bandwidths) -> np.ndarray:
         """True (Q, G) density values for every query and class."""
-        n = self.pattern_set.n_features
-        scores = self._log_scores(bandwidths, every_class=True)
+        scores, _ = self._log_scores(bandwidths, every_class=True)
+        scores += self.pattern_set.n_features * np.log(TWO_OVER_PI)
         with np.errstate(over="ignore", under="ignore"):
-            return np.exp(scores + n * np.log(TWO_OVER_PI))
+            return np.exp(scores, out=scores)
 
     def predict(self, bandwidths) -> np.ndarray:
         """Argmax class per query; ties resolve to the lowest index."""
-        return np.argmax(self._log_scores(bandwidths, every_class=False),
-                         axis=1)
+        return self._log_scores(bandwidths, every_class=False)[1]
 
     def error_rate(self, bandwidths, labels) -> float:
         """Fraction of queries whose argmax class differs from ``labels``."""
-        labels = np.asarray(labels)
-        return float(np.mean(self.predict(bandwidths) != labels))
+        if np.shape(labels) != (self.n_queries,):
+            raise ValueError("labels must be one class index per query")
+        wrong = np.count_nonzero(self.predict(bandwidths) != labels)
+        return float(wrong / self.n_queries)

@@ -385,6 +385,15 @@ class TestDensityEvaluator:
         sm = Smoothing("scalar", 0.5)
         assert ev.error_rate(sm, [0, 1, 1]) == pytest.approx(1.0 / 3.0)
 
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_error_rate_needs_one_label_per_query(self, exclude_self):
+        ds = Dataset([[0.0], [0.1], [5.0], [5.1]], [0, 0, 1, 1])
+        ev = DensityEvaluator(ds, ds.features, exclude_self=exclude_self)
+        for labels in ([1], [0, 0, 1], [0, 0, 1, 1, 1], [[0], [0], [1], [1]]):
+            with pytest.raises(ValueError, match="one class index per query"):
+                ev.error_rate(np.ones((1, 1)), labels)
+        assert ev.error_rate(np.ones((1, 1)), [0, 0, 1, 0]) == 0.25
+
     def test_exclude_self_requires_matching_queries(self):
         ds = Dataset([[0.0], [1.0]], [0, 1])
         with pytest.raises(ValueError):
@@ -587,6 +596,25 @@ class TestLeaveOneOutLayouts:
                 assert_loo_matches_oracle(ev, ds, sm, rows)
                 np.testing.assert_array_equal(ev.class_densities(sm),
                                               fresh.class_densities(sm))
+
+    # Tiles of 7 and 64 pairs cut blocks and regions mid-way, and in the
+    # G-row layout one tile holds parts of two or three regions.
+    @pytest.mark.parametrize("tile", [7, 64])
+    @pytest.mark.parametrize("sizes", [(9, 7, 5, 4, 2, 1), (1, 5, 3)])
+    def test_small_tiles_change_no_bit(self, monkeypatch, sizes, tile):
+        rng = np.random.default_rng([tile, *sizes])
+        ds = self.clustered(rng, sizes, 3)
+        smoothings = [log_uniform_smoothing(rng, kind, ds, 0.2, 3.0)
+                      for kind in self.KINDS for _ in range(2)]
+        default = DensityEvaluator(ds, ds.features, exclude_self=True)
+        want = [(default.class_densities(sm), default.error_rate(sm, ds.labels))
+                for sm in smoothings]
+        monkeypatch.setattr(pnn, "_TILE", tile)
+        ev = DensityEvaluator(ds, ds.features, exclude_self=True)
+        for sm, (densities, error) in zip(smoothings, want):
+            np.testing.assert_array_equal(ev.class_densities(sm), densities)
+            assert ev.error_rate(sm, ds.labels) == error
+            assert_loo_matches_oracle(ev, ds, sm, range(ds.n_samples))
 
 
 @settings(max_examples=40, deadline=None)

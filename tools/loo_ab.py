@@ -2,24 +2,29 @@
 
     python tools/loo_ab.py OTHER_CHECKOUT [--shapes iris,glass] [--blocks 11]
 
-It imports the ``swarmpnn`` package of this checkout and of OTHER_CHECKOUT
-under two names in one process. For each registry dataset shape it draws a
-seeded synthetic set at that dataset's class balance and feature count
-(``REGISTRY``'s ``expected_balance`` and ``expected_features``) and keeps
-the training split of ``stratified_split`` at test fraction 0.2. For each
-smoothing kind it asserts, on 10 seeded candidate bandwidth vectors, that
-both sides' leave-one-out ``DensityEvaluator.class_densities`` are
-bit-equal and that both sides' ``hybrid.loo_objective`` give equal error
-rates. It then times, in CPU time, alternating blocks of ``class_densities``
-calls (the class sums) and of whole objective calls, which take the flat
-optimizer vector. An objective remembers the vectors it has scored, so each
-of its timed calls scores a vector that objective has not seen: the k-th
-pass over the 10 candidates scales them by 1 + k * 2**-20. Each block
-builds both sides' evaluator or objective anew, and the side that is built
-and timed first switches from block to block. It prints, per shape and kind
-and for each of the two, the median microseconds per call of each side,
-their ratio (OTHER / this, so above 1 means this checkout is faster) and the
-number of blocks this checkout won.
+It imports the ``swarmpnn`` package of OTHER_CHECKOUT and, twice, that of
+this checkout, under three names in one process; the second import of this
+checkout is the control, which runs the same code as this side. For each
+registry dataset shape it draws a seeded synthetic set at that dataset's
+class balance and feature count (``REGISTRY``'s ``expected_balance`` and
+``expected_features``) and keeps the training split of ``stratified_split``
+at test fraction 0.2. For each smoothing kind it asserts, on 10 seeded
+candidate bandwidth vectors, that every side's leave-one-out
+``DensityEvaluator.class_densities`` are bit-equal and that every side's
+``hybrid.loo_objective`` gives equal error rates. It then times, in CPU
+time, rotating blocks of ``class_densities`` calls (the class sums) and of
+whole objective calls, which take the flat optimizer vector. An objective
+remembers the vectors it has scored, so each of its timed calls scores a
+vector that objective has not seen: the k-th pass over the 10 candidates
+scales them by 1 + k * 2**-20. Each block builds every side's evaluator or
+objective anew, and the side that is built and timed first rotates from
+block to block. It prints, per shape and kind and for each of the two, the
+median microseconds per call of this side and of OTHER, their ratio (OTHER /
+this, so above 1 means this checkout is faster) and the number of blocks
+this checkout won, then the same ratio and win count against the control.
+The control columns read about 1 and about half the blocks won, give or
+take the host's noise in that run, so each A/B ratio is read against the
+control ratio beside it.
 
 Each block runs about 0.1 s of calls per side. The host drifts, so only
 figures from one run of the tool compare with each other.
@@ -94,33 +99,35 @@ def time_calls(call, calls: int) -> float:
     return (time.process_time_ns() - start) / calls / 1e3
 
 
-def race(make, blocks):
-    """Time alternating blocks of each side's calls; returns the median us
-    of each side and this side's win count. ``make(side, calls)`` builds a
-    side's evaluator or objective and returns its ``call(i)`` for
-    ``i < calls``."""
+def race(make, sides, blocks):
+    """Time rotating blocks of each side's calls; returns the median us of
+    each side and, for each side after the first, the first side's win
+    count against it. ``make(side, calls)`` builds a side's evaluator or
+    objective and returns its ``call(i)`` for ``i < calls``."""
     calls = max(1, round(BLOCK_SECONDS * 1e6 / time_calls(
         make(0, CANDIDATES), CANDIDATES)))
-    times = ([], [])
+    times = [[] for _ in range(sides)]
     for block in range(blocks):
         # where an evaluator's arrays land in memory moves its speed by a
-        # few percent, so each block builds both anew, in alternating order
-        order = (0, 1) if block % 2 else (1, 0)
-        timed = [None, None]
+        # few percent, so each block builds every side anew, in rotating
+        # order
+        order = [(block + k) % sides for k in range(sides)]
+        timed = [None] * sides
         for side in order:
             timed[side] = make(side, calls + 1)
         for side in order:  # warm up on the one index the timing skips
             timed[side](calls)
         for side in order:
             times[side].append(time_calls(timed[side], calls))
-    wins = sum(a < b for a, b in zip(*times))
-    return statistics.median(times[0]), statistics.median(times[1]), wins
+    wins = [sum(a < b for a, b in zip(times[0], other))
+            for other in times[1:]]
+    return [statistics.median(t) for t in times], wins
 
 
 def compare(sides, features, labels, kind, blocks):
-    """Check that both sides give bit-equal class densities and equal error
-    rates, then time ``class_densities`` and whole objective calls; returns
-    :func:`race`'s figures for each."""
+    """Check that every side gives the first side's class densities, bit
+    for bit, and its error rates, then time ``class_densities`` and whole
+    objective calls; returns :func:`race`'s figures for each."""
     g, n = int(labels.max()) + 1, features.shape[1]
     values = candidates(kind, g, n)
     smoothings = [[pkg.Smoothing(kind, v) for v in values] for pkg in sides]
@@ -138,16 +145,19 @@ def compare(sides, features, labels, kind, blocks):
         vectors = distinct_vectors(values, calls)
         return lambda i: call(vectors[i])
 
-    mine, theirs = densities(0), densities(1)
-    for i in range(CANDIDATES):
-        if not np.array_equal(mine(i), theirs(i)):
-            raise SystemExit(f"class densities differ for {kind} "
-                             f"candidate {i}")
-    mine, theirs = objective(0), objective(1)
-    for i in range(CANDIDATES):
-        if mine(i) != theirs(i):
-            raise SystemExit(f"error rates differ for {kind} candidate {i}")
-    return race(densities, blocks), race(objective, blocks)
+    for side in range(1, len(sides)):
+        mine, theirs = densities(0), densities(side)
+        for i in range(CANDIDATES):
+            if not np.array_equal(mine(i), theirs(i)):
+                raise SystemExit(f"class densities differ for {kind} "
+                                 f"candidate {i}")
+        mine, theirs = objective(0), objective(side)
+        for i in range(CANDIDATES):
+            if mine(i) != theirs(i):
+                raise SystemExit(f"error rates differ for {kind} "
+                                 f"candidate {i}")
+    return (race(densities, len(sides), blocks),
+            race(objective, len(sides), blocks))
 
 
 def main(argv=None) -> int:
@@ -160,10 +170,12 @@ def main(argv=None) -> int:
     parser.add_argument("--blocks", type=int, default=11)
     args = parser.parse_args(argv)
     sides = (load_package(ROOT, "swarmpnn_this"),
-             load_package(args.other, "swarmpnn_other"))
+             load_package(args.other, "swarmpnn_other"),
+             load_package(ROOT, "swarmpnn_control"))
     print(f"this: {ROOT}\nother: {args.other.resolve()}\n"
           f"numpy {np.__version__}, {args.blocks} blocks, CPU time")
     columns = "".join(f"{c:>11}{'other_us':>11}{'ratio':>8}{'wins':>7}"
+                      f"{'control':>8}{'wins':>7}"
                       for c in ("sums_us", "call_us"))
     print(f"{'shape':<10}{'kind':<19}{'P':>6}{'G':>3}{'N':>4}{columns}")
     for shape in args.shapes.split(","):
@@ -172,8 +184,9 @@ def main(argv=None) -> int:
             timings = compare(sides, features, labels, kind, args.blocks)
             row = "".join(
                 f"{mine:>11.1f}{theirs:>11.1f}{theirs / mine:>8.2f}"
-                f"{wins:>4}/{args.blocks}"
-                for mine, theirs, wins in timings)
+                f"{wins:>4}/{args.blocks}{control / mine:>8.2f}"
+                f"{control_wins:>4}/{args.blocks}"
+                for (mine, theirs, control), (wins, control_wins) in timings)
             print(f"{shape:<10}{kind:<19}{len(labels):>6}"
                   f"{labels.max() + 1:>3}{features.shape[1]:>4}{row}",
                   flush=True)
