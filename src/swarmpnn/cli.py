@@ -92,6 +92,9 @@ def load_config(path) -> dict:
         if type(cfg[key]) is not int or cfg[key] < 1:
             raise SystemExit(
                 f"config: {key!r} must be an integer >= 1, got {cfg[key]!r}")
+    if type(cfg["zscore"]) is not bool:
+        raise SystemExit(
+            f"config: 'zscore' must be true or false, got {cfg['zscore']!r}")
     return cfg
 
 
@@ -110,7 +113,7 @@ def _cells(config: dict, where: str) -> list[CellSpec]:
                 overrides[key] = tuple(overrides[key])
         cfg = HybridConfig(seed=seed, **overrides, method_params={
             m: config[m] or {} for m in METHOD_NAMES})
-        split = SplitSpec(config["split"].get("test_fraction", 0.2), seed=seed)
+        split = SplitSpec(**config["split"], seed=seed)
         paths = config["paths"] or {}
         for key in ("datasets", "methods"):
             if len(set(config[key])) != len(config[key]):
@@ -130,7 +133,7 @@ def _cells(config: dict, where: str) -> list[CellSpec]:
         raise SystemExit(f"{where}: {exc}") from None
     return [CellSpec(name, method, run, data[name],
                      replace(cfg, seed=seed + run),
-                     replace(split, seed=seed + run), bool(config["zscore"]))
+                     replace(split, seed=seed + run), config["zscore"])
             for name in config["datasets"]
             for method in config["methods"]
             for run in range(config["runs"])]

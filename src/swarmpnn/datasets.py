@@ -10,8 +10,8 @@ and wine) or a download from the public repositories. The network stack
 (``urllib.request``, which loads ``ssl``, ``http.client`` and ``email``)
 is imported only when a download is attempted, so a process that trains on
 cached or bundled data never loads it. One delimited-text reader reads raw
-downloads, by each file's layout in ``_LAYOUTS``, and canonical CSVs: adding
-a source means one :data:`REGISTRY` entry plus one layout row.
+downloads, by each descriptor's ``layout``, and canonical CSVs: adding a
+source means one :data:`REGISTRY` entry.
 
 The bundled ``data/iris.csv`` is UCI Iris (Fisher, 1936; CC BY 4.0) in the
 UCI ``iris.data`` variant, erratum rows 35 and 38 included, exactly as
@@ -25,7 +25,7 @@ import os
 import shutil
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress
 
 import numpy as np
@@ -68,18 +68,33 @@ class DatasetDescriptor:
     ``expected_*`` values mirror the published benchmark table; mismatches on
     load produce :class:`DatasetValidationWarning`, not errors, because a few
     of the published counts disagree with the canonical repository files.
+
+    ``layout`` maps the raw source file to (features, labels); None: no
+    converter. ``sep`` is the field separator (default ","; None: any
+    whitespace), ``header`` marks a first row of column names, ``label`` is
+    the label column (default -1), ``drop`` lists the columns left out of the
+    features, ``coded`` the categorical ones, coded in place by first
+    appearance, and ``min_class`` is the smallest class kept. A column is an
+    index (negative counts from the end) or, in a file with a header, a name.
     """
 
     name: str
     source_kind: str              # "uci" | "pmlb" | "kaggle"
     source_ref: str               # archive id/slug or dataset name
     member: str = ""              # file inside a downloaded archive
-    expected_rows: int = 0
     expected_features: int = 0
-    expected_classes: int = 0
     expected_balance: tuple = ()
     sklearn_loader: str = ""      # offline provider, when one exists
     notes: str = ""
+    layout: dict | None = field(default=None, hash=False)
+
+    @property
+    def expected_rows(self) -> int:
+        return sum(self.expected_balance)
+
+    @property
+    def expected_classes(self) -> int:
+        return len(self.expected_balance)
 
     def url(self) -> str:
         if self.source_kind == "uci":
@@ -87,37 +102,15 @@ class DatasetDescriptor:
         if self.source_kind == "pmlb":
             return ("https://github.com/EpistasisLab/pmlb/raw/master/datasets/"
                     f"{self.source_ref}/{self.source_ref}.tsv.gz")
+        if self.source_kind == "kaggle":
+            raise FetchError(
+                f"{self.name}: hosted on kaggle ({self.source_ref}); download "
+                f"{self.member} with your kaggle credentials and convert it "
+                f"with convert_to_canonical")
         raise FetchError(f"{self.name}: no direct URL for {self.source_kind}")
 
 
-# Raw-file layouts: how each source file maps to (features, labels). ``sep``
-# is the field separator (default ","; None: any whitespace), ``header`` marks
-# a first row of column names, ``label`` is the label column (default -1),
-# ``drop`` lists the columns left out of the features, ``coded`` the
-# categorical ones, coded in place by first appearance, and ``min_class`` is
-# the smallest class kept. A column is an index (negative counts from the
-# end) or, in a file with a header, a column name.
 _PMLB = {"sep": "\t", "header": True, "label": "target"}
-
-_LAYOUTS = {
-    "iris": {},
-    "banknote": {},
-    "heart": {},
-    "wine": {"label": 0},
-    "thyroid": {"label": 0},
-    "cancer": {"label": 1, "drop": (0,)},
-    "glass": {"drop": (0,)},
-    "ilpd": {"coded": (1,)},
-    "blood": {"header": True},
-    "climate": {"sep": None, "header": True},
-    "ecoli": {"sep": None, "drop": (0,), "min_class": 5},
-    "parkinson": {"header": True, "label": "status", "drop": (0,)},
-    "ghost": {"header": True, "label": "type", "drop": ("id",),
-              "coded": ("color",)},
-    "monks": _PMLB,
-    "vehicle": _PMLB,
-    "pima": _PMLB,
-}
 
 
 def _read_table(lines, layout: dict):
@@ -178,49 +171,57 @@ def _read_table(lines, layout: dict):
 
 
 REGISTRY = {d.name: d for d in [
-    DatasetDescriptor("iris", "uci", "53/iris", "iris.data",
-                      150, 4, 3, (50, 50, 50), sklearn_loader="load_iris"),
+    DatasetDescriptor("iris", "uci", "53/iris", "iris.data", 4, (50, 50, 50),
+                      sklearn_loader="load_iris", layout={}),
     DatasetDescriptor("ghost", "kaggle", "ghouls-goblins-and-ghosts-boo",
-                      "train.csv", 371, 5, 3, (129, 125, 117),
-                      notes="competition data; requires kaggle credentials"),
+                      "train.csv", 5, (129, 125, 117),
+                      notes="competition data; requires kaggle credentials",
+                      layout={"header": True, "label": "type",
+                              "drop": ("id",), "coded": ("color",)}),
     DatasetDescriptor("cancer", "uci", "17/breast+cancer+wisconsin+diagnostic",
-                      "wdbc.data", 569, 30, 2, (357, 212),
-                      sklearn_loader="load_breast_cancer"),
-    DatasetDescriptor("wine", "uci", "109/wine", "wine.data",
-                      178, 13, 3, (71, 59, 48), sklearn_loader="load_wine"),
+                      "wdbc.data", 30, (357, 212),
+                      sklearn_loader="load_breast_cancer",
+                      layout={"label": 1, "drop": (0,)}),
+    DatasetDescriptor("wine", "uci", "109/wine", "wine.data", 13, (71, 59, 48),
+                      sklearn_loader="load_wine", layout={"label": 0}),
     DatasetDescriptor("ilpd", "uci",
                       "225/ilpd+indian+liver+patient+dataset",
                       "Indian Liver Patient Dataset (ILPD).csv",
-                      579, 10, 2, (414, 165),
-                      notes="rows with missing ratio values are dropped"),
+                      10, (414, 165),
+                      notes="rows with missing ratio values are dropped",
+                      layout={"coded": (1,)}),
     DatasetDescriptor("glass", "uci", "42/glass+identification", "glass.data",
-                      214, 9, 6, (76, 70, 29, 17, 13, 9)),
+                      9, (76, 70, 29, 17, 13, 9), layout={"drop": (0,)}),
     DatasetDescriptor("parkinson", "uci", "174/parkinsons", "parkinsons.data",
-                      195, 22, 2, (147, 48)),
+                      22, (147, 48),
+                      layout={"header": True, "label": "status", "drop": (0,)}),
     DatasetDescriptor("ecoli", "uci", "39/ecoli", "ecoli.data",
-                      332, 7, 6, (143, 77, 52, 35, 20, 5),
-                      notes="classes with fewer than five members dropped"),
+                      7, (143, 77, 52, 35, 20, 5),
+                      notes="classes with fewer than five members dropped",
+                      layout={"sep": None, "drop": (0,), "min_class": 5}),
     DatasetDescriptor("banknote", "uci", "267/banknote+authentication",
-                      "data_banknote_authentication.txt",
-                      1372, 4, 2, (762, 610)),
+                      "data_banknote_authentication.txt", 4, (762, 610),
+                      layout={}),
     DatasetDescriptor("heart", "uci", "45/heart+disease",
-                      "processed.cleveland.data",
-                      303, 14, 5, (164, 55, 36, 35, 13),
-                      notes="published counts include rows with missing values"),
+                      "processed.cleveland.data", 14, (164, 55, 36, 35, 13),
+                      notes="published counts include rows with missing values",
+                      layout={}),
     DatasetDescriptor("climate", "uci",
                       "252/climate+model+simulation+crashes",
-                      "pop_failures.dat", 540, 21, 2, (494, 46)),
+                      "pop_failures.dat", 21, (494, 46),
+                      layout={"sep": None, "header": True}),
     DatasetDescriptor("blood", "uci", "176/blood+transfusion+service+center",
-                      "transfusion.data", 748, 5, 2, (570, 178)),
+                      "transfusion.data", 5, (570, 178),
+                      layout={"header": True}),
     DatasetDescriptor("thyroid", "uci", "102/thyroid+disease",
-                      "new-thyroid.data", 215, 6, 3, (150, 35, 30)),
-    DatasetDescriptor("monks", "pmlb", "monk2", "",
-                      415, 7, 2, (229, 186),
-                      notes="published row count matches no public variant"),
-    DatasetDescriptor("vehicle", "pmlb", "vehicle", "",
-                      846, 19, 4, (218, 217, 212, 199)),
-    DatasetDescriptor("pima", "pmlb", "pima", "",
-                      768, 9, 2, (500, 268)),
+                      "new-thyroid.data", 6, (150, 35, 30),
+                      layout={"label": 0}),
+    DatasetDescriptor("monks", "pmlb", "monk2", "", 7, (229, 186),
+                      notes="published row count matches no public variant",
+                      layout=_PMLB),
+    DatasetDescriptor("vehicle", "pmlb", "vehicle", "", 19,
+                      (218, 217, 212, 199), layout=_PMLB),
+    DatasetDescriptor("pima", "pmlb", "pima", "", 9, (500, 268), layout=_PMLB),
 ]}
 
 
@@ -243,14 +244,10 @@ def _parse_csv(path):
                 fh, {"header": True, "label": "class"})
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    class_names = []
-    encoded = []
-    for label in labels:
-        if label not in class_names:
-            class_names.append(label)
-        encoded.append(class_names.index(label))
+    codes = {}
+    encoded = [codes.setdefault(label, len(codes)) for label in labels]
     return Dataset(np.array(features), encoded, feature_names=names,
-                   class_names=class_names), dropped
+                   class_names=list(codes)), dropped
 
 
 def _checked(path, parsed, descriptor: DatasetDescriptor | None) -> Dataset:
@@ -369,14 +366,10 @@ def fetch_raw(descriptor: DatasetDescriptor, opener=None) -> bytes:
     import io
     import zipfile
 
-    if descriptor.source_kind == "kaggle":
-        raise FetchError(
-            f"{descriptor.name}: hosted on kaggle "
-            f"({descriptor.source_ref}); download {descriptor.member} with "
-            f"your kaggle credentials and convert it with convert_to_canonical")
+    url = descriptor.url()
     opener = opener or _default_opener
     try:
-        payload = opener(descriptor.url())
+        payload = opener(url)
     except Exception as exc:
         raise FetchError(f"{descriptor.name}: download failed: {exc}") from exc
     if descriptor.source_kind == "uci":
@@ -385,14 +378,13 @@ def fetch_raw(descriptor: DatasetDescriptor, opener=None) -> bytes:
                 return archive.read(descriptor.member)
         except (zipfile.BadZipFile, KeyError) as exc:
             raise FetchError(
-                f"{descriptor.name}: bad archive from {descriptor.url()}: "
-                f"{exc}") from exc
+                f"{descriptor.name}: bad archive from {url}: {exc}") from exc
     return payload
 
 
 def convert_to_canonical(descriptor: DatasetDescriptor, raw: bytes,
                          out_path) -> None:
-    layout = _LAYOUTS.get(descriptor.name)
+    layout = descriptor.layout
     if layout is None:
         raise FetchError(f"no converter for {descriptor.name}")
     try:

@@ -144,11 +144,6 @@ def _fold_best(best, optimizers):
     return best
 
 
-def _notify(observer, event, **data):
-    if observer is not None:
-        observer(event, data)
-
-
 def probe_phase(positions, cfg: HybridConfig, objective, eval_cost: int,
                 iteration: int, observer=None) -> ProbeOutcome:
     """Run every portfolio method from a copy of the same starting positions.
@@ -172,9 +167,10 @@ def probe_phase(positions, cfg: HybridConfig, objective, eval_cost: int,
         evals[method] = budget.used
         pops[method] = pop
         opts[method] = opt
-        _notify(observer, "probe_end", iteration=iteration, method=method,
-                score=opt.best_fitness, evals=budget.used,
-                fingerprint=pop.fingerprint())
+        if observer is not None:
+            observer("probe_end", dict(
+                iteration=iteration, method=method, score=opt.best_fitness,
+                evals=budget.used, fingerprint=pop.fingerprint()))
         if opt.best_fitness <= cfg.fitness_threshold:
             converged = True
             break
@@ -208,22 +204,28 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
         probe = probe_phase(positions, cfg, objective, eval_cost, iteration,
                             observer=observer)
         best = _fold_best(best, probe.optimizers.values())
-        _notify(observer, "select", iteration=iteration, method=probe.winner,
-                tied=probe.tied, converged=probe.converged)
+        if observer is not None:
+            observer("select", dict(
+                iteration=iteration, method=probe.winner, tied=probe.tied,
+                converged=probe.converged))
         # a converged probe skips the fit; its best is already at threshold
         fitness, fit_evals = probe.scores[probe.winner], 0
         if not probe.converged:
             fit_pop = probe.winner_population.positions_only()
-            _notify(observer, "fit_start", iteration=iteration,
-                    method=probe.winner, fingerprint=fit_pop.fingerprint())
+            if observer is not None:
+                observer("fit_start", dict(
+                    iteration=iteration, method=probe.winner,
+                    fingerprint=fit_pop.fingerprint()))
             fit_budget = FeBudget(cfg.fit_cap(eval_cost), eval_cost)
             opt = probe.optimizers[probe.winner]
             opt.run(fit_pop, objective, fit_budget,
                     target=cfg.fitness_threshold)
             best = _fold_best(best, [opt])
             fitness, fit_evals = opt.best_fitness, fit_budget.used
-            _notify(observer, "fit_end", iteration=iteration,
-                    method=probe.winner, fitness=fitness, evals=fit_evals)
+            if observer is not None:
+                observer("fit_end", dict(
+                    iteration=iteration, method=probe.winner,
+                    fitness=fitness, evals=fit_evals))
             positions = fit_pop.positions.copy()
         trace.append(IterationRecord(
             iteration, probe.scores, probe.evals, probe.winner,

@@ -21,7 +21,8 @@ BANDWIDTH_FLOOR = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A C-contiguous read-only copy: the caller's array stays writable."""
+    a = np.array(a, order="C")
     a.setflags(write=False)
     return a
 

@@ -346,6 +346,10 @@ class TestBenchmarkCommand:
         ({"hybrid": {"population_size": 0}}, "population_size"),
         ({"hybrid": {"iteration": 2}}, "iteration"),
         ({"split": {"test_fraction": 1.5}}, "test_fraction"),
+        ({"split": {"tset_fraction": 0.5}}, "'tset_fraction'"),
+        ({"split": {"seed": 3}}, "'seed'"),
+        ({"zscore": "false"}, "'zscore' must be true or false, got 'false'"),
+        ({"zscore": 1}, "'zscore' must be true or false, got 1"),
         ({"seed": "zero"}, "zero"),
         ({"datasets": ["toy", "irsi"]}, "unknown dataset 'irsi'"),
         ({"methods": ["hybrid", "cmaes"]}, "unknown method 'cmaes'"),
@@ -356,6 +360,7 @@ class TestBenchmarkCommand:
         ({"paths": {"toy": "missing/toy.csv"}}, "missing/toy.csv"),
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
+            "split-unknown-key", "split-seed", "zscore-string", "zscore-int",
             "seed", "unknown-dataset", "unknown-method", "method-unknown-key",
             "repeated-dataset", "repeated-method", "unfetchable-dataset",
             "unreadable-path"])

@@ -1,7 +1,10 @@
 import gzip
 import io
 import os
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,12 @@ from swarmpnn.datasets import (
     zscore_standardize,
 )
 from swarmpnn.pnn import Dataset
+
+ROOT = Path(__file__).resolve().parents[1]
+# the combined digest of tools/canonical_digest.py: every conversion and load
+# outcome of its generated corpus, 912 files
+CORPUS_DIGEST = ("30a06edba3a1369f981aaf8fa4f22cb95304ee4f376b2e9443c116ab"
+                 "07732b7e")
 
 
 def no_download(url):
@@ -183,6 +192,10 @@ class TestRegistry:
         assert REGISTRY["cancer"].expected_balance == (357, 212)
         assert REGISTRY["thyroid"].expected_balance == (150, 35, 30)
         assert REGISTRY["heart"].expected_classes == 5
+
+    def test_descriptors_hashable(self):
+        # the layout dict is left out of the hash, not out of equality
+        assert len(set(REGISTRY.values())) == 16
 
     def test_urls(self):
         assert REGISTRY["iris"].url().endswith("53/iris.zip")
@@ -405,6 +418,14 @@ class TestCanonicalBytes:
         with pytest.raises(FetchError, match="no converter for toy"):
             convert_to_canonical(datasets.DatasetDescriptor("toy", "uci", "1/toy"),
                                  IRIS_RAW, tmp_path / "toy.csv")
+
+    def test_generated_corpus_digest(self, tmp_path):
+        run = subprocess.run([sys.executable,
+                              str(ROOT / "tools" / "canonical_digest.py")],
+                             env=dict(os.environ, TMPDIR=str(tmp_path)),
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == f"{CORPUS_DIGEST}  (912 files)"
 
 
 class TestFetch:

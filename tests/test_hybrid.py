@@ -20,6 +20,7 @@ from swarmpnn.hybrid import (
     train_hybrid,
     train_single,
 )
+from swarmpnn.optimizers import Population
 from swarmpnn.pnn import (
     BANDWIDTH_FLOOR,
     Dataset,
@@ -195,6 +196,21 @@ class TestHybridMinimize:
                           if d["iteration"] == iteration
                           and d["method"] == fit_start["method"]][0]
             assert fit_start["fingerprint"] == winner_end["fingerprint"]
+
+    def test_unobserved_run_hashes_no_population(self, monkeypatch):
+        hashed = []
+        original = Population.fingerprint
+
+        def counting(pop):
+            hashed.append(1)
+            return original(pop)
+
+        monkeypatch.setattr(Population, "fingerprint", counting)
+        cfg = small_cfg(iterations=2, seed=9)
+        hybrid_minimize(sphere, 2, cfg, eval_cost=1)
+        assert hashed == []
+        hybrid_minimize(sphere, 2, cfg, eval_cost=1, observer=Recorder())
+        assert len(hashed) == cfg.iterations * (len(cfg.methods) + 1)
 
     def test_determinism(self):
         runs = []

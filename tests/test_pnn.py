@@ -324,6 +324,21 @@ class TestTypes:
         with pytest.raises(ValueError):
             PnnModel(ds, Smoothing("scalar", 1.0), [1.0])
 
+    def test_constructors_leave_caller_arrays_writable(self):
+        x = np.zeros((3, 2))
+        y = np.array([0, 1, 1], dtype=np.int64)
+        h = np.array([1.0, 2.0])
+        scales = np.ones(3)
+        ds = Dataset(x, y)
+        model = PnnModel(ds, Smoothing("per_feature", h), scales)
+        x[0, 0], y[0], h[0], scales[0] = 1.0, 1, 9.0, 5.0
+        assert ds.features[0, 0] == 0.0 and ds.labels[0] == 0
+        assert model.smoothing.values[0] == 1.0
+        assert model.pattern_scales[0] == 1.0
+        for stored in (ds.features, ds.labels, ds.class_counts,
+                       model.smoothing.values, model.pattern_scales):
+            assert not stored.flags.writeable
+
 
 class TestDensityEvaluator:
     def test_densities_match_library_path(self):

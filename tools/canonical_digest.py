@@ -3,8 +3,8 @@ generated raw dataset files.
 
     python tools/canonical_digest.py
 
-For every raw-file layout in ``swarmpnn.datasets`` the script generates a
-seeded set of small files in three kinds:
+For the raw-file layout of every registry dataset in ``swarmpnn.datasets``
+the script generates a seeded set of small files in three kinds:
 
 - ``regular`` files follow the layout. They hold rows with missing tokens,
   blank and whitespace-only lines (also before the first row), LF, CRLF or
@@ -44,7 +44,6 @@ sys.path.insert(0, str(SRC))
 
 import swarmpnn  # noqa: E402
 from swarmpnn.datasets import (  # noqa: E402
-    _LAYOUTS,
     REGISTRY,
     convert_to_canonical,
     load_csv,
@@ -142,7 +141,7 @@ def render(layout, header, rows, rng):
 
 
 def raw_file(name, kind, rng):
-    layout = _LAYOUTS[name]
+    layout = REGISTRY[name].layout
     header, role = roles(layout, rng)
     rows, open_rows = data_rows(layout, role, rng)
     for k in rng.sample(open_rows, min(len(open_rows), rng.randint(0, 3))):
@@ -224,10 +223,10 @@ def load_outcome(path):
 def outcomes(workdir):
     """(layout, kind, variant, accepted, outcome) of every corpus file;
     a raw file is accepted when it converts, a canonical one when it loads."""
-    for name in sorted(_LAYOUTS):
+    for name in sorted(REGISTRY):
         descriptor = REGISTRY[name]
         kinds = ["regular", "unusable"]
-        if _LAYOUTS[name].get("sep") == "\t":
+        if descriptor.layout.get("sep") == "\t":
             kinds.insert(1, "edge-empty")
         for kind in kinds:
             for k in range(FILES_PER_KIND):
