@@ -5,7 +5,6 @@ from .datasets import (
     REGISTRY,
     DatasetDescriptor,
     SplitSpec,
-    ensure_dataset,
     load_benchmark,
     load_csv,
     stratified_split,

@@ -92,6 +92,13 @@ def load_config(path) -> dict:
         if type(cfg[key]) is not int or cfg[key] < 1:
             raise SystemExit(
                 f"config: {key!r} must be an integer >= 1, got {cfg[key]!r}")
+    if type(cfg["seed"]) is not int:
+        raise SystemExit(
+            f"config: 'seed' must be an integer, got {cfg['seed']!r}")
+    for key in ("datasets", "methods"):
+        if type(cfg[key]) is not list:
+            raise SystemExit(
+                f"config: {key!r} must be a list of names, got {cfg[key]!r}")
     if type(cfg["zscore"]) is not bool:
         raise SystemExit(
             f"config: 'zscore' must be true or false, got {cfg['zscore']!r}")
@@ -106,7 +113,7 @@ def _cells(config: dict, where: str) -> list[CellSpec]:
     command before any output exists instead of failing every cell.
     """
     try:
-        seed = int(config["seed"])
+        seed = config["seed"]
         overrides = dict(config["hybrid"] or {})
         for key in ("methods", "init_range", "bounds"):
             if isinstance(overrides.get(key), list):

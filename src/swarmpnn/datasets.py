@@ -2,7 +2,7 @@
 splitting.
 
 Canonical layout: UTF-8, comma-separated, one header row, label column named
-``class``. :func:`ensure_dataset` materializes a dataset into a cache
+``class``. :func:`load_benchmark` materializes a dataset into a cache
 directory from, in order of preference, an already cached file, a copy
 bundled with the package (``data/<name>.csv`` beside this module; only iris
 is bundled), a locally installed provider (scikit-learn ships iris, cancer
@@ -319,12 +319,16 @@ def stratified_split(ds: Dataset, spec: SplitSpec):
     training sample, and that cap wins: a seat a capped class cannot take
     goes to the next class with room, and when none has room the test split
     is smaller (two classes of two rows at fraction 0.9 give two test rows,
-    not four). Classes with fewer than two samples are an error.
+    not four). Classes with fewer than two samples are an error, as is a
+    test size that rounds to zero.
     """
     if np.any(ds.class_counts < 2):
         raise ValueError("stratified split needs >= 2 samples per class")
     rng = np.random.default_rng(spec.seed)
     total_test = int(round(ds.n_samples * spec.test_fraction))
+    if total_test < 1:
+        raise ValueError(f"test_fraction {spec.test_fraction} of "
+                         f"{ds.n_samples} rows leaves an empty test split")
     raw = ds.class_counts * spec.test_fraction
     base = np.floor(raw).astype(int)
     base = np.minimum(base, ds.class_counts - 1)
@@ -421,9 +425,14 @@ def dataset_path(name: str, data_dir=None) -> str:
     return os.path.join(data_dir or default_data_dir(), f"{name}.csv")
 
 
-def _materialize(name: str, data_dir, opener, refetch: bool):
-    """The path of ``name``'s canonical CSV and the parse of the copy
-    settled on (see :func:`ensure_dataset`); each copy is parsed once."""
+def load_benchmark(name: str, data_dir=None, opener=None) -> Dataset:
+    """Load registry dataset ``name``, with validation warnings.
+
+    Its canonical CSV is cached at :func:`dataset_path`. The sources, in
+    order: the cached copy, the bundled copy, scikit-learn's copy, then a
+    download through ``opener``. The first copy that parses is used, and
+    each is parsed once; a download that does not parse is an error.
+    """
     if name not in REGISTRY:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(REGISTRY)}")
     descriptor = REGISTRY[name]
@@ -436,9 +445,7 @@ def _materialize(name: str, data_dir, opener, refetch: bool):
         except (OSError, ValueError):
             return None
 
-    loaded = None
-    if not refetch and os.path.exists(path):
-        loaded = parsed()
+    loaded = parsed() if os.path.exists(path) else None
     bundled = os.path.join(BUNDLED_DIR, f"{name}.csv")
     if loaded is None and os.path.exists(bundled):
         shutil.copyfile(bundled, path)
@@ -450,25 +457,4 @@ def _materialize(name: str, data_dir, opener, refetch: bool):
         loaded = parsed()
         if loaded is None:
             raise FetchError(f"{name}: fetched file failed to parse")
-    return path, loaded
-
-
-def ensure_dataset(name: str, data_dir=None, opener=None,
-                   refetch: bool = False) -> str:
-    """Return the path of the canonical CSV for ``name``, materializing it
-    from the best available source if needed.
-
-    Sources, in order: the cached ``<data_dir>/<name>.csv`` (unless
-    ``refetch``), the copy bundled in the package's ``data`` directory,
-    scikit-learn's copy, then a download through ``opener``. A copy from
-    any source is used only if it parses; otherwise the next source is
-    tried, and a download that does not parse is an error.
-    """
-    return _materialize(name, data_dir, opener, refetch)[0]
-
-
-def load_benchmark(name: str, data_dir=None, opener=None) -> Dataset:
-    """Ensure then load one registry dataset, with validation warnings; the
-    copy that :func:`ensure_dataset` settles on is parsed once."""
-    path, parsed = _materialize(name, data_dir, opener, refetch=False)
-    return _checked(path, parsed, REGISTRY[name])
+    return _checked(path, loaded, descriptor)

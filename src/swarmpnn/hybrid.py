@@ -52,6 +52,12 @@ class HybridConfig:
     method_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in ("iterations", "population_size", "probing_multiplier",
+                    "fit_multiplier", "seed"):
+            value = getattr(self, key)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         # flower pollination mixes two distinct members

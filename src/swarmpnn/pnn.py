@@ -179,10 +179,10 @@ class ModificationConfig:
     density_floor: float = 1e-300
 
     def __post_init__(self):
-        if self.intensity < 0:
-            raise ValueError("intensity must be nonnegative")
-        if self.density_floor <= 0:
-            raise ValueError("density_floor must be positive")
+        if not 0 <= self.intensity < math.inf:
+            raise ValueError("intensity must be finite and nonnegative")
+        if not 0 < self.density_floor < math.inf:
+            raise ValueError("density_floor must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,9 @@ class PnnModel:
         scales = np.asarray(scales, dtype=np.float64)
         if scales.shape != (self.patterns.n_samples,):
             raise ValueError("pattern_scales length must match pattern count")
-        if np.any(scales <= 0):
-            raise ValueError("pattern_scales must be strictly positive")
+        if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
+            raise ValueError("pattern_scales must be finite and strictly "
+                             "positive")
         object.__setattr__(self, "pattern_scales", _readonly(scales))
 
 
@@ -401,8 +402,9 @@ class DensityEvaluator:
         ds, p = pattern_set, pattern_set.n_samples
         scales = np.ones(p) if pattern_scales is None else np.asarray(
             pattern_scales, dtype=np.float64)
-        if scales.shape != (p,) or np.any(scales <= 0):
-            raise ValueError("pattern_scales must be P positive values")
+        if (scales.shape != (p,) or not np.all(np.isfinite(scales))
+                or np.any(scales <= 0)):
+            raise ValueError("pattern_scales must be P finite positive values")
         if exclude_self and np.any(scales != 1.0):
             raise ValueError("leave-one-out takes unit pattern scales only")
         self.pattern_set = pattern_set

@@ -24,7 +24,8 @@ from swarmpnn import cli
 from swarmpnn.datasets import (
     DatasetValidationWarning,
     SplitSpec,
-    ensure_dataset,
+    dataset_path,
+    load_benchmark,
     load_csv,
     stratified_split,
 )
@@ -79,7 +80,10 @@ def available(data_dir):
     paths = {}
     for name in SUITE:
         try:
-            paths[name] = ensure_dataset(name, data_dir)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DatasetValidationWarning)
+                load_benchmark(name, data_dir)
+            paths[name] = dataset_path(name, data_dir)
         except Exception:
             paths[name] = None
     return paths

@@ -351,6 +351,15 @@ class TestBenchmarkCommand:
         ({"zscore": "false"}, "'zscore' must be true or false, got 'false'"),
         ({"zscore": 1}, "'zscore' must be true or false, got 1"),
         ({"seed": "zero"}, "zero"),
+        ({"seed": 1.7}, "'seed' must be an integer, got 1.7"),
+        ({"seed": True}, "'seed' must be an integer, got True"),
+        ({"hybrid": {"population_size": 8.0}},
+         "population_size must be an integer, got 8.0"),
+        ({"hybrid": {"iterations": 2.5, "population_size": 6,
+                     "probing_multiplier": 2, "fit_multiplier": 4}},
+         "iterations must be an integer, got 2.5"),
+        ({"datasets": "toy"}, "'datasets' must be a list of names, got 'toy'"),
+        ({"methods": "pso"}, "'methods' must be a list of names, got 'pso'"),
         ({"datasets": ["toy", "irsi"]}, "unknown dataset 'irsi'"),
         ({"methods": ["hybrid", "cmaes"]}, "unknown method 'cmaes'"),
         ({"pso": {"omega2": 1.0}}, "bad parameters for pso: .*'omega2'"),
@@ -361,7 +370,9 @@ class TestBenchmarkCommand:
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
             "split-unknown-key", "split-seed", "zscore-string", "zscore-int",
-            "seed", "unknown-dataset", "unknown-method", "method-unknown-key",
+            "seed", "seed-float", "seed-bool", "hybrid-population-float",
+            "hybrid-iterations-float", "datasets-string", "methods-string",
+            "unknown-dataset", "unknown-method", "method-unknown-key",
             "repeated-dataset", "repeated-method", "unfetchable-dataset",
             "unreadable-path"])
     def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,

@@ -17,7 +17,6 @@ from swarmpnn.datasets import (
     FetchError,
     SplitSpec,
     convert_to_canonical,
-    ensure_dataset,
     fetch_raw,
     load_benchmark,
     load_csv,
@@ -152,6 +151,13 @@ class TestStratifiedSplit:
         np.testing.assert_array_equal(a[1].features, b[1].features)
         c = stratified_split(ds, SplitSpec(0.2, seed=6))
         assert not np.array_equal(a[1].features, c[1].features)
+
+    def test_empty_test_split_rejected(self):
+        ds = balanced_dataset([2, 2, 2])
+        with pytest.raises(ValueError,
+                           match="test_fraction 0.01 of 6 rows leaves an "
+                                 "empty test split"):
+            stratified_split(ds, SplitSpec(0.01, seed=0))
 
     def test_tiny_class_rejected(self):
         ds = Dataset([[0.0], [1.0], [2.0]], [0, 0, 1])
@@ -443,7 +449,7 @@ class TestFetch:
         with pytest.raises(FetchError, match="download failed"):
             fetch_raw(REGISTRY["banknote"], opener)
 
-    def test_ensure_dataset_uses_cache(self, tmp_path):
+    def test_load_benchmark_uses_cache(self, tmp_path):
         calls = []
 
         def opener(url):
@@ -451,9 +457,11 @@ class TestFetch:
             return uci_zip("data_banknote_authentication.txt",
                            b"3.6,8.6,-2.8,-0.44,0\n4.5,8.1,-2.4,-1.2,0\n"
                            b"-3.5,9.5,2.1,0.9,1\n-2.7,10.1,2.2,1.1,1\n")
-        p1 = ensure_dataset("banknote", str(tmp_path), opener)
-        p2 = ensure_dataset("banknote", str(tmp_path), opener)
-        assert p1 == p2
+        with pytest.warns(DatasetValidationWarning, match="rows 4"):
+            first = load_benchmark("banknote", str(tmp_path), opener)
+        with pytest.warns(DatasetValidationWarning, match="rows 4"):
+            again = load_benchmark("banknote", str(tmp_path), opener)
+        assert np.array_equal(first.features, again.features)
         assert len(calls) == 1
 
     def test_corrupt_cache_refetched(self, tmp_path):
@@ -461,26 +469,25 @@ class TestFetch:
         opener = lambda url: uci_zip(
             "data_banknote_authentication.txt",
             b"3.6,8.6,-2.8,-0.44,0\n-3.5,9.5,2.1,0.9,1\n")
-        path = ensure_dataset("banknote", str(tmp_path), opener)
-        ds = load_csv(path)
+        with pytest.warns(DatasetValidationWarning, match="rows 2"):
+            ds = load_benchmark("banknote", str(tmp_path), opener)
         assert ds.n_samples == 2
+        assert load_csv(tmp_path / "banknote.csv").n_samples == 2
 
     def test_unknown_name(self, tmp_path):
         with pytest.raises(KeyError):
-            ensure_dataset("nonesuch", str(tmp_path))
+            load_benchmark("nonesuch", str(tmp_path))
 
     def test_bad_archive_wrapped(self):
         with pytest.raises(FetchError, match="bad archive"):
             fetch_raw(REGISTRY["banknote"], lambda url: b"this is not a zip")
 
-    @pytest.mark.parametrize("refetch", [False, True])
-    def test_corrupt_cache_replaced_from_bundled_copy(self, tmp_path, refetch):
+    def test_corrupt_cache_replaced_from_bundled_copy(self, tmp_path):
         (tmp_path / "iris.csv").write_text("not,a\nvalid")
-        path = ensure_dataset("iris", str(tmp_path), no_download,
-                              refetch=refetch)
+        ds = load_benchmark("iris", str(tmp_path), no_download)
         with open(os.path.join(BUNDLED_DIR, "iris.csv"), "rb") as fh:
             assert (tmp_path / "iris.csv").read_bytes() == fh.read()
-        assert load_csv(path).n_samples == 150
+        assert ds.n_samples == 150
 
     def test_unparseable_sklearn_copy_falls_through_to_download(
             self, tmp_path, monkeypatch):
@@ -497,16 +504,17 @@ class TestFetch:
                            b"3.6,8.6,-2.8,-0.44,0\n-3.5,9.5,2.1,0.9,1\n")
 
         monkeypatch.setattr(datasets, "_sklearn_canonical", bad_copy)
-        path = ensure_dataset("banknote", str(tmp_path), opener)
+        with pytest.warns(DatasetValidationWarning, match="rows 2"):
+            ds = load_benchmark("banknote", str(tmp_path), opener)
         assert len(calls) == 1
-        assert load_csv(path).n_samples == 2
+        assert ds.n_samples == 2
 
     def test_corrupt_cache_then_bad_download_errors(self, tmp_path):
         (tmp_path / "banknote.csv").write_text("still,not\nvalid")
         opener = lambda url: uci_zip("data_banknote_authentication.txt",
                                      b"gibberish,that,cannot,parse,x\n")
         with pytest.raises(FetchError, match="conversion failed"):
-            ensure_dataset("banknote", str(tmp_path), opener)
+            load_benchmark("banknote", str(tmp_path), opener)
 
 
 sklearn_missing = False

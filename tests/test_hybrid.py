@@ -91,6 +91,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             HybridConfig(methods=("pso", "pso"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("population_size", 8.0), ("iterations", 2.5), ("iterations", True),
+        ("probing_multiplier", 1.5), ("fit_multiplier", 10.0),
+        ("seed", 1.7), ("seed", True)])
+    def test_counts_and_seed_must_be_integers(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            HybridConfig(**{key: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = HybridConfig(population_size=np.int64(8), seed=np.int32(3))
+        assert cfg.probe_cap(2) == 8 * 2 * 30
+
     def test_budget_caps(self):
         cfg = HybridConfig()
         assert cfg.probe_cap(100) == 20 * 100 * 30

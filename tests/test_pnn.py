@@ -288,6 +288,13 @@ class TestApplyModification:
         with pytest.raises(ValueError):
             apply_modification(model, ModificationConfig(intensity=0.5))
 
+    @pytest.mark.parametrize("key", ["intensity", "density_floor"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_settings_must_be_finite(self, key, bad):
+        # a NaN intensity would give all-NaN pattern scales
+        with pytest.raises(ValueError, match="finite"):
+            ModificationConfig(**{key: bad})
+
 
 class TestTypes:
     def test_dataset_invariants(self):
@@ -323,6 +330,17 @@ class TestTypes:
             PnnModel(ds, Smoothing("scalar", 1.0), [1.0, 0.0])
         with pytest.raises(ValueError):
             PnnModel(ds, Smoothing("scalar", 1.0), [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_scales_must_be_finite(self, bad):
+        # a NaN scale makes every class density NaN, and a NaN density
+        # would send every query to class 0
+        ds = Dataset([[0.0], [1.0], [5.0], [6.0]], [0, 0, 1, 1])
+        scales = [1.0, bad, 1.0, 1.0]
+        with pytest.raises(ValueError, match="finite"):
+            PnnModel(ds, Smoothing("scalar", 1.0), scales)
+        with pytest.raises(ValueError, match="finite"):
+            DensityEvaluator(ds, [[0.5], [5.5]], pattern_scales=scales)
 
     def test_constructors_leave_caller_arrays_writable(self):
         x = np.zeros((3, 2))

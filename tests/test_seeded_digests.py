@@ -1,0 +1,35 @@
+"""The fourth and fifth digests of ``tools/seeded_hash.py``: the bytes of
+the leave-one-out class densities, and every file the command line writes,
+including a registry dataset loaded into its cache."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+HASH_TWO = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import seeded_hash
+for parts in (seeded_hash.loo_densities(), seeded_hash.cli_outputs()):
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    print(digest.hexdigest())
+"""
+
+LOO_DENSITIES = ("0116c7cd28ebf77ef9fd24cf0467ff2ef20ab485ccf400786c55c77c"
+                 "b78d6af7")
+CLI_OUTPUTS = ("a36c5f5c154eea77726f8d5067411b38c92d221deb65f58d5288252c0e9"
+               "dedad")
+
+
+def test_loo_density_and_cli_output_digests(tmp_path):
+    run = subprocess.run([sys.executable, "-c", HASH_TWO,
+                          str(ROOT / "tools")],
+                         env=dict(os.environ, TMPDIR=str(tmp_path)),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [LOO_DENSITIES, CLI_OUTPUTS]
