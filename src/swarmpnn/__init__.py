@@ -14,7 +14,6 @@ from .hybrid import (
     HybridConfig,
     HybridResult,
     TrainResult,
-    fitness_of,
     hybrid_minimize,
     train_hybrid,
     train_single,

@@ -109,8 +109,9 @@ def _cells(config: dict, where: str) -> list[CellSpec]:
     """The run's cells in grid order, one per (dataset, method, run).
 
     Names and settings are checked first, then each dataset is fetched and
-    loaded once, so that a bad value or an unreadable dataset stops the
-    command before any output exists instead of failing every cell.
+    loaded once and split at each run's seed, so that a bad value, an
+    unreadable dataset or a split it cannot make stops the command before any
+    output exists instead of failing every cell.
     """
     try:
         seed = config["seed"]
@@ -136,6 +137,11 @@ def _cells(config: dict, where: str) -> list[CellSpec]:
         data = {name: load_csv(paths[name], REGISTRY.get(name))
                 if name in paths else load_benchmark(name, config["data_dir"])
                 for name in config["datasets"]}
+        for name in config["datasets"]:
+            for run in range(config["runs"]):
+                # via datasets: a wrap of cli.stratified_split sees only cells
+                data_mod.stratified_split(data[name],
+                                          replace(split, seed=seed + run))
     except (AttributeError, TypeError, ValueError, OSError, FetchError) as exc:
         raise SystemExit(f"{where}: {exc}") from None
     return [CellSpec(name, method, run, data[name],

@@ -3,11 +3,11 @@
 Each outer iteration probes every optimizer in the portfolio from one shared
 population under a fixed evaluation budget, commits to the best prober for a
 larger fitting budget, and hands the resulting population to the next
-iteration. Method-internal state is rebuilt for every probing phase; only
-positions survive phase boundaries (cached fitness is dropped and re-charged
-to the receiving phase's budget, which keeps per-phase accounting clean). A
-re-charged position still costs ``n_t`` evaluations, but the training
-objective looks its error rate up instead of computing it again: each run's
+iteration. Method-internal state is rebuilt for every probing phase, and no
+fitness crosses a phase boundary: a phase hands the next one its positions,
+which that phase scores again and charges to its own budget. A re-charged
+position still costs ``n_t`` evaluations, but the training objective looks
+its error rate up instead of computing it again: each run's
 :func:`loo_objective` remembers every candidate it has scored.
 
 Training stops early as soon as any evaluation reaches the fitness threshold,
@@ -217,7 +217,7 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
         # a converged probe skips the fit; its best is already at threshold
         fitness, fit_evals = probe.scores[probe.winner], 0
         if not probe.converged:
-            fit_pop = probe.winner_population.positions_only()
+            fit_pop = Population(probe.winner_population.positions)
             if observer is not None:
                 observer("fit_start", dict(
                     iteration=iteration, method=probe.winner,
@@ -260,15 +260,6 @@ class TrainResult:
     stop_reason: str
 
 
-def fitness_of(candidate, train: Dataset, eval_set: Dataset,
-               kind: str = "per_feature") -> float:
-    """Error rate on ``eval_set`` of a classifier whose pattern layer is
-    ``train`` with the candidate bandwidth vector."""
-    shape = Smoothing.grid_shape(kind, train.n_classes, train.n_features)
-    evaluator = DensityEvaluator(train, eval_set.features)
-    return evaluator.error_rate(np.reshape(candidate, shape), eval_set.labels)
-
-
 def loo_objective(train: Dataset, kind: str = "per_feature"):
     """Leave-one-out error rate on the training split as a function of the
     candidate bandwidth vector.
@@ -297,12 +288,14 @@ def loo_objective(train: Dataset, kind: str = "per_feature"):
     return objective
 
 
-def _train_result(train: Dataset, test: Dataset, kind: str, position,
-                  fitness, trace, evaluations, stop_reason) -> TrainResult:
+def _train_result(held_out: DensityEvaluator, test: Dataset, kind: str,
+                  position, fitness, trace, evaluations,
+                  stop_reason) -> TrainResult:
     """The trained classifier, with its one prediction of the test split."""
+    train = held_out.pattern_set
     smoothing = Smoothing.from_vector(kind, np.maximum(
         position, BANDWIDTH_FLOOR), train.n_classes, train.n_features)
-    predictions = DensityEvaluator(train, test.features).predict(smoothing)
+    predictions = held_out.predict(smoothing)
     return TrainResult(smoothing, fitness,
                        float(np.mean(predictions != test.labels)), predictions,
                        trace, evaluations, stop_reason)
@@ -311,15 +304,19 @@ def _train_result(train: Dataset, test: Dataset, kind: str, position,
 def train_hybrid(train: Dataset, test: Dataset, cfg: HybridConfig,
                  observer=None) -> TrainResult:
     """Optimize bandwidths with the portfolio; fitness is the leave-one-out
-    training error, the early-stop check runs on the held-out split."""
+    training error, the early-stop check runs on the held-out split. One
+    evaluator of that split serves every check and the final prediction."""
     kind = cfg.smoothing_kind
-    dim = Smoothing.vector_length(kind, train.n_classes, train.n_features)
+    shape = Smoothing.grid_shape(kind, train.n_classes, train.n_features)
+    held_out = DensityEvaluator(train, test.features)
     result = hybrid_minimize(
-        loo_objective(train, kind), dim, cfg, eval_cost=train.n_samples,
-        converged=lambda pos, fit: (fitness_of(pos, train, test, kind)
-                                    <= cfg.fitness_threshold),
+        loo_objective(train, kind), int(np.prod(shape)), cfg,
+        eval_cost=train.n_samples,
+        converged=lambda pos, fit: (
+            held_out.error_rate(np.reshape(pos, shape), test.labels)
+            <= cfg.fitness_threshold),
         observer=observer)
-    return _train_result(train, test, kind, result.best_position,
+    return _train_result(held_out, test, kind, result.best_position,
                          result.best_fitness, result.trace,
                          result.evaluations, result.stop_reason)
 
@@ -341,5 +338,6 @@ def train_single(train: Dataset, test: Dataset, method: str,
             target=cfg.fitness_threshold)
     stop = ("train_threshold"
             if opt.best_fitness <= cfg.fitness_threshold else "iterations")
-    return _train_result(train, test, kind, opt.best_position,
-                         opt.best_fitness, [], budget.used, stop)
+    return _train_result(DensityEvaluator(train, test.features), test, kind,
+                         opt.best_position, opt.best_fitness, [], budget.used,
+                         stop)

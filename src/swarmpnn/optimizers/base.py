@@ -54,33 +54,20 @@ class FeBudget:
 class Population:
     """Positions plus cached fitness for a group of candidates.
 
-    Fitness entries are NaN until evaluated; the cached value of an
-    individual always corresponds to its current position.
+    Built from positions alone, so no fitness crosses a phase boundary:
+    entries start NaN until the receiving run scores them, and the cached
+    value of an individual always corresponds to its current position.
     """
 
-    def __init__(self, positions, fitness=None):
+    def __init__(self, positions):
         self.positions = np.array(positions, dtype=np.float64)
         if self.positions.ndim != 2:
             raise ValueError("positions must be (n, d)")
-        if fitness is None:
-            fitness = np.full(len(self.positions), np.nan)
-        self.fitness = np.array(fitness, dtype=np.float64)
-        if self.fitness.shape != (len(self.positions),):
-            raise ValueError("fitness length must match positions")
+        self.fitness = np.full(len(self.positions), np.nan)
 
     @property
     def size(self) -> int:
         return len(self.positions)
-
-    @property
-    def best_index(self) -> int:
-        if np.all(np.isnan(self.fitness)):
-            raise ValueError("population has no evaluated member")
-        return int(np.nanargmin(self.fitness))
-
-    def positions_only(self) -> "Population":
-        """Copy carrying positions but no cached fitness."""
-        return Population(self.positions.copy())
 
     def fingerprint(self) -> str:
         import hashlib
@@ -139,15 +126,9 @@ class Optimizer:
     def run(self, pop: Population, objective, budget: FeBudget,
             target: float = 0.0) -> Population:
         """Score the unset (NaN) members of ``pop``, then step generations
-        until the budget is spent or the best reaches ``target``. Cached
-        fitness enters the archive first; non-finite fitness is an error."""
-        if np.isinf(pop.fitness).any():
-            raise ValueError("cached fitness must be finite, or NaN if unset")
+        until the budget is spent or the best reaches ``target``. Only what
+        this optimizer's runs have scored enters its best-seen archive."""
         self._budget, self._target = budget, target
-        if np.nanmin(pop.fitness, initial=np.inf) < self.best_fitness:
-            i = pop.best_index
-            self.best_fitness = float(pop.fitness[i])
-            self.best_position = pop.positions[i].copy()
         candidates = self._candidates(pop)
         value = None
         while True:

@@ -5,10 +5,6 @@ elimination-dispersal events.
 One :meth:`generation` performs a single chemotaxis sweep over the population;
 reproduction and dispersal fire on schedule between sweeps. The schedule
 wraps around if the budget outlasts a full dispersal cycle.
-
-``ed_s``, the published number of elimination-dispersal events, is kept as
-a parameter but has no effect: the FE budget ends every run, and dispersal
-keeps firing on schedule until it does.
 """
 
 from __future__ import annotations
@@ -23,10 +19,9 @@ REPRODUCTIONS_PER_DISPERSAL = 2
 class BacterialForaging(Optimizer):
     name = "bfo"
 
-    def __init__(self, dim, bounds, seed, ed_s=2, c_i=0.2, p_ed=0.25, n_c=4,
-                 n_s=4, d_a=0.1, w_a=0.2, h_r=0.1, w_r=10.0):
+    def __init__(self, dim, bounds, seed, c_i=0.2, p_ed=0.25, n_c=4, n_s=4,
+                 d_a=0.1, w_a=0.2, h_r=0.1, w_r=10.0):
         super().__init__(dim, bounds, seed)
-        self.ed_s = int(ed_s)
         self.c_i = float(c_i)
         self.p_ed = float(p_ed)
         self.n_c = int(n_c)

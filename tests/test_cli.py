@@ -313,14 +313,19 @@ class TestBenchmarkCommand:
                      str(tmp_path / "bench"), "--jobs", jobs]) == 0
         assert sizes == pools
 
-    def test_partial_failure_reported(self, tmp_path, toy_csv):
-        # ghostly loads, but its one-pattern class fails every split
-        ghostly = str(tmp_path / "ghostly.csv")
-        write_canonical_csv(ghostly, [[0.0], [1.0], [2.0], [9.0]],
-                            ["a", "a", "a", "lonely"])
+    def test_partial_failure_reported(self, tmp_path, toy_csv, monkeypatch):
+        # every ghostly cell fails while it runs; the config checks pass
+        run_cell = cli.run_cell
+
+        def failing(spec):
+            if spec.dataset == "ghostly":
+                raise MemoryError("ghostly ran out of memory")
+            return run_cell(spec)
+
+        monkeypatch.setattr(cli, "run_cell", failing)
         cfg = bench_config(tmp_path, toy_csv,
                            datasets=["toy", "ghostly"],
-                           paths={"toy": toy_csv, "ghostly": ghostly})
+                           paths={"toy": toy_csv, "ghostly": toy_csv})
         out = str(tmp_path / "bench")
         rc = main(["benchmark", "--config", cfg, "--out", out])
         assert rc == 1
@@ -367,6 +372,8 @@ class TestBenchmarkCommand:
         ({"methods": ["hybrid", "pso", "pso"]}, "'methods' repeats a name"),
         ({"datasets": ["toy", "banknote"]}, "banknote: download failed"),
         ({"paths": {"toy": "missing/toy.csv"}}, "missing/toy.csv"),
+        ({"datasets": ["iris"], "split": {"test_fraction": 0.001}},
+         "test_fraction 0.001 of 150 rows leaves an empty test split"),
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
             "split-unknown-key", "split-seed", "zscore-string", "zscore-int",
@@ -374,7 +381,7 @@ class TestBenchmarkCommand:
             "hybrid-iterations-float", "datasets-string", "methods-string",
             "unknown-dataset", "unknown-method", "method-unknown-key",
             "repeated-dataset", "repeated-method", "unfetchable-dataset",
-            "unreadable-path"])
+            "unreadable-path", "unmakeable-split"])
     def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
                                                monkeypatch, overrides, message):
         monkeypatch.setattr(datasets, "_default_opener", offline)

@@ -13,7 +13,6 @@ from swarmpnn.datasets import (
 )
 from swarmpnn.hybrid import (
     HybridConfig,
-    fitness_of,
     hybrid_minimize,
     loo_objective,
     probe_phase,
@@ -279,14 +278,16 @@ class TestFitness:
         ds = separable_dataset(rng)
         train = ds.subset(np.arange(0, 30, 2))
         test = ds.subset(np.arange(1, 30, 2))
-        assert fitness_of([1.0], train, test) == 0.0
+        held_out = DensityEvaluator(train, test.features)
+        assert held_out.error_rate([[1.0]], test.labels) == 0.0
 
     def test_three_wrong_of_ten(self):
         train = Dataset([[0.0], [10.0]], [0, 1])
         # seven correctly labeled queries plus three near class 1 labeled 0
         queries = Dataset([[0.1]] * 5 + [[9.9]] * 5,
                           [0] * 5 + [1] * 2 + [0] * 3, n_classes=2)
-        assert fitness_of([0.5], train, queries) == pytest.approx(0.3)
+        held_out = DensityEvaluator(train, queries.features)
+        assert held_out.error_rate([[0.5]], queries.labels) == pytest.approx(0.3)
 
     def test_matches_oracle_classification(self):
         rng = np.random.default_rng(8)
@@ -299,20 +300,13 @@ class TestFitness:
                                   [1.0] * 12, rows, x.tolist(), 2)
                  for x in test.features]
         want = float(np.mean(np.array(preds) != test.labels))
-        assert fitness_of([1.0], train, test) == pytest.approx(want)
+        held_out = DensityEvaluator(train, test.features)
+        assert held_out.error_rate([[1.0]], test.labels) == pytest.approx(want)
 
     def test_dimension_mismatch_rejected(self):
         train = Dataset([[0.0, 1.0], [1.0, 0.0]], [0, 1])
-        with pytest.raises(ValueError):
-            fitness_of([1.0, 1.0, 1.0], train, train)
-        with pytest.raises(ValueError):
-            fitness_of([1.0, 1.0], train, train, kind="scalar")
-        with pytest.raises(ValueError):
-            fitness_of([1.0, 1.0, 1.0], train, train, kind="per_class")
         # G values would pass as one bandwidth per class under a (G, -1)
         # reshape; per_class_feature needs G * N
-        with pytest.raises(ValueError):
-            fitness_of([1.0, 1.0], train, train, kind="per_class_feature")
         with pytest.raises(ValueError):
             loo_objective(train, "per_class_feature")(np.ones(2))
 
@@ -415,6 +409,29 @@ class TestTrainers:
         assert result.evaluations > cfg.population_size * train.n_samples
         assert len(built) == 1
 
+    def test_training_run_builds_one_held_out_evaluator(self, monkeypatch):
+        # every iteration's stop check and the final prediction share one
+        # evaluator of the test split
+        built = []
+        init = DensityEvaluator.__init__
+
+        def counting_init(self, pattern_set, queries, exclude_self=False,
+                          **kwargs):
+            built.append(exclude_self)
+            init(self, pattern_set, queries, exclude_self, **kwargs)
+
+        monkeypatch.setattr(DensityEvaluator, "__init__", counting_init)
+        rng = np.random.default_rng(10)
+        features = rng.normal(0, 1, size=(24, 2))
+        labels = (features[:, 0] + rng.normal(0, 0.6, 24) > 0).astype(int)
+        ds = Dataset(features, labels)
+        train = ds.subset(np.arange(0, 24, 2))
+        test = ds.subset(np.arange(1, 24, 2))
+        result = train_hybrid(train, test, small_cfg(iterations=3, seed=13))
+        assert result.stop_reason == "iterations"
+        assert len(result.trace) == 3
+        assert sorted(built) == [False, True]
+
     @pytest.mark.parametrize("kind, method", [
         ("per_class_feature", "hybrid"), ("per_class_feature", "pso"),
         ("per_feature", "hybrid")])
@@ -471,11 +488,13 @@ class TestTrainers:
         assert len(engine_calls) <= result.evaluations // n_t - 100
         # the same run on an objective without a memo: equal in every result
         evaluator = DensityEvaluator(train, train.features, exclude_self=True)
+        held_out = DensityEvaluator(train, test.features)
         plain = hybrid_minimize(
             lambda v: error_rate(evaluator, np.reshape(v, (1, -1)),
                                  train.labels),
             train.n_features, cfg, eval_cost=n_t,
-            converged=lambda pos, fit: fitness_of(pos, train, test)
+            converged=lambda pos, fit: error_rate(
+                held_out, np.reshape(pos, (1, -1)), test.labels)
             <= cfg.fitness_threshold)
         assert plain.evaluations == result.evaluations
         assert plain.best_fitness == result.train_error

@@ -1,6 +1,7 @@
-"""The fourth and fifth digests of ``tools/seeded_hash.py``: the bytes of
-the leave-one-out class densities, and every file the command line writes,
-including a registry dataset loaded into its cache."""
+"""The third, fourth and fifth digests of ``tools/seeded_hash.py``: every
+training result and direct optimizer run, the bytes of the leave-one-out
+class densities, and every file the command line writes, including a
+registry dataset loaded into its cache."""
 
 import os
 import subprocess
@@ -20,16 +21,34 @@ for parts in (seeded_hash.loo_densities(), seeded_hash.cli_outputs()):
     print(digest.hexdigest())
 """
 
+HASH_TRAINING = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import seeded_hash
+print(seeded_hash.training_digests()[2].hexdigest())
+"""
+
+TRAINING = ("d1417cb14aadc7de3c61df2d6c77ed54f1f9634b9ebf3ef80275292a2c01"
+            "5531")
 LOO_DENSITIES = ("0116c7cd28ebf77ef9fd24cf0467ff2ef20ab485ccf400786c55c77c"
                  "b78d6af7")
 CLI_OUTPUTS = ("a36c5f5c154eea77726f8d5067411b38c92d221deb65f58d5288252c0e9"
                "dedad")
 
 
-def test_loo_density_and_cli_output_digests(tmp_path):
-    run = subprocess.run([sys.executable, "-c", HASH_TWO,
-                          str(ROOT / "tools")],
+def digests(script, tmp_path):
+    run = subprocess.run([sys.executable, "-c", script, str(ROOT / "tools")],
                          env=dict(os.environ, TMPDIR=str(tmp_path)),
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == [LOO_DENSITIES, CLI_OUTPUTS]
+    return run.stdout.split()
+
+
+def test_loo_density_and_cli_output_digests(tmp_path):
+    assert digests(HASH_TWO, tmp_path) == [LOO_DENSITIES, CLI_OUTPUTS]
+
+
+def test_training_digest(tmp_path):
+    # train_hybrid and every train_single method, and direct Optimizer.run
+    # calls, at iris, glass, wide-raw, banknote and ecoli shapes
+    assert digests(HASH_TRAINING, tmp_path) == [TRAINING]

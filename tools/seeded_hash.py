@@ -269,11 +269,8 @@ def _train_record(result):
             "trace": [r.to_jsonable() for r in result.trace]}
 
 
-def main() -> int:
-    if Path(swarmpnn.__file__).resolve().parent.parent != SRC:
-        print(f"swarmpnn imported from {swarmpnn.__file__}, not {SRC}",
-              file=sys.stderr)
-        return 2
+def training_digests():
+    """The first three digests and the number of records of each group."""
     iris, wide, shapes = (hashlib.sha256() for _ in range(3))
     counts = {"iris": 0, "wide": 0, "runs": 0, "shapes": 0}
     # each group enters its own digest and every wider one
@@ -288,6 +285,15 @@ def main() -> int:
             for digest in digests:
                 digest.update(line)
             counts[name] += 1
+    return iris, wide, shapes, counts
+
+
+def main() -> int:
+    if Path(swarmpnn.__file__).resolve().parent.parent != SRC:
+        print(f"swarmpnn imported from {swarmpnn.__file__}, not {SRC}",
+              file=sys.stderr)
+        return 2
+    iris, wide, shapes, counts = training_digests()
     print(f"{iris.hexdigest()}  ({counts['iris']} seeded iris results)")
     print(f"{wide.hexdigest()}  ({counts['iris']} iris, {counts['wide']} "
           f"wider training results, {counts['runs']} optimizer runs)")
