@@ -113,21 +113,25 @@ class Optimizer:
         raise NotImplementedError
 
     def _candidates(self, pop: Population):
-        # a generation starts even if the first evaluations spent the budget;
+        if self.halted:
+            return
+        self._attach(pop)
+        for i in range(pop.size):
+            if self.halted:
+                break
+            pop.fitness[i] = yield pop.positions[i]
+        # a generation starts even if the initial pass spent the budget;
         # a later run continues the PSO personal bests and bat count it sets
-        while not self.halted:
-            self._attach(pop)
-            for i in np.flatnonzero(np.isnan(pop.fitness)):
-                if self.halted:
-                    break
-                pop.fitness[i] = yield pop.positions[i]
+        while True:
             yield from self.generation(pop)
+            if self.halted:
+                return
 
     def run(self, pop: Population, objective, budget: FeBudget,
             target: float = 0.0) -> Population:
-        """Score the unset (NaN) members of ``pop``, then step generations
-        until the budget is spent or the best reaches ``target``. Only what
-        this optimizer's runs have scored enters its best-seen archive."""
+        """Score every member of ``pop`` once, then step generations until
+        the budget is spent or the best reaches ``target``. Only what this
+        optimizer's runs have scored enters its best-seen archive."""
         self._budget, self._target = budget, target
         candidates = self._candidates(pop)
         value = None

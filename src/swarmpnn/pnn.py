@@ -291,12 +291,10 @@ def apply_modification(model: PnnModel, cfg: ModificationConfig) -> PnnModel:
     return PnnModel(ds, model.smoothing, scales)
 
 
-# Every pair term 1/prod(1 + u^2)^2 is at most 1 and leaves the normal float
-# range only below about 2.2e-308, so a class sum of at least SAFE_SUM has
-# lost nothing that matters to underflow. A smaller sum is scored as if it
-# were SAFE_SUM, an upper bound on its true value, and its row is recomputed
-# exactly from the data: for a prediction when the row's best score comes
-# from such a sum, for density values whenever the row has one.
+# Every pair term 1/prod(1 + u^2)^2 is at most 1 and leaves the normal
+# float64 range only below about 2.2e-308, so a float64 class sum of at least
+# SAFE_SUM has lost nothing that matters to underflow. A smaller sum is
+# scored as if it were SAFE_SUM, an upper bound on its true value.
 SAFE_SUM = 1e-250
 # Pair terms per block of rows in the exact log-space path.
 _LOG_BLOCK = 1 << 16
@@ -378,11 +376,33 @@ class DensityEvaluator:
     sums of every tail, where a row's terms of one class lie in one run. A
     slot gets one head block and one tail run at most, each in row-major
     order, so every sum adds the same terms in the same order in either
-    layout. Rows with a class sum below :data:`SAFE_SUM` are recomputed in
-    log space from the data rows, so no row falls back to class 0 through
-    underflow. Every other evaluator lays out nothing and computes each row
-    in log space from the data rows. An evaluator keeps its layout and
-    per-call scratch arrays, so it must not be shared between threads.
+    layout. They only screen :meth:`predict`'s argmaxes: densities, rows the
+    screen leaves open and all rows of any other evaluator come from the
+    exact path, in log space from the data rows, so no row falls back to
+    class 0 through underflow. An evaluator keeps its layout and per-call
+    scratch arrays, so it must not be shared between threads.
+
+    A layout of at most :data:`_TILE` pairs is float64 with terms
+    1 / prod_f (1 + d_f^2 / h_f^2)^2 (K = 1); a row whose best sum is below
+    :data:`SAFE_SUM` is left open. A larger one is float32 while every d_f^2
+    < 2**100: d_f^2 is rounded from float64, the terms are (K / prod_f
+    (...))^2 with K = 2**63, at most 2**126, and their float64 sums are
+    divided by K^2, exactly. A row's argmax b is settled if its lower bound
+    log(sum_b (1 - delta) - P 2**-252) beats every other class's upper bound
+    log max(sum_c (1 + delta) + P 2**-252, SAFE_SUM), each less its log
+    count and log determinant; delta = 2 (10N + 8) u + P 2**-53, u = 2**-24.
+    Per Higham (Accuracy and Stability of Numerical Algorithms, 2002, sec.
+    3.1): rounding d_f^2 and 1 / h_f^2 to float32, their product and the
+    ``+ 1`` are 4 roundings per feature; the N - 1 products, the division
+    and the square, which doubles the rest, bound a term's relative error
+    by gamma = gamma_{10N+1}. While (10N + 8) u <= 1/4, 2 (10N + 8) u
+    exceeds gamma / (1 - gamma) by 14 u, which covers the float64 roundings
+    before the casts, in the logs and in a float64 layout's sums, and
+    subnormal operands (under 2**-50 per factor, as d_f^2 < 2**100 and
+    h_f >= BANDWIDTH_FLOOR); P 2**-53 bounds the float64 summation. A term
+    below 2**-252 (float32 subnormal or overflow) is off by at most
+    2**-252, hence the slack. A settled argmax is thus the exact one and
+    the one a float64 layout gives.
 
     ``pattern_scales`` (one positive s_p per pattern, default all one)
     divides each pattern's kernel argument by s_p and its kernel by
@@ -433,12 +453,17 @@ class DensityEvaluator:
         u, v, regions, runs = _loo_pairs(np.append(self._starts, len(order)),
                                          per_class=rows > 1)
         m = len(u)
-        self._d2 = np.empty((len(self._columns), m))
+        narrow = m > _TILE and np.ptp(self._columns, axis=1).max() < 2.0 ** 50
+        dtype = np.float32 if narrow else np.float64
+        self._k = 2.0 ** 63 if narrow else 1.0
+        self._d2 = np.empty((len(self._columns), m), dtype)
+        diff = np.empty(m)
         for f, column in enumerate(self._columns):
-            np.take(column, u, out=self._d2[f])
-            self._d2[f] -= column[v]
-        np.square(self._d2, out=self._d2)
-        self._terms, self._buf = np.empty(m), np.empty(min(m, _TILE))
+            np.take(column, u, out=diff)
+            diff -= column[v]
+            np.square(diff, out=self._d2[f])
+        self._terms = np.empty(m, dtype)
+        self._buf = np.empty(min(m, _TILE), dtype)
         self._tiles = [(first, last, [
             (max(start, first) - first, min(stop, last) - first, c)
             for c, (start, _, _, stop) in enumerate(regions)
@@ -458,7 +483,7 @@ class DensityEvaluator:
             for (start, _, head, stop), r, part in zip(regions, own, parts)]
 
     def _fill_terms(self, inv_h2) -> None:
-        """Each region's terms 1 / prod_f (1 + d_f^2 / h_f^2)^2 at its row:
+        """Terms (K / prod_f (1 + d_f^2 / h_f^2))^2 at each region's row:
         only the scaling runs per segment, at its row, the rest per tile."""
         rows = inv_h2.tolist()
         with np.errstate(over="ignore", under="ignore"):
@@ -472,7 +497,7 @@ class DensityEvaluator:
                     scaled += 1.0
                     if f:
                         out *= buf
-                np.reciprocal(out, out=out)
+                np.divide(self._k, out, out=out)
                 np.square(out, out=out)
 
     def _linear_sums(self, inv_h2) -> np.ndarray:
@@ -486,15 +511,13 @@ class DensityEvaluator:
             sums += np.bincount(slots, head, size)
             np.add.reduceat(terms, runs, out=run_sums)
         sums += np.bincount(self._run_slots, self._run_sums, size)
+        sums /= self._k ** 2  # a power of two: exact
         return sums.reshape(self.n_queries, -1)
 
-    def _log_scores(self, bandwidths, every_class) -> tuple:
+    def _log_scores(self, bandwidths, screen) -> tuple:
         """(Q, G) log densities, less N log(2/pi), and each row's argmax.
-
-        A leave-one-out row goes to the exact path when its best class sum,
-        or with ``every_class`` any of its class sums, is below SAFE_SUM;
-        every row of any other evaluator goes there.
-        """
+        With ``screen`` the linear sums settle the rows they can (see
+        :meth:`_unsettled`); the exact path computes the rest."""
         ds, grid = self.pattern_set, np.asarray(bandwidths, dtype=np.float64)
         if grid.ndim != 2 or not np.isfinite(grid).all():
             raise ValueError("bandwidths must be a finite 2-D grid")
@@ -504,15 +527,13 @@ class DensityEvaluator:
             h = np.broadcast_to(h, shape)
         inv_h2 = 1.0 / np.square(h)
         log_det = np.log(h).sum(axis=1)
-        if self.exclude_self:
+        if screen:
             sums = self._linear_sums(inv_h2)
             scores = np.log(np.maximum(sums, SAFE_SUM))
             scores -= self._log_counts
             scores -= log_det
             best = scores.argmax(axis=1)
-            exact = np.flatnonzero(
-                (sums < SAFE_SUM).any(axis=1) if every_class
-                else sums[np.arange(len(sums)), best] < SAFE_SUM)
+            exact = self._unsettled(sums, best, log_det)
         else:
             scores = np.empty(self._log_counts.shape)
             exact = np.arange(self.n_queries)
@@ -522,6 +543,24 @@ class DensityEvaluator:
                                     - self._log_counts[exact] - log_det)
             best[exact] = rows.argmax(axis=1)
         return scores, best
+
+    def _unsettled(self, sums, best, log_det) -> np.ndarray:
+        """Rows whose argmax ``best`` the linear sums leave open (see the
+        class docstring)."""
+        rows = np.arange(len(sums))
+        if self._d2.dtype == np.float64:
+            return np.flatnonzero(sums[rows, best] < SAFE_SUM)
+        n, p = self._columns.shape
+        delta = 2 * (10 * n + 8) * 2.0 ** -24 + p * 2.0 ** -53
+        slack = p * 2.0 ** -252
+        bounds = np.log(np.maximum(sums * (1 + delta) + slack, SAFE_SUM))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bounds[rows, best] = np.log(sums[rows, best] * (1 - delta) - slack)
+        bounds -= self._log_counts
+        bounds -= log_det
+        low = bounds[rows, best]
+        bounds[rows, best] = -np.inf
+        return np.flatnonzero(~(low > bounds.max(axis=1)))
 
     def _log_sums(self, queries, inv_h2) -> np.ndarray:
         """Log class sums of the kernel terms of ``queries``, from the data.
@@ -570,14 +609,14 @@ class DensityEvaluator:
 
     def class_densities(self, bandwidths) -> np.ndarray:
         """True (Q, G) density values for every query and class."""
-        scores, _ = self._log_scores(bandwidths, every_class=True)
+        scores, _ = self._log_scores(bandwidths, screen=False)
         scores += self.pattern_set.n_features * np.log(TWO_OVER_PI)
         with np.errstate(over="ignore", under="ignore"):
             return np.exp(scores, out=scores)
 
     def predict(self, bandwidths) -> np.ndarray:
         """Argmax class per query; ties resolve to the lowest index."""
-        return self._log_scores(bandwidths, every_class=False)[1]
+        return self._log_scores(bandwidths, screen=self.exclude_self)[1]
 
     def error_rate(self, bandwidths, labels) -> float:
         """Fraction of queries whose argmax class differs from ``labels``."""

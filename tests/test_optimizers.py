@@ -177,6 +177,20 @@ class TestEveryMethod:
         with pytest.raises(ValueError, match=f"returned {value}"):
             opt.run(pop, lambda x: value, FeBudget(cap=100), target=0.0)
 
+    def test_prefilled_fitness_is_scored_again(self, method):
+        # fitness a caller wrote before run is replaced: the initial pass
+        # scores every member once, in order, and each enters the archive
+        pop = fresh_population(np.random.default_rng(16), size=5)
+        members = pop.positions.copy()
+        pop.fitness[:] = 1.0
+        opt = make_optimizer(method, pop.positions.shape[1], (0.0, 100.0), 1)
+        seen = []
+        opt.run(pop, lambda x: seen.append(np.array(x)) or sphere(x),
+                FeBudget(50), target=-1.0)
+        np.testing.assert_array_equal(seen[:5], members)
+        assert len(seen) == 50
+        assert opt.best_fitness == min(sphere(x) for x in seen)
+
 
 class TestStepContracts:
     def test_pso_converges_on_sphere(self):

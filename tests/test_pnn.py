@@ -631,7 +631,10 @@ class TestLeaveOneOutLayouts:
                                               fresh.class_densities(sm))
 
     # Tiles of 7 and 64 pairs cut blocks and regions mid-way, and in the
-    # G-row layout one tile holds parts of two or three regions.
+    # G-row layout one tile holds parts of two or three regions. A layout
+    # of more pairs than a tile holds float32 terms: its densities still
+    # come from the exact path, and its screened error rates equal the
+    # float64 layout's and the oracle's.
     @pytest.mark.parametrize("tile", [7, 64])
     @pytest.mark.parametrize("sizes", [(9, 7, 5, 4, 2, 1), (1, 5, 3)])
     def test_small_tiles_change_no_bit(self, monkeypatch, sizes, tile):
@@ -642,12 +645,94 @@ class TestLeaveOneOutLayouts:
         default = DensityEvaluator(ds, ds.features, exclude_self=True)
         want = [(default.class_densities(sm), default.error_rate(sm, ds.labels))
                 for sm in smoothings]
+        assert default._d2.dtype == np.float64
         monkeypatch.setattr(pnn, "_TILE", tile)
         ev = DensityEvaluator(ds, ds.features, exclude_self=True)
         for sm, (densities, error) in zip(smoothings, want):
             np.testing.assert_array_equal(ev.class_densities(sm), densities)
             assert ev.error_rate(sm, ds.labels) == error
+            assert error == oracle_error_rate(ds, sm)
             assert_loo_matches_oracle(ev, ds, sm, range(ds.n_samples))
+            assert ev._d2.dtype == (np.float32 if len(ev._terms) > tile
+                                    else np.float64)
+        if sizes == (9, 7, 5, 4, 2, 1):
+            assert ev._d2.dtype == np.float32
+
+    def test_near_tie_is_deferred_to_the_exact_path(self, monkeypatch):
+        # row 0 has one pattern of each class at distance 1. At these
+        # per-class bandwidths class 0 leads by 1e-11 in log density, but
+        # rounding 1 / h^2 to float32 puts class 1 ahead by 8e-8, inside the
+        # screen's bound: only that row goes to the exact path
+        monkeypatch.setattr(pnn, "_TILE", 2)
+        deferred = count_exact_rows(monkeypatch)
+        ds = Dataset([[0.0], [1.0], [-1.0]], [0, 0, 1])
+        sm = Smoothing("per_class", [1.5092068209881788, 2.001])
+        ev = DensityEvaluator(ds, ds.features, exclude_self=True)
+        predicted = ev.predict(sm)
+        assert ev._d2.dtype == np.float32
+        assert predicted.tolist() == [0, 0, 0] and deferred == [0]
+        assert_oracle_argmax(predicted, ds, sm, ds.features, True)
+
+    def test_sums_below_float32_range_take_the_exact_path(self, monkeypatch):
+        # raw-scale points on the diagonal of 4 features at h = 1: row 0's
+        # class-0 term is 2**-255.5 and its class-1 term 2**-256.2, so class
+        # 1 leads, as class 0 also counts a far pattern. Scaled by K^2 the
+        # first is a float32 subnormal, and for the second the product
+        # overflows: the float32 sums put class 0 ahead, but its sum lies
+        # inside the slack and the row goes to the exact path. A float64
+        # layout settles the row from its linear sums.
+        def at(log2_term):
+            return math.sqrt(2.0 ** (-log2_term / 8) - 1.0)
+
+        ds = Dataset(np.outer([0.0, at(-255.5), 10 * at(-255.5),
+                               -at(-256.2)], np.ones(4)), [0, 0, 0, 1])
+        sm = Smoothing("scalar", 1.0)
+        deferred = count_exact_rows(monkeypatch)
+        default = DensityEvaluator(ds, ds.features, exclude_self=True)
+        assert default.predict(sm)[0] == 1 and deferred == []
+        monkeypatch.setattr(pnn, "_TILE", 4)
+        ev = DensityEvaluator(ds, ds.features, exclude_self=True)
+        predicted = ev.predict(sm)
+        assert ev._d2.dtype == np.float32
+        assert predicted[0] == 1 and 0 in deferred
+        assert ev.error_rate(sm, ds.labels) == oracle_error_rate(ds, sm)
+        assert_oracle_argmax(predicted, ds, sm, ds.features, True)
+
+
+    def test_spread_past_float32_keeps_float64(self, monkeypatch):
+        # class 1 leads at row 0, 0.047 to 0.028 per pattern, but its
+        # squared difference, 3.6e38, passes float32's range: in float32 its
+        # term would drop to 0 and leave class 0 certified ahead, so this
+        # layout stays float64
+        monkeypatch.setattr(pnn, "_TILE", 2)
+        ds = Dataset([[0.0], [1.8e19], [-1e21], [-1.9e19]], [0, 0, 0, 1])
+        sm = Smoothing("scalar", 1e19)
+        ev = DensityEvaluator(ds, ds.features, exclude_self=True)
+        predicted = ev.predict(sm)
+        assert ev._d2.dtype == np.float64 and predicted[0] == 1
+        assert_oracle_argmax(predicted, ds, sm, ds.features, True)
+
+
+def count_exact_rows(monkeypatch):
+    """The query rows every later call sends to the exact path."""
+    rows, log_sums = [], DensityEvaluator._log_sums
+
+    def counted(self, queries, inv_h2):
+        rows.extend(queries.tolist())
+        return log_sums(self, queries, inv_h2)
+
+    monkeypatch.setattr(DensityEvaluator, "_log_sums", counted)
+    return rows
+
+
+def oracle_error_rate(ds, sm):
+    """Leave-one-out error rate of the oracle's argmax."""
+    features, labels = ds.features.tolist(), ds.labels.tolist()
+    rows = np.broadcast_to(sm.grid, (ds.n_classes, ds.n_features)).tolist()
+    wrong = sum(int(np.argmax(oracles.log_class_densities(
+        features, labels, rows, x, ds.n_classes, exclude=q))) != labels[q]
+        for q, x in enumerate(features))
+    return wrong / ds.n_samples
 
 
 @settings(max_examples=40, deadline=None)

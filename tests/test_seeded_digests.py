@@ -1,7 +1,7 @@
 """The third, fourth and fifth digests of ``tools/seeded_hash.py``: every
 training result and direct optimizer run, the bytes of the leave-one-out
-class densities, and every file the command line writes, including a
-registry dataset loaded into its cache."""
+class densities and error rates, and every file the command line writes,
+including a registry dataset loaded into its cache."""
 
 import os
 import subprocess
@@ -30,8 +30,8 @@ print(seeded_hash.training_digests()[2].hexdigest())
 
 TRAINING = ("d1417cb14aadc7de3c61df2d6c77ed54f1f9634b9ebf3ef80275292a2c01"
             "5531")
-LOO_DENSITIES = ("0116c7cd28ebf77ef9fd24cf0467ff2ef20ab485ccf400786c55c77c"
-                 "b78d6af7")
+LOO_DENSITIES = ("b85ef76cbe8e0aebd07c802e389b48a1b3996f84db11f56c8698e32f"
+                 "1177ae41")
 CLI_OUTPUTS = ("a36c5f5c154eea77726f8d5067411b38c92d221deb65f58d5288252c0e9"
                "dedad")
 

@@ -1,6 +1,7 @@
 """Per-shape A/B timing of the leave-one-out engine of two checkouts.
 
     python tools/loo_ab.py OTHER_CHECKOUT [--shapes iris,glass] [--blocks 11]
+                           [--record FILE]
 
 It imports the ``swarmpnn`` package of OTHER_CHECKOUT and, twice, that of
 this checkout, under three names in one process; the second import of this
@@ -10,21 +11,32 @@ class balance and feature count (``REGISTRY``'s ``expected_balance`` and
 ``expected_features``) and keeps the training split of ``stratified_split``
 at test fraction 0.2. For each smoothing kind it asserts, on 10 seeded
 candidate bandwidth vectors, that every side's leave-one-out
-``DensityEvaluator.class_densities`` are bit-equal and that every side's
-``hybrid.loo_objective`` gives equal error rates. It then times, in CPU
-time, rotating blocks of ``class_densities`` calls (the class sums) and of
-whole objective calls, which take the flat optimizer vector. An objective
-remembers the vectors it has scored, so each of its timed calls scores a
-vector that objective has not seen: the k-th pass over the 10 candidates
-scales them by 1 + k * 2**-20. Each block builds every side's evaluator or
-objective anew, and the side that is built and timed first rotates from
-block to block. It prints, per shape and kind and for each of the two, the
-median microseconds per call of this side and of OTHER, their ratio (OTHER /
-this, so above 1 means this checkout is faster) and the number of blocks
-this checkout won, then the same ratio and win count against the control.
-The control columns read about 1 and about half the blocks won, give or
-take the host's noise in that run, so each A/B ratio is read against the
-control ratio beside it.
+``DensityEvaluator.class_densities`` agree with this side's, bit for bit
+for the control and within a relative 1e-12 for OTHER (whose densities may
+come from another path), and that every side's ``hybrid.loo_objective``
+gives the same error rates, exactly. It then times, in CPU time, rotating
+blocks of ``class_densities`` calls (which a leave-one-out evaluator
+computes on the exact log-space path) and of whole objective calls, which
+take the flat optimizer vector and screen argmaxes on the linear class
+sums. An objective remembers the vectors it has scored, so each of its
+timed calls scores a vector that objective has not seen: the k-th pass over
+the 10 candidates scales them by 1 + k * 2**-20. Each block builds every
+side's evaluator or objective anew, and the side that is built and timed
+first rotates from block to block. It prints, per shape and kind and for
+each of the two, the median microseconds per call of this side and of
+OTHER, their ratio (OTHER / this, so above 1 means this checkout is faster)
+and the number of blocks this checkout won, then the same ratio and win
+count against the control. The control columns read about 1 and about half
+the blocks won, give or take the host's noise in that run, so each A/B
+ratio is read against the control ratio beside it. Each row also gives the
+dtype of this side's pair layout for that kind.
+
+``--record FILE`` also writes the rows as JSON, with this side's pair
+layout bytes per shape and kind, the git SHA of each checkout, the Python
+and numpy versions, the CPU count and, per kind and side, a full-grid
+estimate in CPU-hours: the side's ``call_us`` times 25,000 calls (one
+published-budget training run) times 60 runs (6 methods, 10 runs each),
+summed over the shapes run.
 
 Each block runs about 0.1 s of calls per side. The host drifts, so only
 figures from one run of the tool compare with each other.
@@ -34,7 +46,11 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
+import os
+import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -50,6 +66,8 @@ from swarmpnn.pnn import Dataset  # noqa: E402
 KINDS = ("per_feature", "per_class_feature")
 CANDIDATES = 10
 BLOCK_SECONDS = 0.1
+# a full grid: 25,000 objective calls per run, 6 methods x 10 runs
+GRID_CALLS = 25_000 * 60
 
 
 def load_package(checkout: Path, name: str):
@@ -125,9 +143,10 @@ def race(make, sides, blocks):
 
 
 def compare(sides, features, labels, kind, blocks):
-    """Check that every side gives the first side's class densities, bit
-    for bit, and its error rates, then time ``class_densities`` and whole
-    objective calls; returns :func:`race`'s figures for each."""
+    """Check that every side gives the first side's class densities (the
+    second within a relative 1e-12, the control bit for bit) and its error
+    rates, then time ``class_densities`` and whole objective calls; returns
+    :func:`race`'s figures for each and the first side's pair layout."""
     g, n = int(labels.max()) + 1, features.shape[1]
     values = candidates(kind, g, n)
     smoothings = [[pkg.Smoothing(kind, v) for v in values] for pkg in sides]
@@ -145,10 +164,10 @@ def compare(sides, features, labels, kind, blocks):
         vectors = distinct_vectors(values, calls)
         return lambda i: call(vectors[i])
 
-    for side in range(1, len(sides)):
+    for side, rtol in ((1, 1e-12), (2, 0.0)):
         mine, theirs = densities(0), densities(side)
         for i in range(CANDIDATES):
-            if not np.array_equal(mine(i), theirs(i)):
+            if not np.allclose(theirs(i), mine(i), rtol=rtol, atol=0.0):
                 raise SystemExit(f"class densities differ for {kind} "
                                  f"candidate {i}")
         mine, theirs = objective(0), objective(side)
@@ -156,8 +175,19 @@ def compare(sides, features, labels, kind, blocks):
             if mine(i) != theirs(i):
                 raise SystemExit(f"error rates differ for {kind} "
                                  f"candidate {i}")
+    evaluator = sides[0].DensityEvaluator(sides[0].Dataset(features, labels),
+                                          features, exclude_self=True)
+    evaluator.error_rate(smoothings[0][0], labels)  # lays out the pairs
+    layout = (evaluator._d2.dtype.name, sum(
+        a.nbytes for a in (evaluator._d2, evaluator._terms, evaluator._buf)))
     return (race(densities, len(sides), blocks),
-            race(objective, len(sides), blocks))
+            race(objective, len(sides), blocks), layout)
+
+
+def git_sha(checkout: Path):
+    run = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                         capture_output=True, text=True)
+    return run.stdout.strip() or None
 
 
 def main(argv=None) -> int:
@@ -168,6 +198,8 @@ def main(argv=None) -> int:
                         help="comma-separated registry dataset names "
                              "(default: all)")
     parser.add_argument("--blocks", type=int, default=11)
+    parser.add_argument("--record", type=Path,
+                        help="also write the rows and provenance as JSON")
     args = parser.parse_args(argv)
     sides = (load_package(ROOT, "swarmpnn_this"),
              load_package(args.other, "swarmpnn_other"),
@@ -177,19 +209,42 @@ def main(argv=None) -> int:
     columns = "".join(f"{c:>11}{'other_us':>11}{'ratio':>8}{'wins':>7}"
                       f"{'control':>8}{'wins':>7}"
                       for c in ("sums_us", "call_us"))
-    print(f"{'shape':<10}{'kind':<19}{'P':>6}{'G':>3}{'N':>4}{columns}")
+    print(f"{'shape':<10}{'kind':<19}{'P':>6}{'G':>3}{'N':>4}{'dtype':>9}"
+          f"{columns}")
+    rows = []
     for shape in args.shapes.split(","):
         features, labels = train_set(shape)
         for kind in KINDS:
-            timings = compare(sides, features, labels, kind, args.blocks)
-            row = "".join(
-                f"{mine:>11.1f}{theirs:>11.1f}{theirs / mine:>8.2f}"
-                f"{wins:>4}/{args.blocks}{control / mine:>8.2f}"
-                f"{control_wins:>4}/{args.blocks}"
-                for (mine, theirs, control), (wins, control_wins) in timings)
+            *timings, (dtype, pair_bytes) = compare(sides, features, labels,
+                                                    kind, args.blocks)
+            record = {"shape": shape, "kind": kind, "P": len(labels),
+                      "G": int(labels.max()) + 1, "N": features.shape[1],
+                      "dtype": dtype, "pair_bytes": pair_bytes}
+            row = ""
+            for name, ((mine, theirs, control), (wins, control_wins)) in zip(
+                    ("sums_us", "call_us"), timings):
+                row += (f"{mine:>11.1f}{theirs:>11.1f}{theirs / mine:>8.2f}"
+                        f"{wins:>4}/{args.blocks}{control / mine:>8.2f}"
+                        f"{control_wins:>4}/{args.blocks}")
+                record.update({
+                    f"{name}_this": mine, f"{name}_other": theirs,
+                    f"{name}_control": control,
+                    f"{name}_ratio": theirs / mine, f"{name}_wins": wins,
+                    f"{name}_control_ratio": control / mine,
+                    f"{name}_control_wins": control_wins})
             print(f"{shape:<10}{kind:<19}{len(labels):>6}"
-                  f"{labels.max() + 1:>3}{features.shape[1]:>4}{row}",
-                  flush=True)
+                  f"{labels.max() + 1:>3}{features.shape[1]:>4}{dtype:>9}"
+                  f"{row}", flush=True)
+            rows.append(record)
+    if args.record:
+        hours = {kind: {side: sum(r[f"call_us_{side}"] for r in rows
+                                  if r["kind"] == kind) * GRID_CALLS / 3.6e9
+                        for side in ("this", "other")} for kind in KINDS}
+        args.record.write_text(json.dumps({
+            "sha": {"this": git_sha(ROOT), "other": git_sha(args.other)},
+            "python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count(), "blocks": args.blocks,
+            "grid_cpu_hours": hours, "rows": rows}, indent=1) + "\n")
     return 0
 
 

@@ -38,13 +38,17 @@ on two seeded Gaussian sets generated here, one banknote-like (762 and 610
 rows, 4 features) and one ecoli-like (143, 77, 52, 35, 20 and 5 rows, 7
 features).
 
-Training results rarely move with a last-bit change in the class sums, so
-the fourth digest hashes the sums themselves: the bytes of the leave-one-out
-``class_densities`` of ``Smoothing(kind, values)`` for 10 seeded candidates
-per smoothing kind, drawn log-uniformly from 1e-2 to 1e3 so that rows take
-both the linear and the exact log-space path, each kind on a fresh
-evaluator, on the training splits of iris, ``glass-shape``, ``wide-raw`` and
-the banknote-like and ecoli-like sets.
+Training results rarely move with a last-bit change in the engine, so the
+fourth digest hashes what it computes for each candidate: the bytes of the
+leave-one-out ``class_densities`` of ``Smoothing(kind, values)``, then those
+of its leave-one-out ``error_rate``, for 10 seeded candidates per smoothing
+kind, drawn log-uniformly from 1e-2 to 1e3, each kind on a fresh evaluator,
+on the training splits of iris, ``glass-shape``, ``wide-raw`` and the
+banknote-like and ecoli-like sets. The densities come from the exact
+log-space path. The error rates pin the argmaxes that the linear sums
+settle: in float64 at the three small sets, in certified float32 at the
+multi-tile ``wide-raw`` and banknote-like layouts, and in either case with
+rows sent on to the exact path, since the candidates span both regimes.
 
 Each result enters the first three hashes as sorted JSON; Python writes
 floats in their shortest round-trip form.
@@ -182,7 +186,8 @@ def shape_results():
 
 
 def loo_densities():
-    """Bytes of leave-one-out class densities, per set, kind and candidate."""
+    """Bytes of leave-one-out class densities and error rate, per set,
+    kind and candidate."""
     sets = [_iris(), Dataset(*synthetic("glass-shape", 0)), *_shape_sets()]
     for index, ds in enumerate(sets):
         train, _ = stratified_split(ds, SplitSpec(0.2, seed=0))
@@ -194,8 +199,9 @@ def loo_densities():
                                          exclude_self=True)
             for _ in range(CANDIDATES):
                 values = np.exp(rng.uniform(np.log(1e-2), np.log(1e3), shape))
-                yield evaluator.class_densities(
-                    Smoothing(kind, values)).tobytes()
+                sm = Smoothing(kind, values)
+                yield (evaluator.class_densities(sm).tobytes() + np.float64(
+                    evaluator.error_rate(sm, train.labels)).tobytes())
 
 
 def _quadratic(x):
@@ -303,7 +309,8 @@ def main() -> int:
     for count, densities in enumerate(loo_densities(), 1):
         sums.update(densities)
     print(f"{sums.hexdigest()}  ({count} leave-one-out class density arrays "
-          f"at the iris, glass, wide-raw, banknote and ecoli shapes)")
+          f"and error rates at the iris, glass, wide-raw, banknote and ecoli "
+          f"shapes)")
     outputs = hashlib.sha256()
     for count, output in enumerate(cli_outputs(), 1):
         outputs.update(output)
