@@ -16,7 +16,9 @@ or when the per-iteration check on the held-out split reaches it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -72,6 +74,13 @@ class HybridConfig:
             raise ValueError("methods must not repeat")
         if self.probing_multiplier < 1 or self.fit_multiplier < 1:
             raise ValueError("multipliers must be >= 1")
+        for key, values in (("fitness_threshold", [self.fitness_threshold]),
+                            ("bounds", self.bounds),
+                            ("init_range", self.init_range)):
+            if not all(isinstance(v, Real) and math.isfinite(v)
+                       for v in values):
+                raise ValueError(f"{key}: expected finite numbers, "
+                                 f"got {getattr(self, key)!r}")
         lo, hi = self.bounds
         if not lo < hi:
             raise ValueError("bounds must be increasing")
@@ -138,7 +147,6 @@ class ProbeOutcome:
     winner_population: Population
     optimizers: dict  # every probe optimizer, in run order
     tied: list
-    converged: bool
 
 
 def _fold_best(best, optimizers):
@@ -160,13 +168,12 @@ def probe_phase(positions, cfg: HybridConfig, objective, eval_cost: int,
     """
     scores, evals = {}, {}
     pops, opts = {}, {}
-    converged = False
     for index, method in enumerate(cfg.methods):
         opt = make_optimizer(
             method, positions.shape[1], cfg.bounds,
             np.random.SeedSequence([cfg.seed, _TAG_PROBE, iteration, index]),
             params=cfg.params_for(method))
-        pop = Population(positions.copy())
+        pop = Population(positions)
         budget = FeBudget(cfg.probe_cap(eval_cost), eval_cost)
         opt.run(pop, objective, budget, target=cfg.fitness_threshold)
         scores[method] = opt.best_fitness
@@ -178,7 +185,6 @@ def probe_phase(positions, cfg: HybridConfig, objective, eval_cost: int,
                 iteration=iteration, method=method, score=opt.best_fitness,
                 evals=budget.used, fingerprint=pop.fingerprint()))
         if opt.best_fitness <= cfg.fitness_threshold:
-            converged = True
             break
 
     minimum = min(scores.values())
@@ -188,8 +194,7 @@ def probe_phase(positions, cfg: HybridConfig, objective, eval_cost: int,
         tie_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _TAG_TIE, iteration]))
         winner = tied[int(tie_rng.integers(len(tied)))]
-    return ProbeOutcome(scores, evals, winner, pops[winner], opts, tied,
-                        converged)
+    return ProbeOutcome(scores, evals, winner, pops[winner], opts, tied)
 
 
 def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
@@ -210,13 +215,14 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
         probe = probe_phase(positions, cfg, objective, eval_cost, iteration,
                             observer=observer)
         best = _fold_best(best, probe.optimizers.values())
+        # only the probe that ends the loop can converge; it skips the fit
+        fitness, fit_evals = probe.scores[probe.winner], 0
+        probe_converged = fitness <= cfg.fitness_threshold
         if observer is not None:
             observer("select", dict(
                 iteration=iteration, method=probe.winner, tied=probe.tied,
-                converged=probe.converged))
-        # a converged probe skips the fit; its best is already at threshold
-        fitness, fit_evals = probe.scores[probe.winner], 0
-        if not probe.converged:
+                converged=probe_converged))
+        if not probe_converged:
             fit_pop = Population(probe.winner_population.positions)
             if observer is not None:
                 observer("fit_start", dict(
@@ -232,7 +238,7 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
                 observer("fit_end", dict(
                     iteration=iteration, method=probe.winner,
                     fitness=fitness, evals=fit_evals))
-            positions = fit_pop.positions.copy()
+            positions = fit_pop.positions
         trace.append(IterationRecord(
             iteration, probe.scores, probe.evals, probe.winner,
             len(probe.tied) > 1, fitness, fit_evals, best[0]))

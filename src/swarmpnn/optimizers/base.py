@@ -61,8 +61,9 @@ class Population:
 
     def __init__(self, positions):
         self.positions = np.array(positions, dtype=np.float64)
-        if self.positions.ndim != 2:
-            raise ValueError("positions must be (n, d)")
+        # a run over no members could never halt
+        if self.positions.ndim != 2 or len(self.positions) == 0:
+            raise ValueError("positions must be (n, d) with n >= 1")
         self.fitness = np.full(len(self.positions), np.nan)
 
     @property
@@ -82,8 +83,9 @@ class Optimizer:
     position it wants scored and receives its fitness back
     (``value = yield candidate``); method state such as velocities stays on
     the instance. :meth:`run` is the one driver: only it calls the objective,
-    charges the budget and keeps the best-seen archive. A generation checks
-    :attr:`halted` before each member's random draws and position writes.
+    charges the budget, keeps the best-seen archive and calls :meth:`_attach`.
+    A generation sweeps its members through :meth:`_members`, which stops
+    before any draw or position write once the run has halted.
     """
 
     name = "base"
@@ -96,6 +98,7 @@ class Optimizer:
         self.rng = np.random.default_rng(seed)
         self.best_position = None
         self.best_fitness = np.inf
+        self._attached_size = None
 
     def reflect(self, position) -> np.ndarray:
         return reflect(position, self.lower, self.upper)
@@ -106,7 +109,15 @@ class Optimizer:
         return self._budget.exhausted or self.best_fitness <= self._target
 
     def _attach(self, pop: Population) -> None:
-        """Size per-member state to ``pop``; kept across runs of one size."""
+        """Initialise per-member state for ``pop``; the driver calls it only
+        when the population size changes, so runs of one size keep it."""
+
+    def _members(self, pop: Population):
+        """Member indices of ``pop`` in order, until the run halts."""
+        for i in range(pop.size):
+            if self.halted:
+                return
+            yield i
 
     def generation(self, pop: Population):
         """Advance ``pop`` one generation in place, yielding each candidate."""
@@ -115,10 +126,10 @@ class Optimizer:
     def _candidates(self, pop: Population):
         if self.halted:
             return
-        self._attach(pop)
-        for i in range(pop.size):
-            if self.halted:
-                break
+        if pop.size != self._attached_size:
+            self._attach(pop)
+            self._attached_size = pop.size
+        for i in self._members(pop):
             pop.fitness[i] = yield pop.positions[i]
         # a generation starts even if the initial pass spent the budget;
         # a later run continues the PSO personal bests and bat count it sets

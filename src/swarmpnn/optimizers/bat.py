@@ -19,25 +19,18 @@ class BatSearch(Optimizer):
         self.gamma = float(gamma)
         self.min_f = float(min_f)
         self.max_f = float(max_f)
-        self._velocities = None
-        self._loudness = None
-        self._pulse0 = None
-        self._pulse = None
         self._generation = 0
 
     def _attach(self, pop: Population) -> None:
-        if self._velocities is None or len(self._velocities) != pop.size:
-            self._velocities = np.zeros_like(pop.positions)
-            self._loudness = np.full(pop.size, self.initial_loudness)
-            self._pulse0 = self.rng.uniform(size=pop.size)
-            self._pulse = self._pulse0.copy()
+        self._velocities = np.zeros_like(pop.positions)
+        self._loudness = np.full(pop.size, self.initial_loudness)
+        self._pulse0 = self.rng.uniform(size=pop.size)
+        self._pulse = self._pulse0.copy()
 
     def generation(self, pop: Population):
         self._generation += 1
         mean_loudness = float(self._loudness.mean())
-        for i in range(pop.size):
-            if self.halted:
-                return
+        for i in self._members(pop):
             beta = self.rng.uniform()
             freq = self.min_f + (self.max_f - self.min_f) * beta
             self._velocities[i] += (pop.positions[i] - self.best_position) * freq

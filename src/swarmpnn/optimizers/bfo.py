@@ -30,13 +30,11 @@ class BacterialForaging(Optimizer):
         self.w_a = float(w_a)
         self.h_r = float(h_r)
         self.w_r = float(w_r)
-        self._health = None
         self._chem = 0
         self._repro = 0
 
     def _attach(self, pop: Population) -> None:
-        if self._health is None or len(self._health) != pop.size:
-            self._health = np.zeros(pop.size)
+        self._health = np.zeros(pop.size)
 
     def _swarming(self, position, pop: Population) -> float:
         d2 = np.sum((pop.positions - position) ** 2, axis=1)
@@ -52,9 +50,7 @@ class BacterialForaging(Optimizer):
         return delta / norm
 
     def _chemotaxis_sweep(self, pop: Population):
-        for i in range(pop.size):
-            if self.halted:
-                return
+        for i in self._members(pop):
             j_last = pop.fitness[i] + self._swarming(pop.positions[i], pop)
             self._health[i] += j_last
             direction = self._tumble_direction()
@@ -83,9 +79,7 @@ class BacterialForaging(Optimizer):
         self._health[:] = 0.0
 
     def _disperse(self, pop: Population):
-        for i in range(pop.size):
-            if self.halted:
-                return
+        for i in self._members(pop):
             if self.rng.uniform() < self.p_ed:
                 pop.positions[i] = self.rng.uniform(self.lower, self.upper,
                                                     size=self.dim)

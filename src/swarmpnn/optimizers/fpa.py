@@ -33,9 +33,7 @@ class FlowerPollination(Optimizer):
         return u / np.abs(v) ** (1.0 / LEVY_BETA)
 
     def generation(self, pop: Population):
-        for i in range(pop.size):
-            if self.halted:
-                return
+        for i in self._members(pop):
             if self.rng.uniform() < self.switch_p:
                 steps = self._levy_steps()
                 candidate = pop.positions[i] + steps * (

@@ -19,15 +19,11 @@ class ParticleSwarm(Optimizer):
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.adjust_omega = bool(adjust_omega)
-        self._velocities = None
-        self._pbest = None
-        self._pbest_fit = None
 
     def _attach(self, pop: Population) -> None:
-        if self._velocities is None or len(self._velocities) != pop.size:
-            self._velocities = np.zeros_like(pop.positions)
-            self._pbest = pop.positions.copy()
-            self._pbest_fit = np.full(pop.size, np.inf)
+        self._velocities = np.zeros_like(pop.positions)
+        self._pbest = pop.positions.copy()
+        self._pbest_fit = np.full(pop.size, np.inf)
 
     def _current_omega(self) -> float:
         # run starts no generation at a cap <= 0; an infinite cap gives 0
@@ -41,9 +37,7 @@ class ParticleSwarm(Optimizer):
         self._pbest[improved] = pop.positions[improved]
         self._pbest_fit[improved] = pop.fitness[improved]
         omega = self._current_omega()
-        for i in range(pop.size):
-            if self.halted:
-                return
+        for i in self._members(pop):
             r1 = self.rng.uniform(size=self.dim)
             r2 = self.rng.uniform(size=self.dim)
             self._velocities[i] = (

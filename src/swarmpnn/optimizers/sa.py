@@ -22,9 +22,7 @@ class SimulatedAnnealing(Optimizer):
 
     def generation(self, pop: Population):
         sigma = self.d * (self.upper - self.lower)
-        for i in range(pop.size):
-            if self.halted:
-                return
+        for i in self._members(pop):
             proposal = self.reflect(
                 pop.positions[i] + self.rng.normal(0.0, sigma, size=self.dim))
             value = yield proposal
@@ -32,7 +30,8 @@ class SimulatedAnnealing(Optimizer):
             if delta <= 0.0 or self.rng.uniform() < np.exp(-delta / self.temperature):
                 pop.positions[i] = proposal
                 pop.fitness[i] = value
-        self.temperature *= self.alpha
-        if self.temperature < self.s_t:
-            # restart the cooling schedule while budget remains
-            self.temperature = self.initial_temperature
+            if i == pop.size - 1:  # only a complete sweep cools
+                self.temperature *= self.alpha
+                if self.temperature < self.s_t:
+                    # restart the cooling schedule while budget remains
+                    self.temperature = self.initial_temperature

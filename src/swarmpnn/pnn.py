@@ -19,6 +19,8 @@ TWO_OVER_PI = 2.0 / np.pi
 # vectors produced by the optimizers may sit exactly on the lower bound 0.
 BANDWIDTH_FLOOR = 1e-12
 
+DENSITY_FLOOR = 1e-300  # clamps own-class densities before their logarithm
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     """A C-contiguous read-only copy: the caller's array stays writable."""
@@ -176,13 +178,10 @@ class ModificationConfig:
     """Intensity of the per-pattern scale adjustment; 0 disables it."""
 
     intensity: float = 0.0
-    density_floor: float = 1e-300
 
     def __post_init__(self):
         if not 0 <= self.intensity < math.inf:
             raise ValueError("intensity must be finite and nonnegative")
-        if not 0 < self.density_floor < math.inf:
-            raise ValueError("density_floor must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -275,7 +274,7 @@ def apply_modification(model: PnnModel, cfg: ModificationConfig) -> PnnModel:
     Each pattern's own-class density (at unit scales, its own pattern
     included) is compared with the geometric mean over all patterns; dense
     regions get scales below one, sparse regions above. Densities are
-    clamped to ``cfg.density_floor`` before the logarithm and the geometric
+    clamped to ``DENSITY_FLOOR`` before the logarithm and the geometric
     mean is computed as the mean of logarithms. With intensity 0 all scales
     are exactly one.
     """
@@ -286,7 +285,7 @@ def apply_modification(model: PnnModel, cfg: ModificationConfig) -> PnnModel:
         return PnnModel(ds, model.smoothing, np.ones(ds.n_samples))
     densities = DensityEvaluator(ds, ds.features).class_densities(
         model.smoothing)[np.arange(ds.n_samples), ds.labels]
-    logs = np.log(np.maximum(densities, cfg.density_floor))
+    logs = np.log(np.maximum(densities, DENSITY_FLOOR))
     scales = np.exp(-cfg.intensity * (logs - logs.mean()))
     return PnnModel(ds, model.smoothing, scales)
 

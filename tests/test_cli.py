@@ -374,6 +374,18 @@ class TestBenchmarkCommand:
         ({"paths": {"toy": "missing/toy.csv"}}, "missing/toy.csv"),
         ({"datasets": ["iris"], "split": {"test_fraction": 0.001}},
          "test_fraction 0.001 of 150 rows leaves an empty test split"),
+        ({"hybrid": {"bounds": [0, 1e400]}},
+         r"bounds: expected finite numbers, got \(0, inf\)"),
+        ({"hybrid": {"fitness_threshold": "0.1"}},
+         "fitness_threshold: expected finite numbers, got '0.1'"),
+        ({"hybrid": {"init_range": [0, float("nan")]}},
+         r"init_range: expected finite numbers, got \(0, nan\)"),
+        ({"pso": {"c2": 1e400}},
+         "bad parameters for pso: c2 must be a finite number, got inf"),
+        ({"bat": {"max_f": float("nan")}},
+         "bad parameters for bat: max_f must be a finite number, got nan"),
+        ({"bfo": {"n_c": 1e400}},
+         "bad parameters for bfo: n_c must be a finite number, got inf"),
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
             "split-unknown-key", "split-seed", "zscore-string", "zscore-int",
@@ -381,7 +393,9 @@ class TestBenchmarkCommand:
             "hybrid-iterations-float", "datasets-string", "methods-string",
             "unknown-dataset", "unknown-method", "method-unknown-key",
             "repeated-dataset", "repeated-method", "unfetchable-dataset",
-            "unreadable-path", "unmakeable-split"])
+            "unreadable-path", "unmakeable-split", "bounds-infinite",
+            "threshold-string", "init-range-nan", "pso-param-infinite",
+            "bat-param-nan", "bfo-param-infinite"])
     def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
                                                monkeypatch, overrides, message):
         monkeypatch.setattr(datasets, "_default_opener", offline)

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,3 +244,51 @@ class TestStepContracts:
     def test_budget_rejects_bad_cost(self):
         with pytest.raises(ValueError):
             FeBudget(10, eval_cost=0)
+
+    def test_empty_population_is_rejected(self):
+        # a run over no members never halts, so bound the test by an alarm
+        def hung(signum, frame):
+            raise TimeoutError("run did not return")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match="n >= 1"):
+                make_optimizer("pso", 2, (0.0, 10.0), 0).run(
+                    Population(np.empty((0, 2))), sphere, FeBudget(100))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+
+class TestLifecycle:
+    def test_sa_cools_only_after_complete_sweeps(self):
+        # the initial pass, three full sweeps and 7 members of a fourth
+        pop = fresh_population(np.random.default_rng(20))
+        opt = make_optimizer("sa", pop.positions.shape[1], BOUNDS, 53)
+        opt.run(pop, sphere, FeBudget(20 + 3 * 20 + 7), target=-1.0)
+        expected = opt.initial_temperature
+        for _ in range(3):
+            expected *= opt.alpha
+        assert opt.temperature == expected
+
+    def test_bfo_sweep_halted_part_way_still_advances_chemotaxis(self):
+        # the initial pass, then member 0's tumble spends the budget
+        pop = fresh_population(np.random.default_rng(21), size=5)
+        opt = make_optimizer("bfo", pop.positions.shape[1], BOUNDS, 59)
+        budget = FeBudget(5 + 1)
+        opt.run(pop, sphere, budget, target=-1.0)
+        assert budget.used == 6
+        assert opt._chem == 1
+
+    def test_bat_pulse_rates_drawn_once_per_population_size(self):
+        rng = np.random.default_rng(22)
+        opt = make_optimizer("bat", 2, BOUNDS, 61)
+        opt.run(fresh_population(rng), sphere, FeBudget(50), target=-1.0)
+        first = opt._pulse0
+        opt.run(fresh_population(rng), sphere, FeBudget(50), target=-1.0)
+        assert opt._pulse0 is first
+        opt.run(fresh_population(rng, size=10), sphere, FeBudget(50),
+                target=-1.0)
+        assert opt._pulse0 is not first
+        assert len(opt._pulse0) == 10

@@ -288,7 +288,7 @@ class TestApplyModification:
         with pytest.raises(ValueError):
             apply_modification(model, ModificationConfig(intensity=0.5))
 
-    @pytest.mark.parametrize("key", ["intensity", "density_floor"])
+    @pytest.mark.parametrize("key", ["intensity"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_settings_must_be_finite(self, key, bad):
         # a NaN intensity would give all-NaN pattern scales
