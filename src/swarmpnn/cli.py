@@ -36,7 +36,7 @@ from .metrics import (
     compute_metrics,
     rank,
 )
-from .optimizers import METHOD_NAMES, make_optimizer
+from .optimizers import METHOD_NAMES
 from .pnn import Dataset
 
 PORTFOLIO = "hybrid"
@@ -132,8 +132,6 @@ def _cells(config: dict, where: str) -> list[CellSpec]:
         for method in config["methods"]:
             if method != PORTFOLIO and method not in METHOD_NAMES:
                 raise ValueError(f"unknown method {method!r}")
-        for method in METHOD_NAMES:
-            make_optimizer(method, 1, cfg.bounds, seed, cfg.params_for(method))
         data = {name: load_csv(paths[name], REGISTRY.get(name))
                 if name in paths else load_benchmark(name, config["data_dir"])
                 for name in config["datasets"]}

@@ -235,9 +235,14 @@ def write_canonical_csv(path, features, labels, feature_names=None) -> None:
             writer.writerow([repr(float(v)) for v in row] + [str(label)])
 
 
-def _parse_csv(path):
-    """The :class:`Dataset` of a canonical CSV and the indices of the rows
-    dropped for holding a missing value."""
+def load_csv(path, descriptor: DatasetDescriptor | None = None) -> Dataset:
+    """Load a canonical CSV into a :class:`Dataset`.
+
+    Labels are encoded ``0..G-1`` in order of first appearance. Rows with
+    missing values are dropped with a warning naming their indices;
+    non-numeric feature tokens are an error. A file that disagrees with
+    ``descriptor`` loads with a warning.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         try:
             names, features, labels, dropped = _read_table(
@@ -246,30 +251,14 @@ def _parse_csv(path):
             raise ValueError(f"{path}: {exc}") from None
     codes = {}
     encoded = [codes.setdefault(label, len(codes)) for label in labels]
-    return Dataset(np.array(features), encoded, feature_names=names,
-                   class_names=list(codes)), dropped
-
-
-def _checked(path, parsed, descriptor: DatasetDescriptor | None) -> Dataset:
-    """The parsed dataset, after warning about its dropped rows and about
-    any disagreement with ``descriptor``."""
-    ds, dropped = parsed
+    ds = Dataset(np.array(features), encoded, feature_names=names,
+                 class_names=list(codes))
     if dropped:
         warnings.warn(f"{path}: dropped rows with missing values: {dropped}",
-                      DatasetValidationWarning, stacklevel=3)
+                      DatasetValidationWarning, stacklevel=2)
     if descriptor is not None:
         _validate(ds, descriptor, path)
     return ds
-
-
-def load_csv(path, descriptor: DatasetDescriptor | None = None) -> Dataset:
-    """Load a canonical CSV into a :class:`Dataset`.
-
-    Labels are encoded ``0..G-1`` in order of first appearance. Rows with
-    missing values are dropped with a warning naming their indices;
-    non-numeric feature tokens are an error.
-    """
-    return _checked(path, _parse_csv(path), descriptor)
 
 
 def _validate(ds: Dataset, d: DatasetDescriptor, path) -> None:
@@ -289,7 +278,7 @@ def _validate(ds: Dataset, d: DatasetDescriptor, path) -> None:
             problems.append(f"class balance {got} != expected {want}")
     if problems:
         warnings.warn(f"{d.name} ({path}): " + "; ".join(problems),
-                      DatasetValidationWarning, stacklevel=4)
+                      DatasetValidationWarning, stacklevel=3)
 
 
 def zscore_standardize(train: Dataset, test: Dataset | None = None):
@@ -439,22 +428,22 @@ def load_benchmark(name: str, data_dir=None, opener=None) -> Dataset:
     path = dataset_path(name, data_dir)
     os.makedirs(os.path.dirname(path), exist_ok=True)
 
-    def parsed():
+    def loaded():
         try:
-            return _parse_csv(path)
+            return load_csv(path, descriptor)
         except (OSError, ValueError):
             return None
 
-    loaded = parsed() if os.path.exists(path) else None
+    ds = loaded()
     bundled = os.path.join(BUNDLED_DIR, f"{name}.csv")
-    if loaded is None and os.path.exists(bundled):
+    if ds is None and os.path.exists(bundled):
         shutil.copyfile(bundled, path)
-        loaded = parsed()
-    if loaded is None and _sklearn_canonical(descriptor, path):
-        loaded = parsed()
-    if loaded is None:
+        ds = loaded()
+    if ds is None and _sklearn_canonical(descriptor, path):
+        ds = loaded()
+    if ds is None:
         convert_to_canonical(descriptor, fetch_raw(descriptor, opener), path)
-        loaded = parsed()
-        if loaded is None:
+        ds = loaded()
+        if ds is None:
             raise FetchError(f"{name}: fetched file failed to parse")
-    return _checked(path, loaded, descriptor)
+    return ds

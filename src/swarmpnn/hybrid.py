@@ -88,6 +88,8 @@ class HybridConfig:
             raise ValueError("init_range must sit inside bounds")
         if self.smoothing_kind not in Smoothing.KINDS:
             raise ValueError(f"unknown smoothing kind {self.smoothing_kind!r}")
+        for method, params in self.method_params.items():
+            make_optimizer(method, 1, self.bounds, self.seed, params)
 
     def params_for(self, method: str) -> dict:
         return dict(self.method_params.get(method, {}))
@@ -217,12 +219,7 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
         best = _fold_best(best, probe.optimizers.values())
         # only the probe that ends the loop can converge; it skips the fit
         fitness, fit_evals = probe.scores[probe.winner], 0
-        probe_converged = fitness <= cfg.fitness_threshold
-        if observer is not None:
-            observer("select", dict(
-                iteration=iteration, method=probe.winner, tied=probe.tied,
-                converged=probe_converged))
-        if not probe_converged:
+        if fitness > cfg.fitness_threshold:
             fit_pop = Population(probe.winner_population.positions)
             if observer is not None:
                 observer("fit_start", dict(

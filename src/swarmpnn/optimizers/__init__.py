@@ -1,11 +1,9 @@
 """Population optimizers behind one budget-aware interface.
 
-Defaults follow the published parameterizations used for the benchmark runs;
-override any of them through ``params``.
+Each method declares its published parameterization once, in its class's
+``defaults`` table, which :class:`Optimizer` checks, types and sets; override
+any of them through ``params``.
 """
-
-import math
-from numbers import Real
 
 from .base import FeBudget, Optimizer, Population, reflect
 from .bat import BatSearch
@@ -27,22 +25,12 @@ def make_optimizer(method: str, dim: int, bounds, seed, params=None) -> Optimize
     """Build a freshly initialized optimizer.
 
     ``method`` is one of ``pso``, ``bat``, ``bfo``, ``sa``, ``fpa``;
-    ``params`` overrides the method defaults and rejects unknown keys and
-    values that are not finite numbers.
+    ``params`` overrides entries of that class's ``defaults``.
     """
-    try:
-        cls = OPTIMIZERS[method]
-    except KeyError:
+    if method not in OPTIMIZERS:
         raise ValueError(f"unknown method {method!r}; "
-                         f"expected one of {sorted(OPTIMIZERS)}") from None
-    for key, value in (params or {}).items():
-        if not (isinstance(value, Real) and math.isfinite(value)):
-            raise ValueError(f"bad parameters for {method}: {key} must be a "
-                             f"finite number, got {value!r}")
-    try:
-        return cls(dim, bounds, seed, **(params or {}))
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for {method}: {exc}") from None
+                         f"expected one of {sorted(OPTIMIZERS)}")
+    return OPTIMIZERS[method](dim, bounds, seed, **(params or {}))
 
 
 __all__ = [

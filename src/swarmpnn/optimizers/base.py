@@ -10,6 +10,9 @@ one call's cost.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
+
 import numpy as np
 
 
@@ -76,8 +79,15 @@ class Population:
         return hashlib.sha256(np.ascontiguousarray(self.positions).tobytes()).hexdigest()
 
 
+_KIND_WORDS = {float: "a number", int: "an integer", bool: "true or false"}
+
+
 class Optimizer:
     """Base class for the population methods.
+
+    A subclass declares its published parameters once, in ``defaults``. The
+    constructor rejects unknown names, values that are not finite numbers and
+    values the default's type would change, and sets each as an attribute.
 
     A subclass implements :meth:`generation` as a generator that yields each
     position it wants scored and receives its fitness back
@@ -89,12 +99,26 @@ class Optimizer:
     """
 
     name = "base"
+    defaults: dict = {}
 
-    def __init__(self, dim: int, bounds, seed):
+    def __init__(self, dim: int, bounds, seed, /, **params):
         self.dim = int(dim)
         self.lower, self.upper = float(bounds[0]), float(bounds[1])
         if not self.lower < self.upper:
             raise ValueError("lower bound must be below upper bound")
+        for key, value in params.items():
+            kind = type(self.defaults.get(key))
+            if key not in self.defaults:
+                problem = f"unknown parameter {key!r}"
+            elif not (isinstance(value, Real) and math.isfinite(value)):
+                problem = f"{key} must be a finite number, got {value!r}"
+            elif isinstance(value, bool) != (kind is bool) or kind(value) != value:
+                problem = f"{key} must be {_KIND_WORDS[kind]}, got {value!r}"
+            else:
+                continue
+            raise ValueError(f"bad parameters for {self.name}: {problem}")
+        for key, default in self.defaults.items():
+            setattr(self, key, type(default)(params.get(key, default)))
         self.rng = np.random.default_rng(seed)
         self.best_position = None
         self.best_fitness = np.inf

@@ -10,20 +10,13 @@ from .base import Optimizer, Population
 
 class BatSearch(Optimizer):
     name = "bat"
-
-    def __init__(self, dim, bounds, seed, loudness=10.0, alpha=0.9, gamma=0.9,
-                 min_f=0.0, max_f=1.0):
-        super().__init__(dim, bounds, seed)
-        self.initial_loudness = float(loudness)
-        self.alpha = float(alpha)
-        self.gamma = float(gamma)
-        self.min_f = float(min_f)
-        self.max_f = float(max_f)
-        self._generation = 0
+    defaults = {"loudness": 10.0, "alpha": 0.9, "gamma": 0.9, "min_f": 0.0,
+                "max_f": 1.0}
+    _generation = 0
 
     def _attach(self, pop: Population) -> None:
         self._velocities = np.zeros_like(pop.positions)
-        self._loudness = np.full(pop.size, self.initial_loudness)
+        self._loudness = np.full(pop.size, self.loudness)
         self._pulse0 = self.rng.uniform(size=pop.size)
         self._pulse = self._pulse0.copy()
 

@@ -18,20 +18,10 @@ REPRODUCTIONS_PER_DISPERSAL = 2
 
 class BacterialForaging(Optimizer):
     name = "bfo"
-
-    def __init__(self, dim, bounds, seed, c_i=0.2, p_ed=0.25, n_c=4, n_s=4,
-                 d_a=0.1, w_a=0.2, h_r=0.1, w_r=10.0):
-        super().__init__(dim, bounds, seed)
-        self.c_i = float(c_i)
-        self.p_ed = float(p_ed)
-        self.n_c = int(n_c)
-        self.n_s = int(n_s)
-        self.d_a = float(d_a)
-        self.w_a = float(w_a)
-        self.h_r = float(h_r)
-        self.w_r = float(w_r)
-        self._chem = 0
-        self._repro = 0
+    defaults = {"c_i": 0.2, "p_ed": 0.25, "n_c": 4, "n_s": 4, "d_a": 0.1,
+                "w_a": 0.2, "h_r": 0.1, "w_r": 10.0}
+    _chem = 0
+    _repro = 0
 
     def _attach(self, pop: Population) -> None:
         self._health = np.zeros(pop.size)

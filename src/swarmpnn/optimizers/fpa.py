@@ -10,25 +10,19 @@ import numpy as np
 from .base import Optimizer, Population
 
 LEVY_BETA = 1.5
-
-
-def _levy_sigma(beta: float) -> float:
-    return (
-        math.gamma(1.0 + beta) * math.sin(math.pi * beta / 2.0)
-        / (math.gamma((1.0 + beta) / 2.0) * beta * 2.0 ** ((beta - 1.0) / 2.0))
-    ) ** (1.0 / beta)
+LEVY_SIGMA = (
+    math.gamma(1.0 + LEVY_BETA) * math.sin(math.pi * LEVY_BETA / 2.0)
+    / (math.gamma((1.0 + LEVY_BETA) / 2.0) * LEVY_BETA
+       * 2.0 ** ((LEVY_BETA - 1.0) / 2.0))
+) ** (1.0 / LEVY_BETA)
 
 
 class FlowerPollination(Optimizer):
     name = "fpa"
-
-    def __init__(self, dim, bounds, seed, switch_p=0.8):
-        super().__init__(dim, bounds, seed)
-        self.switch_p = float(switch_p)
-        self._sigma = _levy_sigma(LEVY_BETA)
+    defaults = {"switch_p": 0.8}
 
     def _levy_steps(self) -> np.ndarray:
-        u = self.rng.normal(0.0, self._sigma, size=self.dim)
+        u = self.rng.normal(0.0, LEVY_SIGMA, size=self.dim)
         v = self.rng.normal(0.0, 1.0, size=self.dim)
         return u / np.abs(v) ** (1.0 / LEVY_BETA)
 

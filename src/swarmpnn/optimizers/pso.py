@@ -11,14 +11,7 @@ OMEGA_END = 0.4  # inertia floor reached when the FE budget runs out
 
 class ParticleSwarm(Optimizer):
     name = "pso"
-
-    def __init__(self, dim, bounds, seed, omega=1.0, c1=0.5, c2=1.0,
-                 adjust_omega=True):
-        super().__init__(dim, bounds, seed)
-        self.omega = float(omega)
-        self.c1 = float(c1)
-        self.c2 = float(c2)
-        self.adjust_omega = bool(adjust_omega)
+    defaults = {"omega": 1.0, "c1": 0.5, "c2": 1.0, "adjust_omega": True}
 
     def _attach(self, pop: Population) -> None:
         self._velocities = np.zeros_like(pop.positions)

@@ -10,15 +10,11 @@ from .base import Optimizer, Population
 
 class SimulatedAnnealing(Optimizer):
     name = "sa"
+    defaults = {"temperature": 100.0, "alpha": 0.9, "s_t": 1e-8, "d": 0.01}
 
-    def __init__(self, dim, bounds, seed, temperature=100.0, alpha=0.9,
-                 s_t=1e-8, d=0.01):
-        super().__init__(dim, bounds, seed)
-        self.initial_temperature = float(temperature)
-        self.alpha = float(alpha)
-        self.s_t = float(s_t)
-        self.d = float(d)
-        self.temperature = float(temperature)
+    def __init__(self, *args, **params):
+        super().__init__(*args, **params)
+        self.initial_temperature = self.temperature
 
     def generation(self, pop: Population):
         sigma = self.d * (self.upper - self.lower)

@@ -386,6 +386,14 @@ class TestBenchmarkCommand:
          "bad parameters for bat: max_f must be a finite number, got nan"),
         ({"bfo": {"n_c": 1e400}},
          "bad parameters for bfo: n_c must be a finite number, got inf"),
+        ({"bfo": {"n_c": 4.5}},
+         "bad parameters for bfo: n_c must be an integer, got 4.5"),
+        ({"bfo": {"n_s": True}},
+         "bad parameters for bfo: n_s must be an integer, got True"),
+        ({"pso": {"adjust_omega": 0.5}},
+         "bad parameters for pso: adjust_omega must be true or false, got 0.5"),
+        ({"bat": {"alpha": True}},
+         "bad parameters for bat: alpha must be a number, got True"),
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
             "split-unknown-key", "split-seed", "zscore-string", "zscore-int",
@@ -395,7 +403,8 @@ class TestBenchmarkCommand:
             "repeated-dataset", "repeated-method", "unfetchable-dataset",
             "unreadable-path", "unmakeable-split", "bounds-infinite",
             "threshold-string", "init-range-nan", "pso-param-infinite",
-            "bat-param-nan", "bfo-param-infinite"])
+            "bat-param-nan", "bfo-param-infinite", "bfo-param-fraction",
+            "bfo-param-bool", "pso-param-number", "bat-param-bool"])
     def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
                                                monkeypatch, overrides, message):
         monkeypatch.setattr(datasets, "_default_opener", offline)

@@ -98,6 +98,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             HybridConfig(**{key: value})
 
+    @pytest.mark.parametrize("method_params", [
+        {"cmaes": {}}, {"pso": {"bogus": 1}}], ids=["unknown-method",
+                                                    "unknown-parameter"])
+    def test_method_params_checked_at_construction(self, method_params):
+        with pytest.raises(ValueError):
+            HybridConfig(method_params=method_params)
+
     def test_numpy_integers_accepted(self):
         cfg = HybridConfig(population_size=np.int64(8), seed=np.int32(3))
         assert cfg.probe_cap(2) == 8 * 2 * 30

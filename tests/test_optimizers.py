@@ -1,4 +1,7 @@
+import json
+import re
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from swarmpnn.optimizers import (
     METHOD_NAMES,
+    OPTIMIZERS,
     FeBudget,
     Population,
     make_optimizer,
@@ -14,6 +18,7 @@ from swarmpnn.optimizers import (
 )
 
 BOUNDS = (0.0, 10000.0)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def sphere(x):
@@ -63,7 +68,7 @@ class TestDefaults:
 
     def test_bat_defaults(self):
         opt = make_optimizer("bat", 3, BOUNDS, 42)
-        assert opt.initial_loudness == 10.0
+        assert opt.loudness == 10.0
         assert (opt.alpha, opt.gamma, opt.min_f, opt.max_f) == (0.9, 0.9, 0.0, 1.0)
 
     def test_bfo_defaults(self):
@@ -88,6 +93,20 @@ class TestDefaults:
     def test_param_overrides(self):
         opt = make_optimizer("sa", 3, BOUNDS, 42, params={"temperature": 5.0})
         assert opt.temperature == 5.0
+
+    def test_integer_valued_overrides_take_the_default_type(self):
+        bfo = make_optimizer("bfo", 3, BOUNDS, 42, params={"n_c": 4.0})
+        bat = make_optimizer("bat", 3, BOUNDS, 42, params={"loudness": 10})
+        assert type(bfo.n_c) is int and bfo.n_c == 4
+        assert type(bat.loudness) is float and bat.loudness == 10.0
+
+    def test_readme_example_config_states_the_defaults(self):
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"Example config:\s*```json\n(.*?)```", text, re.S)
+        config = json.loads(block.group(1))
+        for method, cls in OPTIMIZERS.items():
+            assert config[method] == cls.defaults
+            make_optimizer(method, 3, BOUNDS, 42, params=config[method])
 
 
 @pytest.mark.parametrize("method", METHOD_NAMES)
