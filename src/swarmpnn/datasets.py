@@ -27,6 +27,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress
+from numbers import Real
 
 import numpy as np
 
@@ -57,8 +58,10 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
+        if not (isinstance(self.test_fraction, Real)
+                and 0.0 < self.test_fraction < 1.0):
+            raise ValueError("test_fraction must be a number in (0, 1), "
+                             f"got {self.test_fraction!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ or when the per-iteration check on the held-out split reaches it.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import asdict, dataclass, field
 from numbers import Real
 
@@ -77,8 +77,8 @@ class HybridConfig:
         for key, values in (("fitness_threshold", [self.fitness_threshold]),
                             ("bounds", self.bounds),
                             ("init_range", self.init_range)):
-            if not all(isinstance(v, Real) and math.isfinite(v)
-                       for v in values):
+            if not all(isinstance(v, Real) and not isinstance(v, bool)
+                       and abs(v) <= sys.float_info.max for v in values):
                 raise ValueError(f"{key}: expected finite numbers, "
                                  f"got {getattr(self, key)!r}")
         lo, hi = self.bounds
@@ -90,9 +90,6 @@ class HybridConfig:
             raise ValueError(f"unknown smoothing kind {self.smoothing_kind!r}")
         for method, params in self.method_params.items():
             make_optimizer(method, 1, self.bounds, self.seed, params)
-
-    def params_for(self, method: str) -> dict:
-        return dict(self.method_params.get(method, {}))
 
     def initial_positions(self, dim: int) -> np.ndarray:
         """The starting population of a run, shared by every method."""
@@ -174,7 +171,7 @@ def probe_phase(positions, cfg: HybridConfig, objective, eval_cost: int,
         opt = make_optimizer(
             method, positions.shape[1], cfg.bounds,
             np.random.SeedSequence([cfg.seed, _TAG_PROBE, iteration, index]),
-            params=cfg.params_for(method))
+            params=cfg.method_params.get(method))
         pop = Population(positions)
         budget = FeBudget(cfg.probe_cap(eval_cost), eval_cost)
         opt.run(pop, objective, budget, target=cfg.fitness_threshold)
@@ -292,16 +289,16 @@ def loo_objective(train: Dataset, kind: str = "per_feature"):
 
 
 def _train_result(held_out: DensityEvaluator, test: Dataset, kind: str,
-                  position, fitness, trace, evaluations,
-                  stop_reason) -> TrainResult:
+                  found: HybridResult) -> TrainResult:
     """The trained classifier, with its one prediction of the test split."""
     train = held_out.pattern_set
-    smoothing = Smoothing.from_vector(kind, np.maximum(
-        position, BANDWIDTH_FLOOR), train.n_classes, train.n_features)
+    smoothing = Smoothing.from_vector(
+        kind, np.maximum(found.best_position, BANDWIDTH_FLOOR),
+        train.n_classes, train.n_features)
     predictions = held_out.predict(smoothing)
-    return TrainResult(smoothing, fitness,
+    return TrainResult(smoothing, found.best_fitness,
                        float(np.mean(predictions != test.labels)), predictions,
-                       trace, evaluations, stop_reason)
+                       found.trace, found.evaluations, found.stop_reason)
 
 
 def train_hybrid(train: Dataset, test: Dataset, cfg: HybridConfig,
@@ -319,9 +316,7 @@ def train_hybrid(train: Dataset, test: Dataset, cfg: HybridConfig,
             held_out.error_rate(np.reshape(pos, shape), test.labels)
             <= cfg.fitness_threshold),
         observer=observer)
-    return _train_result(held_out, test, kind, result.best_position,
-                         result.best_fitness, result.trace,
-                         result.evaluations, result.stop_reason)
+    return _train_result(held_out, test, kind, result)
 
 
 def train_single(train: Dataset, test: Dataset, method: str,
@@ -335,12 +330,12 @@ def train_single(train: Dataset, test: Dataset, method: str,
         method, dim, cfg.bounds,
         np.random.SeedSequence([cfg.seed, _TAG_SINGLE,
                                 METHOD_NAMES.index(method)]),
-        params=cfg.params_for(method))
+        params=cfg.method_params.get(method))
     budget = FeBudget(cfg.total_cap(train.n_samples), train.n_samples)
     opt.run(pop, loo_objective(train, kind), budget,
             target=cfg.fitness_threshold)
     stop = ("train_threshold"
             if opt.best_fitness <= cfg.fitness_threshold else "iterations")
     return _train_result(DensityEvaluator(train, test.features), test, kind,
-                         opt.best_position, opt.best_fitness, [], budget.used,
-                         stop)
+                         HybridResult(opt.best_position, opt.best_fitness, [],
+                                      budget.used, stop))

@@ -3,7 +3,7 @@ ranking used in the benchmark tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,9 +22,7 @@ class RunMetrics:
     seed: int = 0
 
     def to_jsonable(self) -> dict:
-        return {"accuracy": self.accuracy, "precision": self.precision,
-                "recall": self.recall, "confusion": self.confusion.tolist(),
-                "seed": self.seed}
+        return asdict(self) | {"confusion": self.confusion.tolist()}
 
 
 @dataclass(frozen=True)
@@ -43,9 +41,7 @@ class MethodSummary:
         return round(getattr(self, metric), REPORT_DECIMALS)
 
     def to_jsonable(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "avg_accuracy", "max_accuracy", "avg_precision", "max_precision",
-            "avg_recall", "max_recall", "n_runs")}
+        return asdict(self)
 
 
 def confusion_matrix(labels, predictions, n_classes: int) -> np.ndarray:

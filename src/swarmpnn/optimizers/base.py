@@ -10,7 +10,7 @@ one call's cost.
 
 from __future__ import annotations
 
-import math
+import sys
 from numbers import Real
 
 import numpy as np
@@ -110,7 +110,8 @@ class Optimizer:
             kind = type(self.defaults.get(key))
             if key not in self.defaults:
                 problem = f"unknown parameter {key!r}"
-            elif not (isinstance(value, Real) and math.isfinite(value)):
+            elif not (isinstance(value, Real)
+                      and abs(value) <= sys.float_info.max):
                 problem = f"{key} must be a finite number, got {value!r}"
             elif isinstance(value, bool) != (kind is bool) or kind(value) != value:
                 problem = f"{key} must be {_KIND_WORDS[kind]}, got {value!r}"

@@ -2,9 +2,10 @@
 swarming, periodic reproduction of the healthier half, and random
 elimination-dispersal events.
 
-One :meth:`generation` performs a single chemotaxis sweep over the population;
-reproduction and dispersal fire on schedule between sweeps. The schedule
-wraps around if the budget outlasts a full dispersal cycle.
+One :meth:`generation` performs a single chemotaxis sweep over the population
+and counts it in ``_chem``, the one schedule counter, which keeps counting
+across runs. Reproduction follows every ``n_c``-th sweep, and dispersal
+every ``REPRODUCTIONS_PER_DISPERSAL``-th reproduction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ class BacterialForaging(Optimizer):
     defaults = {"c_i": 0.2, "p_ed": 0.25, "n_c": 4, "n_s": 4, "d_a": 0.1,
                 "w_a": 0.2, "h_r": 0.1, "w_r": 10.0}
     _chem = 0
-    _repro = 0
+
+    def __init__(self, *args, **params):
+        super().__init__(*args, **params)
+        if self.n_c < 1 or self.n_s < 0:
+            raise ValueError("bad parameters for bfo: need n_c >= 1 and "
+                             f"n_s >= 0, got {self.n_c} and {self.n_s}")
 
     def _attach(self, pop: Population) -> None:
         self._health = np.zeros(pop.size)
@@ -41,24 +47,20 @@ class BacterialForaging(Optimizer):
 
     def _chemotaxis_sweep(self, pop: Population):
         for i in self._members(pop):
-            j_last = pop.fitness[i] + self._swarming(pop.positions[i], pop)
-            self._health[i] += j_last
-            direction = self._tumble_direction()
-            # the tumble move is always taken; improvement only decides
-            # whether swimming continues in the same direction
-            pop.positions[i] = self.reflect(pop.positions[i] + self.c_i * direction)
-            pop.fitness[i] = yield pop.positions[i]
             j_new = pop.fitness[i] + self._swarming(pop.positions[i], pop)
             self._health[i] += j_new
-            swims = 0
-            while swims < self.n_s and j_new < j_last and not self.halted:
+            direction = self._tumble_direction()
+            # move 0, the tumble, is always taken; each of up to n_s swims
+            # follows only a move that improved and left the run going
+            for _ in range(self.n_s + 1):
                 j_last = j_new
                 pop.positions[i] = self.reflect(
                     pop.positions[i] + self.c_i * direction)
                 pop.fitness[i] = yield pop.positions[i]
                 j_new = pop.fitness[i] + self._swarming(pop.positions[i], pop)
                 self._health[i] += j_new
-                swims += 1
+                if j_new >= j_last or self.halted:
+                    break
 
     def _reproduce(self, pop: Population) -> None:
         order = np.argsort(self._health, kind="stable")
@@ -80,12 +82,9 @@ class BacterialForaging(Optimizer):
             return
         yield from self._chemotaxis_sweep(pop)
         self._chem += 1
-        if self._chem < self.n_c:
+        if self._chem % self.n_c:
             return
-        self._chem = 0
         self._reproduce(pop)
-        self._repro += 1
-        if self._repro < REPRODUCTIONS_PER_DISPERSAL:
+        if self._chem % (self.n_c * REPRODUCTIONS_PER_DISPERSAL):
             return
-        self._repro = 0
         yield from self._disperse(pop)

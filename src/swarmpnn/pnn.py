@@ -2,8 +2,9 @@
 density estimation, Bayes-argmax classification and the density-adaptive
 per-pattern scale adjustment.
 
-All functions are pure; models and datasets are immutable values that can be
-shared freely between threads.
+The module-level functions are pure, and datasets, smoothings and models are
+immutable values that threads can share. A :class:`DensityEvaluator` is not:
+it keeps its pair layout and scratch arrays, so each thread needs its own.
 """
 
 from __future__ import annotations

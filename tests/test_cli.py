@@ -394,6 +394,20 @@ class TestBenchmarkCommand:
          "bad parameters for pso: adjust_omega must be true or false, got 0.5"),
         ({"bat": {"alpha": True}},
          "bad parameters for bat: alpha must be a number, got True"),
+        ({"pso": {"c2": 10 ** 400}},
+         "bad parameters for pso: c2 must be a finite number, got 1000"),
+        ({"hybrid": {"fitness_threshold": 10 ** 400}},
+         "fitness_threshold: expected finite numbers, got 1000"),
+        ({"hybrid": {"fitness_threshold": True}},
+         "fitness_threshold: expected finite numbers, got True"),
+        ({"hybrid": {"init_range": [0, True]}},
+         r"init_range: expected finite numbers, got \(0, True\)"),
+        ({"split": {"test_fraction": "0.2"}},
+         r"test_fraction must be a number in \(0, 1\), got '0.2'"),
+        ({"bfo": {"n_c": 0}},
+         "bad parameters for bfo: need n_c >= 1 and n_s >= 0, got 0 and 4"),
+        ({"bfo": {"n_s": -1}},
+         "bad parameters for bfo: need n_c >= 1 and n_s >= 0, got 4 and -1"),
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
             "split-unknown-key", "split-seed", "zscore-string", "zscore-int",
@@ -404,7 +418,10 @@ class TestBenchmarkCommand:
             "unreadable-path", "unmakeable-split", "bounds-infinite",
             "threshold-string", "init-range-nan", "pso-param-infinite",
             "bat-param-nan", "bfo-param-infinite", "bfo-param-fraction",
-            "bfo-param-bool", "pso-param-number", "bat-param-bool"])
+            "bfo-param-bool", "pso-param-number", "bat-param-bool",
+            "pso-param-huge-int", "threshold-huge-int", "threshold-bool",
+            "init-range-bool", "split-string", "bfo-chemotaxis-zero",
+            "bfo-swims-negative"])
     def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
                                                monkeypatch, overrides, message):
         monkeypatch.setattr(datasets, "_default_opener", offline)

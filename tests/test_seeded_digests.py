@@ -3,6 +3,7 @@ training result and direct optimizer run, the bytes of the leave-one-out
 class densities and error rates, and every file the command line writes,
 including a registry dataset loaded into its cache."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -52,3 +53,15 @@ def test_training_digest(tmp_path):
     # train_hybrid and every train_single method, and direct Optimizer.run
     # calls, at iris, glass, wide-raw, banknote and ecoli shapes
     assert digests(HASH_TRAINING, tmp_path) == [TRAINING]
+
+
+def test_readme_gives_every_pinned_digest():
+    # the corpus digest is pinned in tests/test_datasets.py; README gives
+    # its first 8 hex digits
+    tree = ast.parse((ROOT / "tests" / "test_datasets.py").read_text())
+    corpus, = (ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [ast.unparse(t) for t in node.targets] == ["CORPUS_DIGEST"])
+    readme = (ROOT / "README.md").read_text()
+    for digest in (TRAINING, LOO_DENSITIES, CLI_OUTPUTS, corpus[:8]):
+        assert digest in readme
