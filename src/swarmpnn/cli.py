@@ -75,33 +75,35 @@ def default_config() -> dict:
     }
 
 
+# what a config value must be, by the type of its default
+_SETTING_WORDS = {int: "an integer", bool: "true or false",
+                  list: "a list of names", dict: "an object",
+                  type(None): "a path or null"}
+
+
 def load_config(path) -> dict:
+    """The default config updated from the JSON file at ``path``; each value
+    has its default's type (``data_dir`` may also be a path, ``datasets``
+    also ``"all"``), and runs, jobs and lists count at least one."""
     cfg = default_config()
     with open(path, encoding="utf-8") as fh:
         user = json.load(fh)
     for key, value in user.items():
         if key not in cfg:
             raise SystemExit(f"config: unknown key {key!r}")
-        if isinstance(cfg[key], dict) and isinstance(value, dict):
+        if key == "datasets" and value == "all":
+            value = sorted(REGISTRY)
+        kind, count = type(cfg[key]), key in ("runs", "jobs")
+        words = _SETTING_WORDS[kind] + (" >= 1" if count else "")
+        if (type(value) not in (kind, str if cfg[key] is None else kind)
+                or count and value < 1):
+            raise SystemExit(f"config: {key!r} must be {words}, got {value!r}")
+        if value == []:
+            raise SystemExit(f"config: {key!r} must name at least one entry")
+        if kind is dict:
             cfg[key].update(value)
         else:
             cfg[key] = value
-    if cfg["datasets"] == "all":
-        cfg["datasets"] = sorted(REGISTRY)
-    for key in ("runs", "jobs"):
-        if type(cfg[key]) is not int or cfg[key] < 1:
-            raise SystemExit(
-                f"config: {key!r} must be an integer >= 1, got {cfg[key]!r}")
-    if type(cfg["seed"]) is not int:
-        raise SystemExit(
-            f"config: 'seed' must be an integer, got {cfg['seed']!r}")
-    for key in ("datasets", "methods"):
-        if type(cfg[key]) is not list:
-            raise SystemExit(
-                f"config: {key!r} must be a list of names, got {cfg[key]!r}")
-    if type(cfg["zscore"]) is not bool:
-        raise SystemExit(
-            f"config: 'zscore' must be true or false, got {cfg['zscore']!r}")
     return cfg
 
 
@@ -115,14 +117,14 @@ def _cells(config: dict, where: str) -> list[CellSpec]:
     """
     try:
         seed = config["seed"]
-        overrides = dict(config["hybrid"] or {})
+        overrides = dict(config["hybrid"])
         for key in ("methods", "init_range", "bounds"):
             if isinstance(overrides.get(key), list):
                 overrides[key] = tuple(overrides[key])
         cfg = HybridConfig(seed=seed, **overrides, method_params={
-            m: config[m] or {} for m in METHOD_NAMES})
+            m: config[m] for m in METHOD_NAMES})
         split = SplitSpec(**config["split"], seed=seed)
-        paths = config["paths"] or {}
+        paths = config["paths"]
         for key in ("datasets", "methods"):
             if len(set(config[key])) != len(config[key]):
                 raise ValueError(f"{key!r} repeats a name: {config[key]!r}")

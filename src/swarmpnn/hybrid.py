@@ -1,14 +1,16 @@
 """Probe-then-commit portfolio training.
 
 Each outer iteration probes every optimizer in the portfolio from one shared
-population under a fixed evaluation budget, commits to the best prober for a
-larger fitting budget, and hands the resulting population to the next
-iteration. Method-internal state is rebuilt for every probing phase, and no
-fitness crosses a phase boundary: a phase hands the next one its positions,
+set of starting positions under a fixed evaluation budget, commits to the best
+prober for a larger fitting budget, and hands the resulting positions to the
+next iteration. Each optimizer holds its own population: the winner's fit phase
+runs it again from the positions its probe ended with, keeping the per-member
+state such as velocities, and method state is rebuilt for every probing phase.
+No fitness crosses a phase boundary: a phase hands the next one positions only,
 which that phase scores again and charges to its own budget. A re-charged
-position still costs ``n_t`` evaluations, but the training objective looks
-its error rate up instead of computing it again: each run's
-:func:`loo_objective` remembers every candidate it has scored.
+position still costs ``n_t`` evaluations, but the training objective looks its
+error rate up instead of computing it again: each run's :func:`loo_objective`
+remembers every candidate it has scored.
 
 Training stops early as soon as any evaluation reaches the fitness threshold,
 or when the per-iteration check on the held-out split reaches it.
@@ -22,7 +24,7 @@ from numbers import Real
 
 import numpy as np
 
-from .optimizers import METHOD_NAMES, FeBudget, Population, make_optimizer
+from .optimizers import METHOD_NAMES, FeBudget, make_optimizer
 from .pnn import BANDWIDTH_FLOOR, Dataset, DensityEvaluator, Smoothing
 
 # seed-derivation tags; each RNG stream is SeedSequence([seed, tag, ...])
@@ -143,9 +145,15 @@ class ProbeOutcome:
     scores: dict
     evals: dict
     winner: str
-    winner_population: Population
     optimizers: dict  # every probe optimizer, in run order
     tied: list
+
+
+def _fingerprint(positions) -> str:
+    """Digest of ``positions`` for an observer, which alone loads hashlib."""
+    import hashlib
+
+    return hashlib.sha256(positions.tobytes()).hexdigest()
 
 
 def _fold_best(best, optimizers):
@@ -165,24 +173,21 @@ def probe_phase(positions, cfg: HybridConfig, objective, eval_cost: int,
     otherwise all methods run their full probing budget and the best score
     wins, ties resolved uniformly at random from a seeded stream.
     """
-    scores, evals = {}, {}
-    pops, opts = {}, {}
+    scores, evals, opts = {}, {}, {}
     for index, method in enumerate(cfg.methods):
         opt = make_optimizer(
             method, positions.shape[1], cfg.bounds,
             np.random.SeedSequence([cfg.seed, _TAG_PROBE, iteration, index]),
             params=cfg.method_params.get(method))
-        pop = Population(positions)
         budget = FeBudget(cfg.probe_cap(eval_cost), eval_cost)
-        opt.run(pop, objective, budget, target=cfg.fitness_threshold)
+        opt.run(positions, objective, budget, target=cfg.fitness_threshold)
         scores[method] = opt.best_fitness
         evals[method] = budget.used
-        pops[method] = pop
         opts[method] = opt
         if observer is not None:
             observer("probe_end", dict(
                 iteration=iteration, method=method, score=opt.best_fitness,
-                evals=budget.used, fingerprint=pop.fingerprint()))
+                evals=budget.used, fingerprint=_fingerprint(opt.positions)))
         if opt.best_fitness <= cfg.fitness_threshold:
             break
 
@@ -193,7 +198,7 @@ def probe_phase(positions, cfg: HybridConfig, objective, eval_cost: int,
         tie_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _TAG_TIE, iteration]))
         winner = tied[int(tie_rng.integers(len(tied)))]
-    return ProbeOutcome(scores, evals, winner, pops[winner], opts, tied)
+    return ProbeOutcome(scores, evals, winner, opts, tied)
 
 
 def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
@@ -217,22 +222,20 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
         # only the probe that ends the loop can converge; it skips the fit
         fitness, fit_evals = probe.scores[probe.winner], 0
         if fitness > cfg.fitness_threshold:
-            fit_pop = Population(probe.winner_population.positions)
+            opt = probe.optimizers[probe.winner]
             if observer is not None:
                 observer("fit_start", dict(
                     iteration=iteration, method=probe.winner,
-                    fingerprint=fit_pop.fingerprint()))
+                    fingerprint=_fingerprint(opt.positions)))
             fit_budget = FeBudget(cfg.fit_cap(eval_cost), eval_cost)
-            opt = probe.optimizers[probe.winner]
-            opt.run(fit_pop, objective, fit_budget,
-                    target=cfg.fitness_threshold)
+            positions = opt.run(opt.positions, objective, fit_budget,
+                                target=cfg.fitness_threshold)
             best = _fold_best(best, [opt])
             fitness, fit_evals = opt.best_fitness, fit_budget.used
             if observer is not None:
                 observer("fit_end", dict(
                     iteration=iteration, method=probe.winner,
                     fitness=fitness, evals=fit_evals))
-            positions = fit_pop.positions
         trace.append(IterationRecord(
             iteration, probe.scores, probe.evals, probe.winner,
             len(probe.tied) > 1, fitness, fit_evals, best[0]))
@@ -325,14 +328,16 @@ def train_single(train: Dataset, test: Dataset, method: str,
     full portfolio run, from the identical starting population."""
     kind = cfg.smoothing_kind
     dim = Smoothing.vector_length(kind, train.n_classes, train.n_features)
-    pop = Population(cfg.initial_positions(dim))
+    if method not in METHOD_NAMES:
+        raise ValueError(f"unknown method {method!r}; "
+                         f"expected one of {sorted(METHOD_NAMES)}")
     opt = make_optimizer(
         method, dim, cfg.bounds,
         np.random.SeedSequence([cfg.seed, _TAG_SINGLE,
                                 METHOD_NAMES.index(method)]),
         params=cfg.method_params.get(method))
     budget = FeBudget(cfg.total_cap(train.n_samples), train.n_samples)
-    opt.run(pop, loo_objective(train, kind), budget,
+    opt.run(cfg.initial_positions(dim), loo_objective(train, kind), budget,
             target=cfg.fitness_threshold)
     stop = ("train_threshold"
             if opt.best_fitness <= cfg.fitness_threshold else "iterations")

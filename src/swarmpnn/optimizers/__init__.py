@@ -1,11 +1,14 @@
-"""Population optimizers behind one budget-aware interface.
+"""Five population methods behind one budget-aware interface.
 
-Each method declares its published parameterization once, in its class's
-``defaults`` table, which :class:`Optimizer` checks, types and sets; override
-any of them through ``params``.
+An optimizer holds its population: :meth:`Optimizer.run` takes the starting
+(n, d) positions and keeps them, with their fitness, beside the method's
+per-member state, and returns the final positions. Each method declares its
+published parameterization once, in its class's ``defaults`` table, which
+:class:`Optimizer` checks, types and sets; override any of them through
+``params``.
 """
 
-from .base import FeBudget, Optimizer, Population, reflect
+from .base import FeBudget, Optimizer, reflect
 from .bat import BatSearch
 from .bfo import BacterialForaging
 from .fpa import FlowerPollination
@@ -34,7 +37,7 @@ def make_optimizer(method: str, dim: int, bounds, seed, params=None) -> Optimize
 
 
 __all__ = [
-    "FeBudget", "Optimizer", "Population", "reflect",
+    "FeBudget", "Optimizer", "reflect",
     "OPTIMIZERS", "METHOD_NAMES", "make_optimizer",
     "ParticleSwarm", "BatSearch", "BacterialForaging", "SimulatedAnnealing",
     "FlowerPollination",

@@ -1,6 +1,6 @@
-"""Shared machinery for the population optimizers: bounded populations,
-function-evaluation budgets and :meth:`Optimizer.run`, the one driver that
-scores the candidates each method's generation yields.
+"""Shared machinery for the population optimizers: reflection at the
+bounds, function-evaluation budgets and :meth:`Optimizer.run`, the one
+driver that scores the candidates each method's generation yields.
 
 Budget convention: every objective call costs ``eval_cost`` evaluation units
 (one unit per sample the objective classifies internally). The budget is
@@ -54,31 +54,6 @@ class FeBudget:
         return self.used >= self.cap
 
 
-class Population:
-    """Positions plus cached fitness for a group of candidates.
-
-    Built from positions alone, so no fitness crosses a phase boundary:
-    entries start NaN until the receiving run scores them, and the cached
-    value of an individual always corresponds to its current position.
-    """
-
-    def __init__(self, positions):
-        self.positions = np.array(positions, dtype=np.float64)
-        # a run over no members could never halt
-        if self.positions.ndim != 2 or len(self.positions) == 0:
-            raise ValueError("positions must be (n, d) with n >= 1")
-        self.fitness = np.full(len(self.positions), np.nan)
-
-    @property
-    def size(self) -> int:
-        return len(self.positions)
-
-    def fingerprint(self) -> str:
-        import hashlib
-
-        return hashlib.sha256(np.ascontiguousarray(self.positions).tobytes()).hexdigest()
-
-
 _KIND_WORDS = {float: "a number", int: "an integer", bool: "true or false"}
 
 
@@ -89,13 +64,15 @@ class Optimizer:
     constructor rejects unknown names, values that are not finite numbers and
     values the default's type would change, and sets each as an attribute.
 
-    A subclass implements :meth:`generation` as a generator that yields each
-    position it wants scored and receives its fitness back
-    (``value = yield candidate``); method state such as velocities stays on
-    the instance. :meth:`run` is the one driver: only it calls the objective,
-    charges the budget, keeps the best-seen archive and calls :meth:`_attach`.
-    A generation sweeps its members through :meth:`_members`, which stops
-    before any draw or position write once the run has halted.
+    An optimizer holds its population: each :meth:`run` keeps a copy of the
+    positions it is given as ``positions``, with their ``fitness`` NaN until
+    scored, beside per-member state such as velocities. A subclass implements
+    :meth:`generation` as a generator that yields each position it wants scored
+    and receives its fitness back (``value = yield candidate``). :meth:`run` is
+    the one driver: only it calls the objective, charges the budget, keeps the
+    best-seen archive and calls :meth:`_attach`. A generation sweeps its
+    members through :meth:`_members`, which stops before any draw or position
+    write once the run has halted.
     """
 
     name = "base"
@@ -133,49 +110,55 @@ class Optimizer:
         """True once the run's budget is spent or its target has been hit."""
         return self._budget.exhausted or self.best_fitness <= self._target
 
-    def _attach(self, pop: Population) -> None:
-        """Initialise per-member state for ``pop``; the driver calls it only
-        when the population size changes, so runs of one size keep it."""
+    def _attach(self) -> None:
+        """Initialise per-member state for ``positions``; the driver calls it
+        only when the population size changes, so runs of one size keep it."""
 
-    def _members(self, pop: Population):
-        """Member indices of ``pop`` in order, until the run halts."""
-        for i in range(pop.size):
+    def _members(self):
+        """Member indices in order, until the run halts."""
+        for i in range(len(self.positions)):
             if self.halted:
                 return
             yield i
 
-    def generation(self, pop: Population):
-        """Advance ``pop`` one generation in place, yielding each candidate."""
+    def generation(self):
+        """Advance the members one generation, yielding each candidate."""
         raise NotImplementedError
 
-    def _candidates(self, pop: Population):
+    def _candidates(self):
         if self.halted:
             return
-        if pop.size != self._attached_size:
-            self._attach(pop)
-            self._attached_size = pop.size
-        for i in self._members(pop):
-            pop.fitness[i] = yield pop.positions[i]
+        if len(self.positions) != self._attached_size:
+            self._attach()
+            self._attached_size = len(self.positions)
+        for i in self._members():
+            self.fitness[i] = yield self.positions[i]
         # a generation starts even if the initial pass spent the budget;
         # a later run continues the PSO personal bests and bat count it sets
         while True:
-            yield from self.generation(pop)
+            yield from self.generation()
             if self.halted:
                 return
 
-    def run(self, pop: Population, objective, budget: FeBudget,
-            target: float = 0.0) -> Population:
-        """Score every member of ``pop`` once, then step generations until
-        the budget is spent or the best reaches ``target``. Only what this
-        optimizer's runs have scored enters its best-seen archive."""
+    def run(self, positions, objective, budget: FeBudget,
+            target: float = 0.0) -> np.ndarray:
+        """Score a copy of the (n, d) ``positions`` once, then step
+        generations until the budget is spent or the best reaches
+        ``target``; returns the final positions. Only what this optimizer's
+        runs have scored enters its best-seen archive."""
+        self.positions = np.array(positions, dtype=np.float64)
+        # a run over no members could never halt
+        if self.positions.ndim != 2 or len(self.positions) == 0:
+            raise ValueError("positions must be (n, d) with n >= 1")
+        self.fitness = np.full(len(self.positions), np.nan)
         self._budget, self._target = budget, target
-        candidates = self._candidates(pop)
+        candidates = self._candidates()
         value = None
         while True:
             try:
                 candidate = candidates.send(value)
             except StopIteration:
-                return pop
+                return self.positions
             budget.charge()
             value = float(objective(candidate))
             if not np.isfinite(value):

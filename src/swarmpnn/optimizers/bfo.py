@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Optimizer, Population
+from .base import Optimizer
 
 REPRODUCTIONS_PER_DISPERSAL = 2
 
@@ -29,11 +29,11 @@ class BacterialForaging(Optimizer):
             raise ValueError("bad parameters for bfo: need n_c >= 1 and "
                              f"n_s >= 0, got {self.n_c} and {self.n_s}")
 
-    def _attach(self, pop: Population) -> None:
-        self._health = np.zeros(pop.size)
+    def _attach(self) -> None:
+        self._health = np.zeros(len(self.positions))
 
-    def _swarming(self, position, pop: Population) -> float:
-        d2 = np.sum((pop.positions - position) ** 2, axis=1)
+    def _swarming(self, i: int) -> float:
+        d2 = np.sum((self.positions - self.positions[i]) ** 2, axis=1)
         attract = -self.d_a * np.exp(-self.w_a * d2).sum()
         repel = self.h_r * np.exp(-self.w_r * d2).sum()
         return float(attract + repel)
@@ -45,46 +45,46 @@ class BacterialForaging(Optimizer):
             return np.zeros(self.dim)
         return delta / norm
 
-    def _chemotaxis_sweep(self, pop: Population):
-        for i in self._members(pop):
-            j_new = pop.fitness[i] + self._swarming(pop.positions[i], pop)
+    def _chemotaxis_sweep(self):
+        for i in self._members():
+            j_new = self.fitness[i] + self._swarming(i)
             self._health[i] += j_new
             direction = self._tumble_direction()
             # move 0, the tumble, is always taken; each of up to n_s swims
             # follows only a move that improved and left the run going
             for _ in range(self.n_s + 1):
                 j_last = j_new
-                pop.positions[i] = self.reflect(
-                    pop.positions[i] + self.c_i * direction)
-                pop.fitness[i] = yield pop.positions[i]
-                j_new = pop.fitness[i] + self._swarming(pop.positions[i], pop)
+                self.positions[i] = self.reflect(
+                    self.positions[i] + self.c_i * direction)
+                self.fitness[i] = yield self.positions[i]
+                j_new = self.fitness[i] + self._swarming(i)
                 self._health[i] += j_new
                 if j_new >= j_last or self.halted:
                     break
 
-    def _reproduce(self, pop: Population) -> None:
+    def _reproduce(self) -> None:
         order = np.argsort(self._health, kind="stable")
-        half = pop.size // 2
-        winners, losers = order[:half], order[pop.size - half:]
-        pop.positions[losers] = pop.positions[winners]
-        pop.fitness[losers] = pop.fitness[winners]
+        half = len(self.positions) // 2
+        winners, losers = order[:half], order[len(self.positions) - half:]
+        self.positions[losers] = self.positions[winners]
+        self.fitness[losers] = self.fitness[winners]
         self._health[:] = 0.0
 
-    def _disperse(self, pop: Population):
-        for i in self._members(pop):
+    def _disperse(self):
+        for i in self._members():
             if self.rng.uniform() < self.p_ed:
-                pop.positions[i] = self.rng.uniform(self.lower, self.upper,
-                                                    size=self.dim)
-                pop.fitness[i] = yield pop.positions[i]
+                self.positions[i] = self.rng.uniform(
+                    self.lower, self.upper, size=self.dim)
+                self.fitness[i] = yield self.positions[i]
 
-    def generation(self, pop: Population):
+    def generation(self):
         if self.halted:
             return
-        yield from self._chemotaxis_sweep(pop)
+        yield from self._chemotaxis_sweep()
         self._chem += 1
         if self._chem % self.n_c:
             return
-        self._reproduce(pop)
+        self._reproduce()
         if self._chem % (self.n_c * REPRODUCTIONS_PER_DISPERSAL):
             return
-        yield from self._disperse(pop)
+        yield from self._disperse()

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .base import Optimizer, Population
+from .base import Optimizer
 
 LEVY_BETA = 1.5
 LEVY_SIGMA = (
@@ -26,19 +26,19 @@ class FlowerPollination(Optimizer):
         v = self.rng.normal(0.0, 1.0, size=self.dim)
         return u / np.abs(v) ** (1.0 / LEVY_BETA)
 
-    def generation(self, pop: Population):
-        for i in self._members(pop):
+    def generation(self):
+        positions, fitness = self.positions, self.fitness
+        for i in self._members():
             if self.rng.uniform() < self.switch_p:
                 steps = self._levy_steps()
-                candidate = pop.positions[i] + steps * (
-                    self.best_position - pop.positions[i])
+                candidate = positions[i] + steps * (
+                    self.best_position - positions[i])
             else:
-                a, b = self.rng.choice(pop.size, size=2, replace=False)
+                a, b = self.rng.choice(len(positions), size=2, replace=False)
                 eps = self.rng.uniform()
-                candidate = pop.positions[i] + eps * (
-                    pop.positions[a] - pop.positions[b])
+                candidate = positions[i] + eps * (positions[a] - positions[b])
             candidate = self.reflect(candidate)
             value = yield candidate
-            if value < pop.fitness[i]:
-                pop.positions[i] = candidate
-                pop.fitness[i] = value
+            if value < fitness[i]:
+                positions[i] = candidate
+                fitness[i] = value

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Optimizer, Population
+from .base import Optimizer
 
 OMEGA_END = 0.4  # inertia floor reached when the FE budget runs out
 
@@ -13,10 +13,10 @@ class ParticleSwarm(Optimizer):
     name = "pso"
     defaults = {"omega": 1.0, "c1": 0.5, "c2": 1.0, "adjust_omega": True}
 
-    def _attach(self, pop: Population) -> None:
-        self._velocities = np.zeros_like(pop.positions)
-        self._pbest = pop.positions.copy()
-        self._pbest_fit = np.full(pop.size, np.inf)
+    def _attach(self) -> None:
+        self._velocities = np.zeros_like(self.positions)
+        self._pbest = self.positions.copy()
+        self._pbest_fit = np.full(len(self.positions), np.inf)
 
     def _current_omega(self) -> float:
         # run starts no generation at a cap <= 0; an infinite cap gives 0
@@ -25,21 +25,22 @@ class ParticleSwarm(Optimizer):
         progress = min(1.0, self._budget.used / self._budget.cap)
         return self.omega + (OMEGA_END - self.omega) * progress
 
-    def generation(self, pop: Population):
-        improved = pop.fitness < self._pbest_fit
-        self._pbest[improved] = pop.positions[improved]
-        self._pbest_fit[improved] = pop.fitness[improved]
+    def generation(self):
+        positions, fitness = self.positions, self.fitness
+        improved = fitness < self._pbest_fit
+        self._pbest[improved] = positions[improved]
+        self._pbest_fit[improved] = fitness[improved]
         omega = self._current_omega()
-        for i in self._members(pop):
+        for i in self._members():
             r1 = self.rng.uniform(size=self.dim)
             r2 = self.rng.uniform(size=self.dim)
             self._velocities[i] = (
                 omega * self._velocities[i]
-                + self.c1 * r1 * (self._pbest[i] - pop.positions[i])
-                + self.c2 * r2 * (self.best_position - pop.positions[i])
+                + self.c1 * r1 * (self._pbest[i] - positions[i])
+                + self.c2 * r2 * (self.best_position - positions[i])
             )
-            pop.positions[i] = self.reflect(pop.positions[i] + self._velocities[i])
-            pop.fitness[i] = yield pop.positions[i]
-            if pop.fitness[i] < self._pbest_fit[i]:
-                self._pbest[i] = pop.positions[i].copy()
-                self._pbest_fit[i] = pop.fitness[i]
+            positions[i] = self.reflect(positions[i] + self._velocities[i])
+            fitness[i] = yield positions[i]
+            if fitness[i] < self._pbest_fit[i]:
+                self._pbest[i] = positions[i].copy()
+                self._pbest_fit[i] = fitness[i]

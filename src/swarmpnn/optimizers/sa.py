@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Optimizer, Population
+from .base import Optimizer
 
 
 class SimulatedAnnealing(Optimizer):
@@ -16,17 +16,17 @@ class SimulatedAnnealing(Optimizer):
         super().__init__(*args, **params)
         self.initial_temperature = self.temperature
 
-    def generation(self, pop: Population):
+    def generation(self):
         sigma = self.d * (self.upper - self.lower)
-        for i in self._members(pop):
-            proposal = self.reflect(
-                pop.positions[i] + self.rng.normal(0.0, sigma, size=self.dim))
+        for i in self._members():
+            step = self.rng.normal(0.0, sigma, size=self.dim)
+            proposal = self.reflect(self.positions[i] + step)
             value = yield proposal
-            delta = value - pop.fitness[i]
+            delta = value - self.fitness[i]
             if delta <= 0.0 or self.rng.uniform() < np.exp(-delta / self.temperature):
-                pop.positions[i] = proposal
-                pop.fitness[i] = value
-            if i == pop.size - 1:  # only a complete sweep cools
+                self.positions[i] = proposal
+                self.fitness[i] = value
+            if i == len(self.positions) - 1:  # only a complete sweep cools
                 self.temperature *= self.alpha
                 if self.temperature < self.s_t:
                     # restart the cooling schedule while budget remains

@@ -389,8 +389,8 @@ class DensityEvaluator:
     (...))^2 with K = 2**63, at most 2**126, and their float64 sums are
     divided by K^2, exactly. A row's argmax b is settled if its lower bound
     log(sum_b (1 - delta) - P 2**-252) beats every other class's upper bound
-    log max(sum_c (1 + delta) + P 2**-252, SAFE_SUM), each less its log
-    count and log determinant; delta = 2 (10N + 8) u + P 2**-53, u = 2**-24.
+    log(sum_c (1 + delta) + P 2**-252), each less its log count and log
+    determinant; delta = 2 (10N + 8) u + P 2**-53, u = 2**-24.
     Per Higham (Accuracy and Stability of Numerical Algorithms, 2002, sec.
     3.1): rounding d_f^2 and 1 / h_f^2 to float32, their product and the
     ``+ 1`` are 4 roundings per feature; the N - 1 products, the division
@@ -553,7 +553,7 @@ class DensityEvaluator:
         n, p = self._columns.shape
         delta = 2 * (10 * n + 8) * 2.0 ** -24 + p * 2.0 ** -53
         slack = p * 2.0 ** -252
-        bounds = np.log(np.maximum(sums * (1 + delta) + slack, SAFE_SUM))
+        bounds = np.log(sums * (1 + delta) + slack)
         with np.errstate(divide="ignore", invalid="ignore"):
             bounds[rows, best] = np.log(sums[rows, best] * (1 - delta) - slack)
         bounds -= self._log_counts

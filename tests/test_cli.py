@@ -408,6 +408,12 @@ class TestBenchmarkCommand:
          "bad parameters for bfo: need n_c >= 1 and n_s >= 0, got 0 and 4"),
         ({"bfo": {"n_s": -1}},
          "bad parameters for bfo: need n_c >= 1 and n_s >= 0, got 4 and -1"),
+        ({"datasets": []}, "'datasets' must name at least one entry"),
+        ({"methods": []}, "'methods' must name at least one entry"),
+        ({"hybrid": []}, r"'hybrid' must be an object, got \[\]"),
+        ({"pso": []}, r"'pso' must be an object, got \[\]"),
+        ({"split": 0.3}, "'split' must be an object, got 0.3"),
+        ({"data_dir": 5}, "'data_dir' must be a path or null, got 5"),
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
             "split-unknown-key", "split-seed", "zscore-string", "zscore-int",
@@ -421,7 +427,8 @@ class TestBenchmarkCommand:
             "bfo-param-bool", "pso-param-number", "bat-param-bool",
             "pso-param-huge-int", "threshold-huge-int", "threshold-bool",
             "init-range-bool", "split-string", "bfo-chemotaxis-zero",
-            "bfo-swims-negative"])
+            "bfo-swims-negative", "datasets-empty", "methods-empty",
+            "hybrid-list", "pso-list", "split-number", "data-dir-number"])
     def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
                                                monkeypatch, overrides, message):
         monkeypatch.setattr(datasets, "_default_opener", offline)

@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from swarmpnn import pnn
+from swarmpnn import hybrid, pnn
 from swarmpnn.datasets import (
     BUNDLED_DIR,
     SplitSpec,
@@ -19,7 +22,6 @@ from swarmpnn.hybrid import (
     train_hybrid,
     train_single,
 )
-from swarmpnn.optimizers import Population
 from swarmpnn.pnn import (
     BANDWIDTH_FLOOR,
     Dataset,
@@ -217,18 +219,29 @@ class TestHybridMinimize:
 
     def test_unobserved_run_hashes_no_population(self, monkeypatch):
         hashed = []
-        original = Population.fingerprint
+        original = hybrid._fingerprint
 
-        def counting(pop):
+        def counting(positions):
             hashed.append(1)
-            return original(pop)
+            return original(positions)
 
-        monkeypatch.setattr(Population, "fingerprint", counting)
+        monkeypatch.setattr(hybrid, "_fingerprint", counting)
         cfg = small_cfg(iterations=2, seed=9)
         hybrid_minimize(sphere, 2, cfg, eval_cost=1)
         assert hashed == []
         hybrid_minimize(sphere, 2, cfg, eval_cost=1, observer=Recorder())
         assert len(hashed) == cfg.iterations * (len(cfg.methods) + 1)
+
+    def test_cli_import_loads_no_hashlib(self):
+        # only an observed run hashes positions; the import costs about 3 ms
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, swarmpnn.cli; "
+             "print('hashlib' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False"]
 
     def test_determinism(self):
         runs = []
@@ -379,6 +392,14 @@ class TestTrainers:
         assert result.test_error == 0.0
         assert result.trace == []
         assert result.evaluations <= cfg.total_cap(train.n_samples)
+
+    @pytest.mark.parametrize("method", ["cmaes", "hybrid"])
+    def test_single_method_training_names_an_unknown_method(self, method):
+        ds = separable_dataset(np.random.default_rng(6))
+        train = ds.subset(np.arange(0, 30, 2))
+        test = ds.subset(np.arange(1, 30, 2))
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            train_single(train, test, method, small_cfg(seed=7))
 
     @pytest.mark.parametrize("kind,length", [
         ("scalar", 1), ("per_class", 2), ("per_feature", 1),

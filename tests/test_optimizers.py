@@ -12,7 +12,6 @@ from swarmpnn.optimizers import (
     METHOD_NAMES,
     OPTIMIZERS,
     FeBudget,
-    Population,
     make_optimizer,
     reflect,
 )
@@ -36,7 +35,7 @@ class CountingObjective:
 
 
 def fresh_population(rng, size=20, dim=2, low=0.0, high=10.0):
-    return Population(rng.uniform(low, high, size=(size, dim)))
+    return rng.uniform(low, high, size=(size, dim))
 
 
 class TestReflect:
@@ -113,28 +112,28 @@ class TestDefaults:
 class TestEveryMethod:
     def test_constant_objective_keeps_best_and_bounds(self, method):
         rng = np.random.default_rng(1)
-        pop = fresh_population(rng)
-        opt = make_optimizer(method, pop.positions.shape[1], BOUNDS, 7)
+        positions = fresh_population(rng)
+        opt = make_optimizer(method, positions.shape[1], BOUNDS, 7)
         budget = FeBudget(cap=20 * 30, eval_cost=1)
-        opt.run(pop, lambda x: 0.5, budget, target=0.0)
+        opt.run(positions, lambda x: 0.5, budget, target=0.0)
         assert opt.best_fitness == 0.5
-        assert np.all(pop.positions >= BOUNDS[0])
-        assert np.all(pop.positions <= BOUNDS[1])
+        assert np.all(opt.positions >= BOUNDS[0])
+        assert np.all(opt.positions <= BOUNDS[1])
 
     def test_budget_accounting_is_exact(self, method):
         rng = np.random.default_rng(2)
-        pop = fresh_population(rng)
-        opt = make_optimizer(method, pop.positions.shape[1], BOUNDS, 11)
+        positions = fresh_population(rng)
+        opt = make_optimizer(method, positions.shape[1], BOUNDS, 11)
         counting = CountingObjective(sphere)
         budget = FeBudget(cap=20 * 50 * 17, eval_cost=17)
-        opt.run(pop, counting, budget, target=-1.0)
+        opt.run(positions, counting, budget, target=-1.0)
         assert counting.calls * 17 == budget.used
         assert budget.used <= budget.cap + 20 * 17
 
     def test_elitism_is_monotone(self, method):
         rng = np.random.default_rng(3)
-        pop = fresh_population(rng)
-        opt = make_optimizer(method, pop.positions.shape[1], BOUNDS, 13)
+        positions = fresh_population(rng)
+        opt = make_optimizer(method, positions.shape[1], BOUNDS, 13)
         best_seen, values = [], []
 
         def recording(x):
@@ -142,7 +141,7 @@ class TestEveryMethod:
             values.append(sphere(x))
             return values[-1]
 
-        opt.run(pop, recording, FeBudget(cap=20 * 41, eval_cost=1),
+        opt.run(positions, recording, FeBudget(cap=20 * 41, eval_cost=1),
                 target=-1.0)
         best_seen.append(opt.best_fitness)
         assert np.all(np.diff(best_seen) <= 0)
@@ -151,22 +150,22 @@ class TestEveryMethod:
     def test_bound_safety_under_outward_pressure(self, method):
         # objective rewards running past the lower bound
         rng = np.random.default_rng(4)
-        pop = fresh_population(rng, low=0.0, high=100.0)
-        opt = make_optimizer(method, pop.positions.shape[1], (0.0, 100.0), 17)
+        positions = fresh_population(rng, low=0.0, high=100.0)
+        opt = make_optimizer(method, positions.shape[1], (0.0, 100.0), 17)
         budget = FeBudget(cap=2000, eval_cost=1)
-        opt.run(pop, lambda x: float(np.sum(x)), budget, target=-1.0)
-        assert np.all(pop.positions >= 0.0)
-        assert np.all(pop.positions <= 100.0)
+        opt.run(positions, lambda x: float(np.sum(x)), budget, target=-1.0)
+        assert np.all(opt.positions >= 0.0)
+        assert np.all(opt.positions <= 100.0)
 
     def test_determinism(self, method):
         results = []
         for _ in range(2):
             rng = np.random.default_rng(5)
-            pop = fresh_population(rng)
-            opt = make_optimizer(method, pop.positions.shape[1], BOUNDS, 19)
+            positions = fresh_population(rng)
+            opt = make_optimizer(method, positions.shape[1], BOUNDS, 19)
             budget = FeBudget(cap=1500, eval_cost=1)
-            opt.run(pop, sphere, budget, target=0.0)
-            results.append((pop.positions.copy(), pop.fitness.copy(),
+            opt.run(positions, sphere, budget, target=0.0)
+            results.append((opt.positions.copy(), opt.fitness.copy(),
                             opt.best_fitness))
         np.testing.assert_array_equal(results[0][0], results[1][0])
         np.testing.assert_array_equal(results[0][1], results[1][1])
@@ -175,10 +174,11 @@ class TestEveryMethod:
     def test_sphere_improves_90_percent(self, method):
         # search domain brackets the optimum so relative step sizes are sane
         rng = np.random.default_rng(6)
-        pop = fresh_population(rng)
-        opt = make_optimizer(method, pop.positions.shape[1], (0.0, 10.0), 23)
-        initial_best = min(sphere(x) for x in pop.positions)
-        opt.run(pop, sphere, FeBudget(cap=20 * 500, eval_cost=1), target=0.0)
+        positions = fresh_population(rng)
+        opt = make_optimizer(method, positions.shape[1], (0.0, 10.0), 23)
+        initial_best = min(sphere(x) for x in positions)
+        opt.run(positions, sphere, FeBudget(cap=20 * 500, eval_cost=1),
+                target=0.0)
         assert opt.best_fitness <= 0.1 * initial_best
 
     @pytest.mark.parametrize("calls", [20 * 3 + 7, 20 * 11 + 13, 20 * 40 + 1])
@@ -186,27 +186,28 @@ class TestEveryMethod:
         # the halt check precedes each member's draws and position writes, so
         # every cached fitness still belongs to its member's position
         rng = np.random.default_rng(14)
-        pop = fresh_population(rng)
-        opt = make_optimizer(method, pop.positions.shape[1], (0.0, 10.0), 43)
-        opt.run(pop, sphere, FeBudget(cap=calls, eval_cost=1), target=-1.0)
-        assert pop.fitness.tolist() == [sphere(x) for x in pop.positions]
+        positions = fresh_population(rng)
+        opt = make_optimizer(method, positions.shape[1], (0.0, 10.0), 43)
+        opt.run(positions, sphere, FeBudget(cap=calls, eval_cost=1),
+                target=-1.0)
+        assert opt.fitness.tolist() == [sphere(x) for x in opt.positions]
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_objective_raises(self, method, value):
-        pop = fresh_population(np.random.default_rng(15), size=5)
-        opt = make_optimizer(method, pop.positions.shape[1], BOUNDS, 47)
+        positions = fresh_population(np.random.default_rng(15), size=5)
+        opt = make_optimizer(method, positions.shape[1], BOUNDS, 47)
         with pytest.raises(ValueError, match=f"returned {value}"):
-            opt.run(pop, lambda x: value, FeBudget(cap=100), target=0.0)
+            opt.run(positions, lambda x: value, FeBudget(cap=100), target=0.0)
 
     def test_prefilled_fitness_is_scored_again(self, method):
-        # fitness a caller wrote before run is replaced: the initial pass
-        # scores every member once, in order, and each enters the archive
-        pop = fresh_population(np.random.default_rng(16), size=5)
-        members = pop.positions.copy()
-        pop.fitness[:] = 1.0
-        opt = make_optimizer(method, pop.positions.shape[1], (0.0, 100.0), 1)
+        # fitness set on the optimizer before run is discarded: the initial
+        # pass scores every member once, in order, and each enters the archive
+        positions = fresh_population(np.random.default_rng(16), size=5)
+        members = positions.copy()
+        opt = make_optimizer(method, positions.shape[1], (0.0, 100.0), 1)
+        opt.fitness = np.ones(5)
         seen = []
-        opt.run(pop, lambda x: seen.append(np.array(x)) or sphere(x),
+        opt.run(positions, lambda x: seen.append(np.array(x)) or sphere(x),
                 FeBudget(50), target=-1.0)
         np.testing.assert_array_equal(seen[:5], members)
         assert len(seen) == 50
@@ -218,11 +219,11 @@ class TestStepContracts:
         # desk-calibrated: 20 particles, 200 generations reach < 1% of the
         # initial best on the 2-D sphere
         rng = np.random.default_rng(8)
-        pop = fresh_population(rng)
-        opt = make_optimizer("pso", pop.positions.shape[1], (0.0, 10.0), 29)
-        initial_best = min(sphere(x) for x in pop.positions)
+        positions = fresh_population(rng)
+        opt = make_optimizer("pso", positions.shape[1], (0.0, 10.0), 29)
+        initial_best = min(sphere(x) for x in positions)
         counting = CountingObjective(sphere)
-        opt.run(pop, counting, FeBudget(cap=20 * 201, eval_cost=1),
+        opt.run(positions, counting, FeBudget(cap=20 * 201, eval_cost=1),
                 target=-np.inf)
         assert counting.calls == 20 * 201
         assert opt.best_fitness < 1e-2 * initial_best
@@ -230,33 +231,33 @@ class TestStepContracts:
     def test_single_batch_cap_runs_one_generation(self):
         # the cap covers the initial pass plus exactly one generation batch
         rng = np.random.default_rng(9)
-        pop = fresh_population(rng)
-        opt = make_optimizer("pso", pop.positions.shape[1], BOUNDS, 31)
+        positions = fresh_population(rng)
+        opt = make_optimizer("pso", positions.shape[1], BOUNDS, 31)
         counting = CountingObjective(sphere)
         budget = FeBudget(cap=2 * 20 * 3, eval_cost=3)
-        opt.run(pop, counting, budget, target=0.0)
+        opt.run(positions, counting, budget, target=0.0)
         assert counting.calls == 20 + 20  # the initial pass, one generation
         assert budget.used == budget.cap
 
     def test_run_with_zero_cap_returns_unchanged(self):
         rng = np.random.default_rng(10)
-        pop = fresh_population(rng)
-        before = pop.positions.copy()
-        opt = make_optimizer("fpa", pop.positions.shape[1], BOUNDS, 37)
+        positions = fresh_population(rng)
+        before = positions.copy()
+        opt = make_optimizer("fpa", positions.shape[1], BOUNDS, 37)
         budget = FeBudget(cap=0, eval_cost=1)
-        opt.run(pop, sphere, budget, target=0.0)
+        opt.run(positions, sphere, budget, target=0.0)
         assert budget.used == 0
-        np.testing.assert_array_equal(pop.positions, before)
+        np.testing.assert_array_equal(opt.positions, before)
 
     def test_run_stops_on_known_zero(self):
         rng = np.random.default_rng(12)
-        pop = fresh_population(rng)
-        zero_at = pop.positions[3].copy()
-        opt = make_optimizer("bat", pop.positions.shape[1], BOUNDS, 41)
+        positions = fresh_population(rng)
+        zero_at = positions[3].copy()
+        opt = make_optimizer("bat", positions.shape[1], BOUNDS, 41)
         counting = CountingObjective(
             lambda x: 0.0 if np.array_equal(x, zero_at) else 1.0)
         budget = FeBudget(cap=10 ** 6, eval_cost=1)
-        opt.run(pop, counting, budget, target=0.0)
+        opt.run(positions, counting, budget, target=0.0)
         assert counting.calls == 4  # members 0-3 of the initial pass
         assert opt.best_fitness == 0.0
 
@@ -274,7 +275,7 @@ class TestStepContracts:
         try:
             with pytest.raises(ValueError, match="n >= 1"):
                 make_optimizer("pso", 2, (0.0, 10.0), 0).run(
-                    Population(np.empty((0, 2))), sphere, FeBudget(100))
+                    np.empty((0, 2)), sphere, FeBudget(100))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -283,9 +284,9 @@ class TestStepContracts:
 class TestLifecycle:
     def test_sa_cools_only_after_complete_sweeps(self):
         # the initial pass, three full sweeps and 7 members of a fourth
-        pop = fresh_population(np.random.default_rng(20))
-        opt = make_optimizer("sa", pop.positions.shape[1], BOUNDS, 53)
-        opt.run(pop, sphere, FeBudget(20 + 3 * 20 + 7), target=-1.0)
+        positions = fresh_population(np.random.default_rng(20))
+        opt = make_optimizer("sa", positions.shape[1], BOUNDS, 53)
+        opt.run(positions, sphere, FeBudget(20 + 3 * 20 + 7), target=-1.0)
         expected = opt.initial_temperature
         for _ in range(3):
             expected *= opt.alpha
@@ -293,10 +294,10 @@ class TestLifecycle:
 
     def test_bfo_sweep_halted_part_way_still_advances_chemotaxis(self):
         # the initial pass, then member 0's tumble spends the budget
-        pop = fresh_population(np.random.default_rng(21), size=5)
-        opt = make_optimizer("bfo", pop.positions.shape[1], BOUNDS, 59)
+        positions = fresh_population(np.random.default_rng(21), size=5)
+        opt = make_optimizer("bfo", positions.shape[1], BOUNDS, 59)
         budget = FeBudget(5 + 1)
-        opt.run(pop, sphere, budget, target=-1.0)
+        opt.run(positions, sphere, budget, target=-1.0)
         assert budget.used == 6
         assert opt._chem == 1
 

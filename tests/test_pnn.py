@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from swarmpnn import pnn
+from swarmpnn.datasets import REGISTRY, SplitSpec, stratified_split
+from swarmpnn.hybrid import HybridConfig, train_hybrid
 from swarmpnn.pnn import (
     Dataset,
     DensityEvaluator,
@@ -748,3 +750,62 @@ def test_density_evaluator_agrees_with_oracle(seed):
                                   [1.0] * ds.n_samples, rows, x[0].tolist(), j)
             for j in range(ds.n_classes)]
     np.testing.assert_allclose(ev.class_densities(sm)[0], want, rtol=1e-10)
+
+
+def registry_shape_split(name, seed=0):
+    """Gaussian class clusters at a registry dataset's class balance and
+    feature count, split at test fraction 0.2; the generator of
+    ``tools/loo_ab.py``'s ``train_set``."""
+    d = REGISTRY[name]
+    g, n = len(d.expected_balance), d.expected_features
+    rng = np.random.default_rng([seed, sorted(REGISTRY).index(name)])
+    labels = np.repeat(np.arange(g), d.expected_balance)
+    rng.shuffle(labels)
+    centres = rng.standard_normal((g, n))
+    features = centres[labels] + rng.standard_normal((len(labels), n))
+    return stratified_split(Dataset(features, labels), SplitSpec(0.2, seed))
+
+
+def test_training_trajectory_settles_only_exact_argmaxes(monkeypatch):
+    # Optimizers reach near ties that random candidates rarely hit. Every
+    # distinct candidate of a short seeded run at banknote's shape, a
+    # float32 layout, is replayed: the 10 rows the screen settled nearest a
+    # tie, by the gap of their linear log scores, keep the exact path's
+    # argmax, and a sample of them the oracle's.
+    train, test = registry_shape_split("banknote")
+    linear_sums = DensityEvaluator._linear_sums
+    unsettled = DensityEvaluator._unsettled
+    calls = []
+
+    def recording_sums(self, inv_h2):
+        calls.append((self, inv_h2))
+        return linear_sums(self, inv_h2)
+
+    def recording_unsettled(self, sums, best, log_det):
+        open_rows = unsettled(self, sums, best, log_det)
+        settled = np.setdiff1d(np.arange(len(sums)), open_rows)
+        scores = np.log(np.maximum(sums[settled], pnn.SAFE_SUM))
+        scores -= self._log_counts[settled] + log_det
+        top = np.sort(scores, axis=1)
+        gaps = top[:, -1] - top[:, -2]
+        nearest = settled[np.argsort(gaps, kind="stable")[:10]]
+        calls[-1] += (nearest, best[nearest], log_det)
+        return open_rows
+
+    monkeypatch.setattr(DensityEvaluator, "_linear_sums", recording_sums)
+    monkeypatch.setattr(DensityEvaluator, "_unsettled", recording_unsettled)
+    train_hybrid(train, test, HybridConfig(
+        iterations=1, probing_multiplier=2, fit_multiplier=10))
+    assert len(calls) > 200 and calls[0][0]._d2.dtype == np.float32
+    features, labels = train.features.tolist(), train.labels.tolist()
+    shape = (train.n_classes, train.n_features)
+    for k, (ev, inv_h2, nearest, best, log_det) in enumerate(calls):
+        exact = (ev._log_sums(nearest, inv_h2) - ev._log_counts[nearest]
+                 - log_det)
+        np.testing.assert_array_equal(exact.argmax(axis=1), best)
+        if k % 30 == 0:
+            rows = np.broadcast_to(1.0 / np.sqrt(inv_h2), shape).tolist()
+            want = oracles.log_class_densities(
+                features, labels, rows, features[nearest[0]],
+                train.n_classes, exclude=nearest[0])
+            assert int(np.argmax(want)) == best[0], (k, want)

@@ -93,7 +93,6 @@ from swarmpnn.hybrid import HybridConfig, train_hybrid, train_single  # noqa: E4
 from swarmpnn.optimizers import (  # noqa: E402
     METHOD_NAMES,
     FeBudget,
-    Population,
     make_optimizer,
 )
 from swarmpnn.pnn import Dataset, DensityEvaluator, Smoothing  # noqa: E402
@@ -215,12 +214,12 @@ def optimizer_runs():
             opt = make_optimizer(method, 3, (0.0, 10.0), [index, case, 1])
             runs = []
             for repeat in (1, 3):
-                pop = Population(rng.uniform(0.0, 10.0, size=(20, 3)))
                 budget = FeBudget(repeat * calls * eval_cost - eval_cost // 2,
                                   eval_cost)
-                opt.run(pop, _quadratic, budget, target=target)
-                runs.append({"positions": pop.positions.tolist(),
-                             "fitness": pop.fitness.tolist(),
+                opt.run(rng.uniform(0.0, 10.0, size=(20, 3)), _quadratic,
+                        budget, target=target)
+                runs.append({"positions": opt.positions.tolist(),
+                             "fitness": opt.fitness.tolist(),
                              "used": budget.used,
                              "best_fitness": opt.best_fitness,
                              "best_position": opt.best_position.tolist()})
