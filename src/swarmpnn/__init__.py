@@ -19,7 +19,7 @@ from .hybrid import (
     train_single,
 )
 from .metrics import MethodSummary, RunMetrics, aggregate_runs, compute_metrics, rank
-from .optimizers import FeBudget, make_optimizer, reflect
+from .optimizers import make_optimizer, reflect
 from .pnn import (
     Dataset,
     DensityEvaluator,

@@ -84,7 +84,8 @@ _SETTING_WORDS = {int: "an integer", bool: "true or false",
 def load_config(path) -> dict:
     """The default config updated from the JSON file at ``path``; each value
     has its default's type (``data_dir`` may also be a path, ``datasets``
-    also ``"all"``), and runs, jobs and lists count at least one."""
+    also ``"all"``), runs, jobs and lists count at least one, and ``paths``
+    maps names to path strings."""
     cfg = default_config()
     with open(path, encoding="utf-8") as fh:
         user = json.load(fh)
@@ -100,6 +101,9 @@ def load_config(path) -> dict:
             raise SystemExit(f"config: {key!r} must be {words}, got {value!r}")
         if value == []:
             raise SystemExit(f"config: {key!r} must name at least one entry")
+        if key == "paths" and not all(type(v) is str for v in value.values()):
+            raise SystemExit("config: 'paths' must map each name to a file "
+                             f"path, got {value!r}")
         if kind is dict:
             cfg[key].update(value)
         else:

@@ -24,7 +24,7 @@ from numbers import Real
 
 import numpy as np
 
-from .optimizers import METHOD_NAMES, FeBudget, make_optimizer
+from .optimizers import METHOD_NAMES, make_optimizer
 from .pnn import BANDWIDTH_FLOOR, Dataset, DensityEvaluator, Smoothing
 
 # seed-derivation tags; each RNG stream is SeedSequence([seed, tag, ...])
@@ -179,15 +179,15 @@ def probe_phase(positions, cfg: HybridConfig, objective, eval_cost: int,
             method, positions.shape[1], cfg.bounds,
             np.random.SeedSequence([cfg.seed, _TAG_PROBE, iteration, index]),
             params=cfg.method_params.get(method))
-        budget = FeBudget(cfg.probe_cap(eval_cost), eval_cost)
-        opt.run(positions, objective, budget, target=cfg.fitness_threshold)
+        opt.run(positions, objective, cfg.probe_cap(eval_cost), eval_cost,
+                target=cfg.fitness_threshold)
         scores[method] = opt.best_fitness
-        evals[method] = budget.used
+        evals[method] = opt.evaluations
         opts[method] = opt
         if observer is not None:
             observer("probe_end", dict(
                 iteration=iteration, method=method, score=opt.best_fitness,
-                evals=budget.used, fingerprint=_fingerprint(opt.positions)))
+                evals=opt.evaluations, fingerprint=_fingerprint(opt.positions)))
         if opt.best_fitness <= cfg.fitness_threshold:
             break
 
@@ -209,7 +209,7 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
     ``eval_cost`` is charged per call (the samples one call scores).
     ``converged(position, fitness) -> bool`` is consulted after each fit
     phase for an external stop condition. The run's best is the first-seen
-    minimum over all phases; ``evaluations`` sums their budgets' use.
+    minimum over all phases; ``evaluations`` sums what their runs spent.
     """
     positions = cfg.initial_positions(dim)
     best = (np.inf, None)
@@ -227,11 +227,11 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
                 observer("fit_start", dict(
                     iteration=iteration, method=probe.winner,
                     fingerprint=_fingerprint(opt.positions)))
-            fit_budget = FeBudget(cfg.fit_cap(eval_cost), eval_cost)
-            positions = opt.run(opt.positions, objective, fit_budget,
+            positions = opt.run(opt.positions, objective,
+                                cfg.fit_cap(eval_cost), eval_cost,
                                 target=cfg.fitness_threshold)
             best = _fold_best(best, [opt])
-            fitness, fit_evals = opt.best_fitness, fit_budget.used
+            fitness, fit_evals = opt.best_fitness, opt.evaluations
             if observer is not None:
                 observer("fit_end", dict(
                     iteration=iteration, method=probe.winner,
@@ -336,11 +336,11 @@ def train_single(train: Dataset, test: Dataset, method: str,
         np.random.SeedSequence([cfg.seed, _TAG_SINGLE,
                                 METHOD_NAMES.index(method)]),
         params=cfg.method_params.get(method))
-    budget = FeBudget(cfg.total_cap(train.n_samples), train.n_samples)
-    opt.run(cfg.initial_positions(dim), loo_objective(train, kind), budget,
+    opt.run(cfg.initial_positions(dim), loo_objective(train, kind),
+            cfg.total_cap(train.n_samples), train.n_samples,
             target=cfg.fitness_threshold)
     stop = ("train_threshold"
             if opt.best_fitness <= cfg.fitness_threshold else "iterations")
     return _train_result(DensityEvaluator(train, test.features), test, kind,
                          HybridResult(opt.best_position, opt.best_fitness, [],
-                                      budget.used, stop))
+                                      opt.evaluations, stop))

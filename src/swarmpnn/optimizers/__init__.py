@@ -1,14 +1,14 @@
 """Five population methods behind one budget-aware interface.
 
-An optimizer holds its population: :meth:`Optimizer.run` takes the starting
-(n, d) positions and keeps them, with their fitness, beside the method's
-per-member state, and returns the final positions. Each method declares its
-published parameterization once, in its class's ``defaults`` table, which
-:class:`Optimizer` checks, types and sets; override any of them through
-``params``.
+An optimizer holds its population and budget: :meth:`Optimizer.run` keeps
+the (n, dim) starting positions, with their fitness, beside the method's
+per-member state, counts the evaluations it spends against a cap and
+returns the final positions. Each method declares its published
+parameterization once, in its class's ``defaults`` table, which
+:class:`Optimizer` checks, types and sets; override any through ``params``.
 """
 
-from .base import FeBudget, Optimizer, reflect
+from .base import Optimizer, reflect
 from .bat import BatSearch
 from .bfo import BacterialForaging
 from .fpa import FlowerPollination
@@ -37,7 +37,7 @@ def make_optimizer(method: str, dim: int, bounds, seed, params=None) -> Optimize
 
 
 __all__ = [
-    "FeBudget", "Optimizer", "reflect",
+    "Optimizer", "reflect",
     "OPTIMIZERS", "METHOD_NAMES", "make_optimizer",
     "ParticleSwarm", "BatSearch", "BacterialForaging", "SimulatedAnnealing",
     "FlowerPollination",

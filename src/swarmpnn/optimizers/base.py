@@ -1,17 +1,17 @@
-"""Shared machinery for the population optimizers: reflection at the
-bounds, function-evaluation budgets and :meth:`Optimizer.run`, the one
-driver that scores the candidates each method's generation yields.
+"""Shared machinery for the population optimizers: reflection at the bounds
+and :meth:`Optimizer.run`, the one driver that scores the candidates each
+method's generation yields and counts their function evaluations.
 
 Budget convention: every objective call costs ``eval_cost`` evaluation units
-(one unit per sample the objective classifies internally). The budget is
-checked before every objective call, so a run overshoots its cap by less than
-one call's cost.
+(one unit per sample the objective classifies internally). The cap is checked
+before every objective call, so a run overshoots it by less than one call's
+cost.
 """
 
 from __future__ import annotations
 
 import sys
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,28 +32,6 @@ def reflect(position, lower: float, upper: float) -> np.ndarray:
     return lower + folded
 
 
-class FeBudget:
-    """Function-evaluation accountant for one optimization phase.
-
-    ``cap`` is the total evaluation allowance; ``eval_cost`` is charged per
-    objective call (the cardinality of the sample the objective evaluates).
-    """
-
-    def __init__(self, cap: float, eval_cost: int = 1):
-        if eval_cost < 1:
-            raise ValueError("eval_cost must be at least 1")
-        self.cap = cap
-        self.eval_cost = int(eval_cost)
-        self.used = 0
-
-    def charge(self) -> None:
-        self.used += self.eval_cost
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.cap
-
-
 _KIND_WORDS = {float: "a number", int: "an integer", bool: "true or false"}
 
 
@@ -64,15 +42,16 @@ class Optimizer:
     constructor rejects unknown names, values that are not finite numbers and
     values the default's type would change, and sets each as an attribute.
 
-    An optimizer holds its population: each :meth:`run` keeps a copy of the
-    positions it is given as ``positions``, with their ``fitness`` NaN until
-    scored, beside per-member state such as velocities. A subclass implements
-    :meth:`generation` as a generator that yields each position it wants scored
-    and receives its fitness back (``value = yield candidate``). :meth:`run` is
-    the one driver: only it calls the objective, charges the budget, keeps the
-    best-seen archive and calls :meth:`_attach`. A generation sweeps its
-    members through :meth:`_members`, which stops before any draw or position
-    write once the run has halted.
+    An optimizer holds its population and its budget: each :meth:`run` keeps
+    a copy of the positions it is given as ``positions``, with their
+    ``fitness`` NaN until scored, beside per-member state such as velocities,
+    and counts the units it spends in ``evaluations`` against ``cap``. A
+    subclass implements :meth:`generation` as a generator that yields each
+    position it wants scored and receives its fitness back (``value = yield
+    candidate``). :meth:`run` is the one driver: only it calls the objective,
+    counts evaluations, keeps the best-seen archive and calls
+    :meth:`_attach`. A generation sweeps its members through :meth:`_members`,
+    which stops before any draw or position write once the run has halted.
     """
 
     name = "base"
@@ -107,8 +86,8 @@ class Optimizer:
 
     @property
     def halted(self) -> bool:
-        """True once the run's budget is spent or its target has been hit."""
-        return self._budget.exhausted or self.best_fitness <= self._target
+        """True once the run's cap is spent or its target has been hit."""
+        return self.evaluations >= self.cap or self.best_fitness <= self._target
 
     def _attach(self) -> None:
         """Initialise per-member state for ``positions``; the driver calls it
@@ -140,18 +119,26 @@ class Optimizer:
             if self.halted:
                 return
 
-    def run(self, positions, objective, budget: FeBudget,
+    def run(self, positions, objective, cap: float, eval_cost: int = 1,
             target: float = 0.0) -> np.ndarray:
-        """Score a copy of the (n, d) ``positions`` once, then step
-        generations until the budget is spent or the best reaches
-        ``target``; returns the final positions. Only what this optimizer's
-        runs have scored enters its best-seen archive."""
+        """Score a copy of the (n, dim) ``positions`` once, then step
+        generations until ``evaluations`` reaches ``cap`` or the best reaches
+        ``target``; returns the final positions. Each objective call costs
+        ``eval_cost`` units, an integer >= 1. Only what this optimizer's runs
+        have scored enters its best-seen archive."""
         self.positions = np.array(positions, dtype=np.float64)
-        # a run over no members could never halt
-        if self.positions.ndim != 2 or len(self.positions) == 0:
-            raise ValueError("positions must be (n, d) with n >= 1")
+        # a run over no members, or under a NaN cap, could never halt
+        if (self.positions.ndim != 2 or len(self.positions) == 0
+                or self.positions.shape[1] != self.dim):
+            raise ValueError(f"positions must be (n, {self.dim}) with n >= 1, "
+                             f"got shape {self.positions.shape}")
+        if (isinstance(eval_cost, bool) or not isinstance(eval_cost, Integral)
+                or not (eval_cost >= 1 and cap >= 0)):
+            raise ValueError("need an integer eval_cost >= 1 and a cap >= 0, "
+                             f"got {eval_cost!r} and {cap!r}")
         self.fitness = np.full(len(self.positions), np.nan)
-        self._budget, self._target = budget, target
+        self.cap, self.eval_cost, self._target = cap, int(eval_cost), target
+        self.evaluations = 0
         candidates = self._candidates()
         value = None
         while True:
@@ -159,7 +146,7 @@ class Optimizer:
                 candidate = candidates.send(value)
             except StopIteration:
                 return self.positions
-            budget.charge()
+            self.evaluations += self.eval_cost
             value = float(objective(candidate))
             if not np.isfinite(value):
                 raise ValueError(f"objective returned {value}, not finite")

@@ -22,7 +22,7 @@ class ParticleSwarm(Optimizer):
         # run starts no generation at a cap <= 0; an infinite cap gives 0
         if not self.adjust_omega:
             return self.omega
-        progress = min(1.0, self._budget.used / self._budget.cap)
+        progress = min(1.0, self.evaluations / self.cap)
         return self.omega + (OMEGA_END - self.omega) * progress
 
     def generation(self):

@@ -401,8 +401,9 @@ class DensityEvaluator:
     subnormal operands (under 2**-50 per factor, as d_f^2 < 2**100 and
     h_f >= BANDWIDTH_FLOOR); P 2**-53 bounds the float64 summation. A term
     below 2**-252 (float32 subnormal or overflow) is off by at most
-    2**-252, hence the slack. A settled argmax is thus the exact one and
-    the one a float64 layout gives.
+    2**-252, hence the slack. A settled argmax is thus the exact one; a
+    float64 layout's rows settle without a margin test, so no such bound
+    is derived for them.
 
     ``pattern_scales`` (one positive s_p per pattern, default all one)
     divides each pattern's kernel argument by s_p and its kernel by

@@ -414,6 +414,10 @@ class TestBenchmarkCommand:
         ({"pso": []}, r"'pso' must be an object, got \[\]"),
         ({"split": 0.3}, "'split' must be an object, got 0.3"),
         ({"data_dir": 5}, "'data_dir' must be a path or null, got 5"),
+        ({"paths": {"toy": 0}},
+         r"'paths' must map each name to a file path, got \{'toy': 0\}"),
+        ({"paths": {"toy": ["a"]}},
+         r"'paths' must map each name to a file path, got \{'toy': \['a'\]\}"),
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
             "split-unknown-key", "split-seed", "zscore-string", "zscore-int",
@@ -428,7 +432,8 @@ class TestBenchmarkCommand:
             "pso-param-huge-int", "threshold-huge-int", "threshold-bool",
             "init-range-bool", "split-string", "bfo-chemotaxis-zero",
             "bfo-swims-negative", "datasets-empty", "methods-empty",
-            "hybrid-list", "pso-list", "split-number", "data-dir-number"])
+            "hybrid-list", "pso-list", "split-number", "data-dir-number",
+            "paths-number", "paths-list"])
     def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
                                                monkeypatch, overrides, message):
         monkeypatch.setattr(datasets, "_default_opener", offline)

@@ -196,6 +196,13 @@ class TestHybridMinimize:
         for record in result.trace:
             assert sum(record.probe_evals.values()) + record.fit_evals <= per_iter
 
+    def test_fractional_eval_cost_stops_before_any_call(self):
+        # a cost of 2.5 would give caps of 2.5 units per call yet charge 2
+        counting = CountingObjective(sphere)
+        with pytest.raises(ValueError, match="eval_cost >= 1"):
+            hybrid_minimize(counting, 2, small_cfg(), eval_cost=2.5)
+        assert counting.calls == 0
+
     def test_global_best_consistency(self):
         cfg = small_cfg(iterations=3, seed=5)
         result = hybrid_minimize(sphere, 3, cfg, eval_cost=1)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from swarmpnn.optimizers import (
     METHOD_NAMES,
     OPTIMIZERS,
-    FeBudget,
     make_optimizer,
     reflect,
 )
@@ -114,8 +113,7 @@ class TestEveryMethod:
         rng = np.random.default_rng(1)
         positions = fresh_population(rng)
         opt = make_optimizer(method, positions.shape[1], BOUNDS, 7)
-        budget = FeBudget(cap=20 * 30, eval_cost=1)
-        opt.run(positions, lambda x: 0.5, budget, target=0.0)
+        opt.run(positions, lambda x: 0.5, cap=20 * 30, eval_cost=1, target=0.0)
         assert opt.best_fitness == 0.5
         assert np.all(opt.positions >= BOUNDS[0])
         assert np.all(opt.positions <= BOUNDS[1])
@@ -125,10 +123,10 @@ class TestEveryMethod:
         positions = fresh_population(rng)
         opt = make_optimizer(method, positions.shape[1], BOUNDS, 11)
         counting = CountingObjective(sphere)
-        budget = FeBudget(cap=20 * 50 * 17, eval_cost=17)
-        opt.run(positions, counting, budget, target=-1.0)
-        assert counting.calls * 17 == budget.used
-        assert budget.used <= budget.cap + 20 * 17
+        opt.run(positions, counting, cap=20 * 50 * 17, eval_cost=17,
+                target=-1.0)
+        assert counting.calls * 17 == opt.evaluations
+        assert opt.evaluations <= opt.cap + 20 * 17
 
     def test_elitism_is_monotone(self, method):
         rng = np.random.default_rng(3)
@@ -141,8 +139,7 @@ class TestEveryMethod:
             values.append(sphere(x))
             return values[-1]
 
-        opt.run(positions, recording, FeBudget(cap=20 * 41, eval_cost=1),
-                target=-1.0)
+        opt.run(positions, recording, cap=20 * 41, eval_cost=1, target=-1.0)
         best_seen.append(opt.best_fitness)
         assert np.all(np.diff(best_seen) <= 0)
         assert opt.best_fitness == min(values)
@@ -152,8 +149,8 @@ class TestEveryMethod:
         rng = np.random.default_rng(4)
         positions = fresh_population(rng, low=0.0, high=100.0)
         opt = make_optimizer(method, positions.shape[1], (0.0, 100.0), 17)
-        budget = FeBudget(cap=2000, eval_cost=1)
-        opt.run(positions, lambda x: float(np.sum(x)), budget, target=-1.0)
+        opt.run(positions, lambda x: float(np.sum(x)), cap=2000, eval_cost=1,
+                target=-1.0)
         assert np.all(opt.positions >= 0.0)
         assert np.all(opt.positions <= 100.0)
 
@@ -163,8 +160,7 @@ class TestEveryMethod:
             rng = np.random.default_rng(5)
             positions = fresh_population(rng)
             opt = make_optimizer(method, positions.shape[1], BOUNDS, 19)
-            budget = FeBudget(cap=1500, eval_cost=1)
-            opt.run(positions, sphere, budget, target=0.0)
+            opt.run(positions, sphere, cap=1500, eval_cost=1, target=0.0)
             results.append((opt.positions.copy(), opt.fitness.copy(),
                             opt.best_fitness))
         np.testing.assert_array_equal(results[0][0], results[1][0])
@@ -177,8 +173,7 @@ class TestEveryMethod:
         positions = fresh_population(rng)
         opt = make_optimizer(method, positions.shape[1], (0.0, 10.0), 23)
         initial_best = min(sphere(x) for x in positions)
-        opt.run(positions, sphere, FeBudget(cap=20 * 500, eval_cost=1),
-                target=0.0)
+        opt.run(positions, sphere, cap=20 * 500, eval_cost=1, target=0.0)
         assert opt.best_fitness <= 0.1 * initial_best
 
     @pytest.mark.parametrize("calls", [20 * 3 + 7, 20 * 11 + 13, 20 * 40 + 1])
@@ -188,8 +183,7 @@ class TestEveryMethod:
         rng = np.random.default_rng(14)
         positions = fresh_population(rng)
         opt = make_optimizer(method, positions.shape[1], (0.0, 10.0), 43)
-        opt.run(positions, sphere, FeBudget(cap=calls, eval_cost=1),
-                target=-1.0)
+        opt.run(positions, sphere, cap=calls, eval_cost=1, target=-1.0)
         assert opt.fitness.tolist() == [sphere(x) for x in opt.positions]
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -197,7 +191,35 @@ class TestEveryMethod:
         positions = fresh_population(np.random.default_rng(15), size=5)
         opt = make_optimizer(method, positions.shape[1], BOUNDS, 47)
         with pytest.raises(ValueError, match=f"returned {value}"):
-            opt.run(positions, lambda x: value, FeBudget(cap=100), target=0.0)
+            opt.run(positions, lambda x: value, cap=100, target=0.0)
+
+    def test_wrong_width_is_rejected_before_any_call(self, method):
+        counting = CountingObjective(sphere)
+        opt = make_optimizer(method, 3, BOUNDS, 49)
+        positions = fresh_population(np.random.default_rng(17), dim=5)
+        with pytest.raises(ValueError, match=r"\(n, 3\).*\(20, 5\)"):
+            opt.run(positions, counting, 100, target=-1.0)
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize("cap, eval_cost", [
+        (100, 2.5), (100, True), (np.nan, 1), (-1, 1)],
+        ids=["cost-fraction", "cost-bool", "cap-nan", "cap-negative"])
+    def test_bad_cap_or_cost_is_rejected_before_any_call(self, method, cap,
+                                                         eval_cost):
+        counting = CountingObjective(lambda x: 0.5)
+        opt = make_optimizer(method, 2, BOUNDS, 51)
+        positions = fresh_population(np.random.default_rng(18))
+        with pytest.raises(ValueError, match="eval_cost >= 1 and a cap >= 0"):
+            opt.run(positions, counting, cap, eval_cost, target=0.0)
+        assert counting.calls == 0
+
+    def test_infinite_cap_stops_at_target(self, method):
+        counting = CountingObjective(sphere)
+        opt = make_optimizer(method, 2, BOUNDS, 53)
+        positions = fresh_population(np.random.default_rng(19))
+        opt.run(positions, counting, np.inf, 7, target=1e9)
+        assert counting.calls == 1
+        assert opt.evaluations == 7
 
     def test_prefilled_fitness_is_scored_again(self, method):
         # fitness set on the optimizer before run is discarded: the initial
@@ -208,7 +230,7 @@ class TestEveryMethod:
         opt.fitness = np.ones(5)
         seen = []
         opt.run(positions, lambda x: seen.append(np.array(x)) or sphere(x),
-                FeBudget(50), target=-1.0)
+                50, target=-1.0)
         np.testing.assert_array_equal(seen[:5], members)
         assert len(seen) == 50
         assert opt.best_fitness == min(sphere(x) for x in seen)
@@ -223,7 +245,7 @@ class TestStepContracts:
         opt = make_optimizer("pso", positions.shape[1], (0.0, 10.0), 29)
         initial_best = min(sphere(x) for x in positions)
         counting = CountingObjective(sphere)
-        opt.run(positions, counting, FeBudget(cap=20 * 201, eval_cost=1),
+        opt.run(positions, counting, cap=20 * 201, eval_cost=1,
                 target=-np.inf)
         assert counting.calls == 20 * 201
         assert opt.best_fitness < 1e-2 * initial_best
@@ -234,19 +256,17 @@ class TestStepContracts:
         positions = fresh_population(rng)
         opt = make_optimizer("pso", positions.shape[1], BOUNDS, 31)
         counting = CountingObjective(sphere)
-        budget = FeBudget(cap=2 * 20 * 3, eval_cost=3)
-        opt.run(positions, counting, budget, target=0.0)
+        opt.run(positions, counting, cap=2 * 20 * 3, eval_cost=3, target=0.0)
         assert counting.calls == 20 + 20  # the initial pass, one generation
-        assert budget.used == budget.cap
+        assert opt.evaluations == opt.cap
 
     def test_run_with_zero_cap_returns_unchanged(self):
         rng = np.random.default_rng(10)
         positions = fresh_population(rng)
         before = positions.copy()
         opt = make_optimizer("fpa", positions.shape[1], BOUNDS, 37)
-        budget = FeBudget(cap=0, eval_cost=1)
-        opt.run(positions, sphere, budget, target=0.0)
-        assert budget.used == 0
+        opt.run(positions, sphere, cap=0, eval_cost=1, target=0.0)
+        assert opt.evaluations == 0
         np.testing.assert_array_equal(opt.positions, before)
 
     def test_run_stops_on_known_zero(self):
@@ -256,14 +276,17 @@ class TestStepContracts:
         opt = make_optimizer("bat", positions.shape[1], BOUNDS, 41)
         counting = CountingObjective(
             lambda x: 0.0 if np.array_equal(x, zero_at) else 1.0)
-        budget = FeBudget(cap=10 ** 6, eval_cost=1)
-        opt.run(positions, counting, budget, target=0.0)
+        opt.run(positions, counting, cap=10 ** 6, eval_cost=1, target=0.0)
         assert counting.calls == 4  # members 0-3 of the initial pass
         assert opt.best_fitness == 0.0
 
     def test_budget_rejects_bad_cost(self):
-        with pytest.raises(ValueError):
-            FeBudget(10, eval_cost=0)
+        counting = CountingObjective(sphere)
+        opt = make_optimizer("pso", 2, BOUNDS, 0)
+        with pytest.raises(ValueError, match="eval_cost >= 1"):
+            opt.run(fresh_population(np.random.default_rng(11)), counting, 10,
+                    eval_cost=0)
+        assert counting.calls == 0
 
     def test_empty_population_is_rejected(self):
         # a run over no members never halts, so bound the test by an alarm
@@ -275,7 +298,7 @@ class TestStepContracts:
         try:
             with pytest.raises(ValueError, match="n >= 1"):
                 make_optimizer("pso", 2, (0.0, 10.0), 0).run(
-                    np.empty((0, 2)), sphere, FeBudget(100))
+                    np.empty((0, 2)), sphere, 100)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -286,7 +309,7 @@ class TestLifecycle:
         # the initial pass, three full sweeps and 7 members of a fourth
         positions = fresh_population(np.random.default_rng(20))
         opt = make_optimizer("sa", positions.shape[1], BOUNDS, 53)
-        opt.run(positions, sphere, FeBudget(20 + 3 * 20 + 7), target=-1.0)
+        opt.run(positions, sphere, 20 + 3 * 20 + 7, target=-1.0)
         expected = opt.initial_temperature
         for _ in range(3):
             expected *= opt.alpha
@@ -296,19 +319,17 @@ class TestLifecycle:
         # the initial pass, then member 0's tumble spends the budget
         positions = fresh_population(np.random.default_rng(21), size=5)
         opt = make_optimizer("bfo", positions.shape[1], BOUNDS, 59)
-        budget = FeBudget(5 + 1)
-        opt.run(positions, sphere, budget, target=-1.0)
-        assert budget.used == 6
+        opt.run(positions, sphere, 5 + 1, target=-1.0)
+        assert opt.evaluations == 6
         assert opt._chem == 1
 
     def test_bat_pulse_rates_drawn_once_per_population_size(self):
         rng = np.random.default_rng(22)
         opt = make_optimizer("bat", 2, BOUNDS, 61)
-        opt.run(fresh_population(rng), sphere, FeBudget(50), target=-1.0)
+        opt.run(fresh_population(rng), sphere, 50, target=-1.0)
         first = opt._pulse0
-        opt.run(fresh_population(rng), sphere, FeBudget(50), target=-1.0)
+        opt.run(fresh_population(rng), sphere, 50, target=-1.0)
         assert opt._pulse0 is first
-        opt.run(fresh_population(rng, size=10), sphere, FeBudget(50),
-                target=-1.0)
+        opt.run(fresh_population(rng, size=10), sphere, 50, target=-1.0)
         assert opt._pulse0 is not first
         assert len(opt._pulse0) == 10

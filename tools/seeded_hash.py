@@ -26,8 +26,8 @@ multipliers 3 and 10. The second, wider digest covers those 48 and adds:
   1 and 3, and targets that are never or are hit mid-generation. A second
   ``run`` on the same optimizer with a fresh population and three times the
   cap mimics the probe-to-fit reuse. Each enters the hash with its
-  positions, fitness, ``budget.used``, best-seen archive and the
-  optimizer's next ``rng.uniform()``.
+  positions, fitness, ``evaluations`` (under the key ``used``), best-seen
+  archive and the optimizer's next ``rng.uniform()``.
 
 The third digest covers everything the second does and adds runs where the
 leave-one-out fill crosses tiles and the per-class layout copies its cross
@@ -90,11 +90,7 @@ from swarmpnn.datasets import (  # noqa: E402
     stratified_split,
 )
 from swarmpnn.hybrid import HybridConfig, train_hybrid, train_single  # noqa: E402
-from swarmpnn.optimizers import (  # noqa: E402
-    METHOD_NAMES,
-    FeBudget,
-    make_optimizer,
-)
+from swarmpnn.optimizers import METHOD_NAMES, make_optimizer  # noqa: E402
 from swarmpnn.pnn import Dataset, DensityEvaluator, Smoothing  # noqa: E402
 
 SEEDS = range(6)
@@ -214,13 +210,12 @@ def optimizer_runs():
             opt = make_optimizer(method, 3, (0.0, 10.0), [index, case, 1])
             runs = []
             for repeat in (1, 3):
-                budget = FeBudget(repeat * calls * eval_cost - eval_cost // 2,
-                                  eval_cost)
                 opt.run(rng.uniform(0.0, 10.0, size=(20, 3)), _quadratic,
-                        budget, target=target)
+                        repeat * calls * eval_cost - eval_cost // 2, eval_cost,
+                        target=target)
                 runs.append({"positions": opt.positions.tolist(),
                              "fitness": opt.fitness.tolist(),
-                             "used": budget.used,
+                             "used": opt.evaluations,
                              "best_fitness": opt.best_fitness,
                              "best_position": opt.best_position.tolist()})
             yield {"method": method, "case": case, "runs": runs,
