@@ -83,6 +83,9 @@ class HybridConfig:
                        and abs(v) <= sys.float_info.max for v in values):
                 raise ValueError(f"{key}: expected finite numbers, "
                                  f"got {getattr(self, key)!r}")
+            if key != "fitness_threshold" and len(values) != 2:
+                raise ValueError(f"{key} must be two finite numbers, "
+                                 f"got {values!r}")
         lo, hi = self.bounds
         if not lo < hi:
             raise ValueError("bounds must be increasing")

@@ -291,11 +291,6 @@ def apply_modification(model: PnnModel, cfg: ModificationConfig) -> PnnModel:
     return PnnModel(ds, model.smoothing, scales)
 
 
-# Every pair term 1/prod(1 + u^2)^2 is at most 1 and leaves the normal
-# float64 range only below about 2.2e-308, so a float64 class sum of at least
-# SAFE_SUM has lost nothing that matters to underflow. A smaller sum is
-# scored as if it were SAFE_SUM, an upper bound on its true value.
-SAFE_SUM = 1e-250
 # Pair terms per block of rows in the exact log-space path.
 _LOG_BLOCK = 1 << 16
 # Pairs per leave-one-out fill tile: its terms and scratch, 1 MB, stay in L2.
@@ -383,27 +378,47 @@ class DensityEvaluator:
     scratch arrays, so it must not be shared between threads.
 
     A layout of at most :data:`_TILE` pairs is float64 with terms
-    1 / prod_f (1 + d_f^2 / h_f^2)^2 (K = 1); a row whose best sum is below
-    :data:`SAFE_SUM` is left open. A larger one is float32 while every d_f^2
-    < 2**100: d_f^2 is rounded from float64, the terms are (K / prod_f
-    (...))^2 with K = 2**63, at most 2**126, and their float64 sums are
-    divided by K^2, exactly. A row's argmax b is settled if its lower bound
-    log(sum_b (1 - delta) - P 2**-252) beats every other class's upper bound
-    log(sum_c (1 + delta) + P 2**-252), each less its log count and log
-    determinant; delta = 2 (10N + 8) u + P 2**-53, u = 2**-24.
-    Per Higham (Accuracy and Stability of Numerical Algorithms, 2002, sec.
-    3.1): rounding d_f^2 and 1 / h_f^2 to float32, their product and the
-    ``+ 1`` are 4 roundings per feature; the N - 1 products, the division
-    and the square, which doubles the rest, bound a term's relative error
-    by gamma = gamma_{10N+1}. While (10N + 8) u <= 1/4, 2 (10N + 8) u
-    exceeds gamma / (1 - gamma) by 14 u, which covers the float64 roundings
-    before the casts, in the logs and in a float64 layout's sums, and
-    subnormal operands (under 2**-50 per factor, as d_f^2 < 2**100 and
-    h_f >= BANDWIDTH_FLOOR); P 2**-53 bounds the float64 summation. A term
-    below 2**-252 (float32 subnormal or overflow) is off by at most
-    2**-252, hence the slack. A settled argmax is thus the exact one; a
-    float64 layout's rows settle without a margin test, so no such bound
-    is derived for them.
+    1 / prod_f (1 + d_f^2 / h_f^2)^2 (K = 1). A larger one is float32 while
+    every d_f^2 < 2**100: d_f^2 is rounded from float64, the terms are
+    (K / prod_f (...))^2 with K = 2**63, at most 2**126, and their float64
+    sums are divided by K^2, exactly. One rule settles a row's argmax b in
+    either dtype: b's lower bound log(sum_b (1 - delta) - slack) must beat
+    every other class's upper bound log(sum_c (1 + delta) + slack), each
+    less its log count and log determinant, where
+    delta = 2 (10N + 8) u + (P + 1000 (N + 2)^2) 2**-53 and
+    slack = P t / K^2, with u the layout's unit roundoff (2**-24 or 2**-53)
+    and t its least normal number (2**-126 or 2**-1022). Per Higham
+    (Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1): in
+    the layout's dtype, the casts of d_f^2 and 1 / h_f^2 (none in float64),
+    their product and the ``+ 1`` are at most 4 roundings per feature; the
+    N - 1 products, the division and the square, which doubles the rest,
+    bound a term's relative error by gamma = gamma_{10N+1}. While
+    (10N + 8) u <= 1/4, 2 (10N + 8) u exceeds gamma / (1 - gamma) by 14 u,
+    which covers the cross terms and subnormal operands: under 2**-50 per
+    factor in float32, as d_f^2 < 2**100 and h_f >= BANDWIDTH_FLOOR, and
+    under 2**-60 in float64 while d_f^2 < 2**960. Everything else is
+    float64: P 2**-53 bounds the summation, and 1000 (N + 2)^2 2**-53 the
+    10N roundings of d_f^2 and 1 / h_f^2 in float64 (5 per feature, doubled
+    by the square) and the absolute rounding of the logs. With logs within
+    an ulp, a log score rounds a log sum (below 745 in size), a log count,
+    N log bandwidths (below 710 each), their sum and two differences: it is
+    off by less than (717 N^2 + 1413 N + 3161) 2**-53. In float32 the 14 u
+    would absorb that; in float64 it exceeds 2 (10N + 8) u. A term below
+    t / K^2 (subnormal, or its product overflows) is off by at most that,
+    hence the slack. A settled argmax is thus the exact one.
+
+    The bounds are taken only for the rows that a gap test leaves open. The
+    screen's scores are log(max(sum_c, slack)) less log count and log
+    determinant; a floor at or below the slack changes no bound test's
+    outcome, so their argmax is the one the bounds may certify. A row
+    passes the gap test when its best score less 9 delta exceeds every
+    other class's score and log(slack / delta) less the least log count and
+    log determinant. Then sum_b >= slack / delta, so b's lower bound is at
+    least its score plus log(1 - 2 delta), and each upper bound at most the
+    larger of c's score and that floor, plus log(1 + 2 delta). While
+    delta <= 1/20 (up to 40,000 features) these cost under 4.45 delta, and
+    the rounding of the four values compared under 4 delta, so the row
+    passes the bound test too: the gap test only saves the bounds' cost.
 
     ``pattern_scales`` (one positive s_p per pattern, default all one)
     divides each pattern's kernel argument by s_p and its kernel by
@@ -482,6 +497,13 @@ class DensityEvaluator:
             (order[v[start:head]] * g + classes[u[start:head]],
              self._terms[start:head], self._terms[:stop], r, part)
             for (start, _, head, stop), r, part in zip(regions, own, parts)]
+        (n, p), info = self._columns.shape, np.finfo(dtype)
+        self._delta = (2 * (10 * n + 8) * (float(info.eps) / 2)
+                       + (p + 1000 * (n + 2) ** 2) * 2.0 ** -53)
+        self._slack = p * float(info.tiny) / self._k ** 2
+        self._floor = (math.log(self._slack / self._delta)
+                       - self._log_counts.min())
+        self._row_slots = np.arange(0, self._log_counts.size, g)
 
     def _fill_terms(self, inv_h2) -> None:
         """Terms (K / prod_f (1 + d_f^2 / h_f^2))^2 at each region's row:
@@ -530,11 +552,11 @@ class DensityEvaluator:
         log_det = np.log(h).sum(axis=1)
         if screen:
             sums = self._linear_sums(inv_h2)
-            scores = np.log(np.maximum(sums, SAFE_SUM))
+            scores = np.log(np.maximum(sums, self._slack))
             scores -= self._log_counts
             scores -= log_det
             best = scores.argmax(axis=1)
-            exact = self._unsettled(sums, best, log_det)
+            exact = self._unsettled(sums, scores, best, log_det)
         else:
             scores = np.empty(self._log_counts.shape)
             exact = np.arange(self.n_queries)
@@ -545,23 +567,26 @@ class DensityEvaluator:
             best[exact] = rows.argmax(axis=1)
         return scores, best
 
-    def _unsettled(self, sums, best, log_det) -> np.ndarray:
+    def _unsettled(self, sums, scores, best, log_det) -> np.ndarray:
         """Rows whose argmax ``best`` the linear sums leave open (see the
-        class docstring)."""
-        rows = np.arange(len(sums))
-        if self._d2.dtype == np.float64:
-            return np.flatnonzero(sums[rows, best] < SAFE_SUM)
-        n, p = self._columns.shape
-        delta = 2 * (10 * n + 8) * 2.0 ** -24 + p * 2.0 ** -53
-        slack = p * 2.0 ** -252
+        class docstring): the bounds are taken only for the rows that the
+        gap test on ``scores`` leaves."""
+        low = scores.ravel()[best + self._row_slots] - 9 * self._delta
+        near = np.greater(scores.T, low, order="C")  # class-major: sums fast
+        floor = self._floor - min(log_det.tolist())
+        if low.min() > floor and np.count_nonzero(near) == len(low):
+            return best[:0]  # every row passes the gap test
+        rows = np.flatnonzero((near.sum(axis=0) != 1) | ~(low > floor))
+        sums, best, at = sums[rows], best[rows], np.arange(len(rows))
+        delta, slack = self._delta, self._slack
         bounds = np.log(sums * (1 + delta) + slack)
         with np.errstate(divide="ignore", invalid="ignore"):
-            bounds[rows, best] = np.log(sums[rows, best] * (1 - delta) - slack)
-        bounds -= self._log_counts
+            bounds[at, best] = np.log(sums[at, best] * (1 - delta) - slack)
+        bounds -= self._log_counts[rows]
         bounds -= log_det
-        low = bounds[rows, best]
-        bounds[rows, best] = -np.inf
-        return np.flatnonzero(~(low > bounds.max(axis=1)))
+        low = bounds[at, best]
+        bounds[at, best] = -np.inf
+        return rows[~(low > bounds.max(axis=1))]
 
     def _log_sums(self, queries, inv_h2) -> np.ndarray:
         """Log class sums of the kernel terms of ``queries``, from the data.

@@ -418,6 +418,12 @@ class TestBenchmarkCommand:
          r"'paths' must map each name to a file path, got \{'toy': 0\}"),
         ({"paths": {"toy": ["a"]}},
          r"'paths' must map each name to a file path, got \{'toy': \['a'\]\}"),
+        ({"hybrid": {"init_range": [1.0]}},
+         r"init_range must be two finite numbers, got \(1\.0,\)"),
+        ({"hybrid": {"init_range": [0.0, 5.0, 99.0]}},
+         r"init_range must be two finite numbers, got \(0\.0, 5\.0, 99\.0\)"),
+        ({"hybrid": {"bounds": [0, 10, 20]}},
+         r"bounds must be two finite numbers, got \(0, 10, 20\)"),
     ], ids=["runs-0", "runs-float", "jobs-negative", "jobs-bool",
             "hybrid-population", "hybrid-unknown-key", "split-fraction",
             "split-unknown-key", "split-seed", "zscore-string", "zscore-int",
@@ -433,7 +439,8 @@ class TestBenchmarkCommand:
             "init-range-bool", "split-string", "bfo-chemotaxis-zero",
             "bfo-swims-negative", "datasets-empty", "methods-empty",
             "hybrid-list", "pso-list", "split-number", "data-dir-number",
-            "paths-number", "paths-list"])
+            "paths-number", "paths-list", "init-range-one",
+            "init-range-three", "bounds-three"])
     def test_bad_setting_stops_before_any_work(self, tmp_path, toy_csv,
                                                monkeypatch, overrides, message):
         monkeypatch.setattr(datasets, "_default_opener", offline)

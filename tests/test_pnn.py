@@ -368,8 +368,8 @@ class TestDensityEvaluator:
             ds = random_instance(rng)
             sm = random_smoothing(rng, ds)
             cases.append((ds, sm, rng.normal(0, 2, size=(6, ds.n_features))))
-        # the class-0 sum (about 1e-260) lies below SAFE_SUM, beside a
-        # class-1 sum of 2; true class-0 density 1.097e-232
+        # a class-0 sum of about 1e-260 beside a class-1 sum of 2; true
+        # class-0 density 1.097e-232
         cases.append((Dataset([[0.0] * 10, [0.0] * 10, [3162.0] * 10],
                               [1, 1, 0]),
                       Smoothing("scalar", 1e-3), np.zeros((1, 10))))
@@ -675,6 +675,19 @@ class TestLeaveOneOutLayouts:
         assert predicted.tolist() == [0, 0, 0] and deferred == [0]
         assert_oracle_argmax(predicted, ds, sm, ds.features, True)
 
+    def test_float64_tie_is_deferred_to_the_exact_path(self, monkeypatch):
+        # row 0 is equidistant from one pattern of each class, so its class
+        # sums tie: no rounding bound can settle it, and only that row goes
+        # to the exact path, whose tie goes to the lowest index
+        deferred = count_exact_rows(monkeypatch)
+        ds = Dataset([[0.0], [1.0], [-1.0]], [0, 0, 1])
+        sm = Smoothing("scalar", 0.7)
+        ev = DensityEvaluator(ds, ds.features, exclude_self=True)
+        predicted = ev.predict(sm)
+        assert ev._d2.dtype == np.float64
+        assert predicted.tolist() == [0, 0, 0] and deferred == [0]
+        assert_oracle_argmax(predicted, ds, sm, ds.features, True)
+
     def test_sums_below_float32_range_take_the_exact_path(self, monkeypatch):
         # raw-scale points on the diagonal of 4 features at h = 1: row 0's
         # class-0 term is 2**-255.5 and its class-1 term 2**-256.2, so class
@@ -766,13 +779,13 @@ def registry_shape_split(name, seed=0):
     return stratified_split(Dataset(features, labels), SplitSpec(0.2, seed))
 
 
-def test_training_trajectory_settles_only_exact_argmaxes(monkeypatch):
-    # Optimizers reach near ties that random candidates rarely hit. Every
-    # distinct candidate of a short seeded run at banknote's shape, a
-    # float32 layout, is replayed: the 10 rows the screen settled nearest a
-    # tie, by the gap of their linear log scores, keep the exact path's
-    # argmax, and a sample of them the oracle's.
-    train, test = registry_shape_split("banknote")
+def replay_trajectory(monkeypatch, name, kind, dtype):
+    """Replay every distinct candidate of a short seeded run at registry
+    dataset ``name``'s shape, whose pair layout has ``dtype``: the 10 rows
+    the screen settled nearest a tie, by the gap of their linear log
+    scores, keep the exact path's argmax, and a sample of them the
+    oracle's."""
+    train, test = registry_shape_split(name)
     linear_sums = DensityEvaluator._linear_sums
     unsettled = DensityEvaluator._unsettled
     calls = []
@@ -781,12 +794,10 @@ def test_training_trajectory_settles_only_exact_argmaxes(monkeypatch):
         calls.append((self, inv_h2))
         return linear_sums(self, inv_h2)
 
-    def recording_unsettled(self, sums, best, log_det):
-        open_rows = unsettled(self, sums, best, log_det)
+    def recording_unsettled(self, sums, scores, best, log_det):
+        open_rows = unsettled(self, sums, scores, best, log_det)
         settled = np.setdiff1d(np.arange(len(sums)), open_rows)
-        scores = np.log(np.maximum(sums[settled], pnn.SAFE_SUM))
-        scores -= self._log_counts[settled] + log_det
-        top = np.sort(scores, axis=1)
+        top = np.sort(scores[settled], axis=1)
         gaps = top[:, -1] - top[:, -2]
         nearest = settled[np.argsort(gaps, kind="stable")[:10]]
         calls[-1] += (nearest, best[nearest], log_det)
@@ -795,8 +806,9 @@ def test_training_trajectory_settles_only_exact_argmaxes(monkeypatch):
     monkeypatch.setattr(DensityEvaluator, "_linear_sums", recording_sums)
     monkeypatch.setattr(DensityEvaluator, "_unsettled", recording_unsettled)
     train_hybrid(train, test, HybridConfig(
-        iterations=1, probing_multiplier=2, fit_multiplier=10))
-    assert len(calls) > 200 and calls[0][0]._d2.dtype == np.float32
+        iterations=1, probing_multiplier=2, fit_multiplier=10,
+        smoothing_kind=kind))
+    assert len(calls) > 200 and calls[0][0]._d2.dtype == dtype
     features, labels = train.features.tolist(), train.labels.tolist()
     shape = (train.n_classes, train.n_features)
     for k, (ev, inv_h2, nearest, best, log_det) in enumerate(calls):
@@ -809,3 +821,15 @@ def test_training_trajectory_settles_only_exact_argmaxes(monkeypatch):
                 features, labels, rows, features[nearest[0]],
                 train.n_classes, exclude=nearest[0])
             assert int(np.argmax(want)) == best[0], (k, want)
+
+
+def test_training_trajectory_settles_only_exact_argmaxes(monkeypatch):
+    # Optimizers reach near ties that random candidates rarely hit; banknote's
+    # shape has a float32 layout
+    replay_trajectory(monkeypatch, "banknote", "per_feature", np.float32)
+
+
+def test_float64_training_trajectory_settles_only_exact_argmaxes(
+        monkeypatch):
+    # glass's shape, one bandwidth row per class, has a float64 layout
+    replay_trajectory(monkeypatch, "glass", "per_class_feature", np.float64)

@@ -29,14 +29,17 @@ and the number of blocks this checkout won, then the same ratio and win
 count against the control. The control columns read about 1 and about half
 the blocks won, give or take the host's noise in that run, so each A/B
 ratio is read against the control ratio beside it. Each row also gives the
-dtype of this side's pair layout for that kind.
+dtype of this side's pair layout for that kind, and the rows this side
+and OTHER send to the exact path (``DensityEvaluator._log_sums``) in 100
+objective calls on the seeded candidates, that is, in the first pass and
+the nine scaled passes over them.
 
 ``--record FILE`` also writes the rows as JSON, with this side's pair
-layout bytes per shape and kind, the git SHA of each checkout, the Python
-and numpy versions, the CPU count and, per kind and side, a full-grid
-estimate in CPU-hours: the side's ``call_us`` times 25,000 calls (one
-published-budget training run) times 60 runs (6 methods, 10 runs each),
-summed over the shapes run.
+layout bytes and both sides' exact-path rows per shape and kind, the git
+SHA of each checkout, the Python and numpy versions, the CPU count and, per
+kind and side, a full-grid estimate in CPU-hours: the side's ``call_us``
+times 25,000 calls (one published-budget training run) times 60 runs (6
+methods, 10 runs each), summed over the shapes run.
 
 Each block runs about 0.1 s of calls per side. The host drifts, so only
 figures from one run of the tool compare with each other.
@@ -184,6 +187,27 @@ def compare(sides, features, labels, kind, blocks):
             race(objective, len(sides), blocks), layout)
 
 
+def exact_rows(pkg, features, labels, kind, calls=100):
+    """Rows that ``calls`` objective calls on the seeded candidates send
+    to ``pkg``'s exact path."""
+    evaluator, rows = pkg.DensityEvaluator, []
+    log_sums = evaluator._log_sums
+
+    def counted(self, queries, inv_h2):
+        rows.append(len(queries))
+        return log_sums(self, queries, inv_h2)
+
+    evaluator._log_sums = counted
+    try:
+        call = pkg.hybrid.loo_objective(pkg.Dataset(features, labels), kind)
+        g, n = int(labels.max()) + 1, features.shape[1]
+        for vector in distinct_vectors(candidates(kind, g, n), calls):
+            call(vector)
+    finally:
+        evaluator._log_sums = log_sums
+    return sum(rows)
+
+
 def git_sha(checkout: Path):
     run = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                          capture_output=True, text=True)
@@ -210,7 +234,7 @@ def main(argv=None) -> int:
                       f"{'control':>8}{'wins':>7}"
                       for c in ("sums_us", "call_us"))
     print(f"{'shape':<10}{'kind':<19}{'P':>6}{'G':>3}{'N':>4}{'dtype':>9}"
-          f"{columns}")
+          f"{columns}{'exact':>7}{'other':>7}")
     rows = []
     for shape in args.shapes.split(","):
         features, labels = train_set(shape)
@@ -219,7 +243,11 @@ def main(argv=None) -> int:
                                                     kind, args.blocks)
             record = {"shape": shape, "kind": kind, "P": len(labels),
                       "G": int(labels.max()) + 1, "N": features.shape[1],
-                      "dtype": dtype, "pair_bytes": pair_bytes}
+                      "dtype": dtype, "pair_bytes": pair_bytes,
+                      "exact_rows_this": exact_rows(sides[0], features,
+                                                    labels, kind),
+                      "exact_rows_other": exact_rows(sides[1], features,
+                                                     labels, kind)}
             row = ""
             for name, ((mine, theirs, control), (wins, control_wins)) in zip(
                     ("sums_us", "call_us"), timings):
@@ -234,7 +262,8 @@ def main(argv=None) -> int:
                     f"{name}_control_wins": control_wins})
             print(f"{shape:<10}{kind:<19}{len(labels):>6}"
                   f"{labels.max() + 1:>3}{features.shape[1]:>4}{dtype:>9}"
-                  f"{row}", flush=True)
+                  f"{row}{record['exact_rows_this']:>7}"
+                  f"{record['exact_rows_other']:>7}", flush=True)
             rows.append(record)
     if args.record:
         hours = {kind: {side: sum(r[f"call_us_{side}"] for r in rows
