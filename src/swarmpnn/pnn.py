@@ -36,7 +36,7 @@ class Dataset:
     Parameters
     ----------
     features : array-like, shape (P, N)
-        Finite real feature values.
+        Finite real feature values, each below 2**479 in magnitude.
     labels : array-like of int, shape (P,)
         Class indices in ``0..n_classes-1``.
     n_classes : int, optional
@@ -54,8 +54,8 @@ class Dataset:
             raise ValueError("labels length must match feature rows")
         if features.shape[0] == 0:
             raise ValueError("dataset is empty")
-        if not np.all(np.isfinite(features)):
-            raise ValueError("features contain non-finite values")
+        if not np.all(np.abs(features) < 2.0 ** 479):  # so each d^2 < 2**960
+            raise ValueError("features must be finite and below 2**479")
         if labels.min() < 0:
             raise ValueError("negative class label")
         if n_classes is None:
@@ -293,7 +293,7 @@ def apply_modification(model: PnnModel, cfg: ModificationConfig) -> PnnModel:
 
 # Pair terms per block of rows in the exact log-space path.
 _LOG_BLOCK = 1 << 16
-# Pairs per leave-one-out fill tile: its terms and scratch, 1 MB, stay in L2.
+# Pairs per leave-one-out fill tile: its terms and scratch, 1-1.5 MB, fit L2.
 _TILE = 1 << 16
 
 
@@ -377,35 +377,37 @@ class DensityEvaluator:
     class 0 through underflow. An evaluator keeps its layout and per-call
     scratch arrays, so it must not be shared between threads.
 
-    A layout of at most :data:`_TILE` pairs is float64 with terms
-    1 / prod_f (1 + d_f^2 / h_f^2)^2 (K = 1). A larger one is float32 while
-    every d_f^2 < 2**100: d_f^2 is rounded from float64, the terms are
-    (K / prod_f (...))^2 with K = 2**63, at most 2**126, and their float64
-    sums are divided by K^2, exactly. One rule settles a row's argmax b in
-    either dtype: b's lower bound log(sum_b (1 - delta) - slack) must beat
-    every other class's upper bound log(sum_c (1 + delta) + slack), each
-    less its log count and log determinant, where
-    delta = 2 (10N + 8) u + (P + 1000 (N + 2)^2) 2**-53 and
-    slack = P t / K^2, with u the layout's unit roundoff (2**-24 or 2**-53)
-    and t its least normal number (2**-126 or 2**-1022). Per Higham
-    (Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1): in
-    the layout's dtype, the casts of d_f^2 and 1 / h_f^2 (none in float64),
-    their product and the ``+ 1`` are at most 4 roundings per feature; the
-    N - 1 products, the division and the square, which doubles the rest,
-    bound a term's relative error by gamma = gamma_{10N+1}. While
-    (10N + 8) u <= 1/4, 2 (10N + 8) u exceeds gamma / (1 - gamma) by 14 u,
-    which covers the cross terms and subnormal operands: under 2**-50 per
-    factor in float32, as d_f^2 < 2**100 and h_f >= BANDWIDTH_FLOOR, and
-    under 2**-60 in float64 while d_f^2 < 2**960. Everything else is
+    The terms 1 / prod_f (1 + d_f^2 / h_f^2)^2 and their sums are float64;
+    d_f^2, rounded from float64, and the running product are float32 while
+    every feature's spread is below 2**50, so d_f^2 < 2**100, else float64.
+    One rule settles a row's argmax b in either dtype: b's lower bound
+    log(sum_b (1 - delta) - slack) must beat every other class's upper
+    bound log(sum_c (1 + delta) + slack), each less its log count and log
+    determinant, where delta = 2 (10N + 8) u + (P + 1000 (N + 2)^2) 2**-53,
+    u is the product's unit roundoff (2**-24 or 2**-53) and slack is
+    P 2**-252 for a float32 product, P 2**-1022 for a float64 one. Per
+    Higham (Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1):
+    in the product's dtype, the casts of d_f^2 and 1 / h_f^2 (none in
+    float64), their product and the ``+ 1`` are at most 4 roundings per
+    feature, 5N with the N - 1 products and the division; the float64
+    square doubles them and adds one, so gamma = gamma_{10N+1} bounds a
+    term's relative error. While (10N + 8) u <= 1/4, 2 (10N + 8) u exceeds
+    gamma / (1 - gamma) by 14 u, which covers the cross terms and subnormal
+    operands: under 2**-50 per factor in float32, as d_f^2 < 2**100 and
+    h_f >= BANDWIDTH_FLOOR, and under 2**-60 in float64, as d_f^2 < 2**960
+    (:class:`Dataset` keeps features below 2**479). Everything else is
     float64: P 2**-53 bounds the summation, and 1000 (N + 2)^2 2**-53 the
     10N roundings of d_f^2 and 1 / h_f^2 in float64 (5 per feature, doubled
     by the square) and the absolute rounding of the logs. With logs within
     an ulp, a log score rounds a log sum (below 745 in size), a log count,
     N log bandwidths (below 710 each), their sum and two differences: it is
     off by less than (717 N^2 + 1413 N + 3161) 2**-53. In float32 the 14 u
-    would absorb that; in float64 it exceeds 2 (10N + 8) u. A term below
-    t / K^2 (subnormal, or its product overflows) is off by at most that,
-    hence the slack. A settled argmax is thus the exact one.
+    would absorb that; in float64 it exceeds 2 (10N + 8) u. A float32
+    product that overflows loses a term below 2**-256 (1 + gamma)^2, under
+    2**-252, and one above 2**126 leaves a quotient subnormal in float32,
+    its term off by under 2**-270; a float64 product loses a term under
+    2**-2048, and a subnormal term is off by under 2**-1022: hence the
+    slack. A settled argmax is thus the exact one.
 
     The bounds are taken only for the rows that a gap test leaves open. The
     screen's scores are log(max(sum_c, slack)) less log count and log
@@ -469,17 +471,16 @@ class DensityEvaluator:
         u, v, regions, runs = _loo_pairs(np.append(self._starts, len(order)),
                                          per_class=rows > 1)
         m = len(u)
-        narrow = m > _TILE and np.ptp(self._columns, axis=1).max() < 2.0 ** 50
+        narrow = np.ptp(self._columns, axis=1).max() < 2.0 ** 50
         dtype = np.float32 if narrow else np.float64
-        self._k = 2.0 ** 63 if narrow else 1.0
         self._d2 = np.empty((len(self._columns), m), dtype)
         diff = np.empty(m)
         for f, column in enumerate(self._columns):
             np.take(column, u, out=diff)
             diff -= column[v]
             np.square(diff, out=self._d2[f])
-        self._terms = np.empty(m, dtype)
-        self._buf = np.empty(min(m, _TILE), dtype)
+        self._terms = np.empty(m)
+        self._buf, self._prod = np.empty((2, min(m, _TILE)), dtype)
         self._tiles = [(first, last, [
             (max(start, first) - first, min(stop, last) - first, c)
             for c, (start, _, _, stop) in enumerate(regions)
@@ -500,27 +501,27 @@ class DensityEvaluator:
         (n, p), info = self._columns.shape, np.finfo(dtype)
         self._delta = (2 * (10 * n + 8) * (float(info.eps) / 2)
                        + (p + 1000 * (n + 2) ** 2) * 2.0 ** -53)
-        self._slack = p * float(info.tiny) / self._k ** 2
+        self._slack = p * 2.0 ** (-252 if narrow else -1022)
         self._floor = (math.log(self._slack / self._delta)
                        - self._log_counts.min())
         self._row_slots = np.arange(0, self._log_counts.size, g)
 
     def _fill_terms(self, inv_h2) -> None:
-        """Terms (K / prod_f (1 + d_f^2 / h_f^2))^2 at each region's row:
-        only the scaling runs per segment, at its row, the rest per tile."""
+        """Terms 1 / prod_f (1 + d_f^2 / h_f^2)^2 at each region's row: only
+        the scaling runs per segment, at its row, the rest per tile."""
         rows = inv_h2.tolist()
         with np.errstate(over="ignore", under="ignore"):
             for first, last, segments in self._tiles:
                 d2, out = self._d2[:, first:last], self._terms[first:last]
-                buf = self._buf[:last - first]
+                buf, prod = self._buf[:last - first], self._prod[:last - first]
                 for f in range(len(d2)):
-                    scaled = buf if f else out
+                    scaled = buf if f else prod
                     for a, b, row in segments:
                         np.multiply(d2[f, a:b], rows[row][f], out=scaled[a:b])
                     scaled += 1.0
                     if f:
-                        out *= buf
-                np.divide(self._k, out, out=out)
+                        prod *= buf
+                np.divide(1.0, prod, out=out)  # in prod's dtype, into float64
                 np.square(out, out=out)
 
     def _linear_sums(self, inv_h2) -> np.ndarray:
@@ -534,7 +535,6 @@ class DensityEvaluator:
             sums += np.bincount(slots, head, size)
             np.add.reduceat(terms, runs, out=run_sums)
         sums += np.bincount(self._run_slots, self._run_sums, size)
-        sums /= self._k ** 2  # a power of two: exact
         return sums.reshape(self.n_queries, -1)
 
     def _log_scores(self, bandwidths, screen) -> tuple:

@@ -309,6 +309,21 @@ class TestTypes:
         ds = Dataset([[0.0], [1.0], [2.0]], [1, 0, 1])
         assert list(ds.class_counts) == [1, 2]
 
+    def test_features_must_be_below_2_to_the_479(self):
+        # at 1e160 the squared differences and h^2 overflow and the
+        # densities came out NaN; below the limit every d^2 < 2**960, and
+        # the 1 / h^2 = 0 of an overflowing h^2 leaves them finite
+        for bad in ([[0.0], [1e160], [3e160], [-2e160]], [[-2.0 ** 479]] * 4,
+                    [[0.0], [0.0], [0.0], [np.inf]]):
+            with pytest.raises(ValueError, match=r"below 2\*\*479"):
+                Dataset(bad, [0, 0, 1, 1])
+        edge = np.nextafter(2.0 ** 479, 0.0)
+        ds = Dataset([[0.0], [edge], [-edge], [edge / 2]], [0, 0, 1, 1])
+        with np.errstate(over="ignore"):
+            densities = DensityEvaluator(ds, [[0.0]]).class_densities(
+                Smoothing("scalar", 1e160))
+        assert np.all(np.isfinite(densities) & (densities > 0))
+
     def test_smoothing_validation(self):
         with pytest.raises(ValueError):
             Smoothing("per_feature", [1.0, -1.0])
@@ -633,10 +648,10 @@ class TestLeaveOneOutLayouts:
                                               fresh.class_densities(sm))
 
     # Tiles of 7 and 64 pairs cut blocks and regions mid-way, and in the
-    # G-row layout one tile holds parts of two or three regions. A layout
-    # of more pairs than a tile holds float32 terms: its densities still
-    # come from the exact path, and its screened error rates equal the
-    # float64 layout's and the oracle's.
+    # G-row layout one tile holds parts of two or three regions. The spread
+    # alone sets the dtype, float32 here at every tile size: the densities
+    # still come from the exact path, and the screened error rates equal
+    # the one-tile layout's and the oracle's.
     @pytest.mark.parametrize("tile", [7, 64])
     @pytest.mark.parametrize("sizes", [(9, 7, 5, 4, 2, 1), (1, 5, 3)])
     def test_small_tiles_change_no_bit(self, monkeypatch, sizes, tile):
@@ -647,7 +662,7 @@ class TestLeaveOneOutLayouts:
         default = DensityEvaluator(ds, ds.features, exclude_self=True)
         want = [(default.class_densities(sm), default.error_rate(sm, ds.labels))
                 for sm in smoothings]
-        assert default._d2.dtype == np.float64
+        assert default._d2.dtype == np.float32
         monkeypatch.setattr(pnn, "_TILE", tile)
         ev = DensityEvaluator(ds, ds.features, exclude_self=True)
         for sm, (densities, error) in zip(smoothings, want):
@@ -655,9 +670,6 @@ class TestLeaveOneOutLayouts:
             assert ev.error_rate(sm, ds.labels) == error
             assert error == oracle_error_rate(ds, sm)
             assert_loo_matches_oracle(ev, ds, sm, range(ds.n_samples))
-            assert ev._d2.dtype == (np.float32 if len(ev._terms) > tile
-                                    else np.float64)
-        if sizes == (9, 7, 5, 4, 2, 1):
             assert ev._d2.dtype == np.float32
 
     def test_near_tie_is_deferred_to_the_exact_path(self, monkeypatch):
@@ -665,7 +677,6 @@ class TestLeaveOneOutLayouts:
         # per-class bandwidths class 0 leads by 1e-11 in log density, but
         # rounding 1 / h^2 to float32 puts class 1 ahead by 8e-8, inside the
         # screen's bound: only that row goes to the exact path
-        monkeypatch.setattr(pnn, "_TILE", 2)
         deferred = count_exact_rows(monkeypatch)
         ds = Dataset([[0.0], [1.0], [-1.0]], [0, 0, 1])
         sm = Smoothing("per_class", [1.5092068209881788, 2.001])
@@ -676,26 +687,29 @@ class TestLeaveOneOutLayouts:
         assert_oracle_argmax(predicted, ds, sm, ds.features, True)
 
     def test_float64_tie_is_deferred_to_the_exact_path(self, monkeypatch):
-        # row 0 is equidistant from one pattern of each class, so its class
-        # sums tie: no rounding bound can settle it, and only that row goes
-        # to the exact path, whose tie goes to the lowest index
+        # row 0 is equidistant from one pattern of each class near it and
+        # one far off, so its class sums tie: no rounding bound can settle
+        # it, and only that row goes to the exact path, whose tie goes to
+        # the lowest index. The far pair spreads the data past 2**50, so the
+        # layout is float64
         deferred = count_exact_rows(monkeypatch)
-        ds = Dataset([[0.0], [1.0], [-1.0]], [0, 0, 1])
+        ds = Dataset([[0.0], [1.0], [-1.0], [2.0 ** 50], [-2.0 ** 50]],
+                     [0, 0, 1, 0, 1])
         sm = Smoothing("scalar", 0.7)
         ev = DensityEvaluator(ds, ds.features, exclude_self=True)
         predicted = ev.predict(sm)
         assert ev._d2.dtype == np.float64
-        assert predicted.tolist() == [0, 0, 0] and deferred == [0]
+        assert predicted.tolist() == [0, 0, 0, 0, 1] and deferred == [0]
         assert_oracle_argmax(predicted, ds, sm, ds.features, True)
 
     def test_sums_below_float32_range_take_the_exact_path(self, monkeypatch):
         # raw-scale points on the diagonal of 4 features at h = 1: row 0's
         # class-0 term is 2**-255.5 and its class-1 term 2**-256.2, so class
-        # 1 leads, as class 0 also counts a far pattern. Scaled by K^2 the
-        # first is a float32 subnormal, and for the second the product
-        # overflows: the float32 sums put class 0 ahead, but its sum lies
-        # inside the slack and the row goes to the exact path. A float64
-        # layout settles the row from its linear sums.
+        # 1 leads, as class 0 also counts a far pattern. The float32 product
+        # of the second overflows and drops its term: the sums put class 0
+        # ahead, but its sum lies inside the slack and the row goes to the
+        # exact path. A pattern 2**50 away makes the layout float64, which
+        # settles the row from its linear sums.
         def at(log2_term):
             return math.sqrt(2.0 ** (-log2_term / 8) - 1.0)
 
@@ -703,23 +717,27 @@ class TestLeaveOneOutLayouts:
                                -at(-256.2)], np.ones(4)), [0, 0, 0, 1])
         sm = Smoothing("scalar", 1.0)
         deferred = count_exact_rows(monkeypatch)
-        default = DensityEvaluator(ds, ds.features, exclude_self=True)
-        assert default.predict(sm)[0] == 1 and deferred == []
-        monkeypatch.setattr(pnn, "_TILE", 4)
         ev = DensityEvaluator(ds, ds.features, exclude_self=True)
         predicted = ev.predict(sm)
         assert ev._d2.dtype == np.float32
         assert predicted[0] == 1 and 0 in deferred
         assert ev.error_rate(sm, ds.labels) == oracle_error_rate(ds, sm)
         assert_oracle_argmax(predicted, ds, sm, ds.features, True)
+        wide = Dataset(np.vstack([ds.features, np.full(4, 2.0 ** 50)]),
+                       [0, 0, 0, 1, 0])
+        deferred.clear()
+        ev = DensityEvaluator(wide, wide.features, exclude_self=True)
+        predicted = ev.predict(sm)
+        assert ev._d2.dtype == np.float64
+        assert predicted[0] == 1 and 0 not in deferred
+        assert_oracle_argmax(predicted, wide, sm, wide.features, True)
 
 
-    def test_spread_past_float32_keeps_float64(self, monkeypatch):
+    def test_spread_past_float32_keeps_float64(self):
         # class 1 leads at row 0, 0.047 to 0.028 per pattern, but its
         # squared difference, 3.6e38, passes float32's range: in float32 its
         # term would drop to 0 and leave class 0 certified ahead, so this
         # layout stays float64
-        monkeypatch.setattr(pnn, "_TILE", 2)
         ds = Dataset([[0.0], [1.8e19], [-1e21], [-1.9e19]], [0, 0, 0, 1])
         sm = Smoothing("scalar", 1e19)
         ev = DensityEvaluator(ds, ds.features, exclude_self=True)
@@ -779,13 +797,12 @@ def registry_shape_split(name, seed=0):
     return stratified_split(Dataset(features, labels), SplitSpec(0.2, seed))
 
 
-def replay_trajectory(monkeypatch, name, kind, dtype):
-    """Replay every distinct candidate of a short seeded run at registry
-    dataset ``name``'s shape, whose pair layout has ``dtype``: the 10 rows
-    the screen settled nearest a tie, by the gap of their linear log
-    scores, keep the exact path's argmax, and a sample of them the
-    oracle's."""
-    train, test = registry_shape_split(name)
+def replay_trajectory(monkeypatch, split, kind, dtype):
+    """Replay every distinct candidate of a short seeded run on ``split``,
+    a (train, test) pair whose pair layout has ``dtype``: the 10 rows the
+    screen settled nearest a tie, by the gap of their linear log scores,
+    keep the exact path's argmax, and a sample of them the oracle's."""
+    train, test = split
     linear_sums = DensityEvaluator._linear_sums
     unsettled = DensityEvaluator._unsettled
     calls = []
@@ -826,10 +843,22 @@ def replay_trajectory(monkeypatch, name, kind, dtype):
 def test_training_trajectory_settles_only_exact_argmaxes(monkeypatch):
     # Optimizers reach near ties that random candidates rarely hit; banknote's
     # shape has a float32 layout
-    replay_trajectory(monkeypatch, "banknote", "per_feature", np.float32)
+    replay_trajectory(monkeypatch, registry_shape_split("banknote"),
+                      "per_feature", np.float32)
+
+
+def test_per_class_training_trajectory_settles_only_exact_argmaxes(
+        monkeypatch):
+    # glass's shape, one bandwidth row per class, has a float32 layout too
+    replay_trajectory(monkeypatch, registry_shape_split("glass"),
+                      "per_class_feature", np.float32)
 
 
 def test_float64_training_trajectory_settles_only_exact_argmaxes(
         monkeypatch):
-    # glass's shape, one bandwidth row per class, has a float64 layout
-    replay_trajectory(monkeypatch, "glass", "per_class_feature", np.float64)
+    # one pattern moved 2**50 along a feature makes glass's layout float64
+    train, test = registry_shape_split("glass")
+    features = train.features.copy()
+    features[0, 0] += 2.0 ** 50
+    replay_trajectory(monkeypatch, (Dataset(features, train.labels), test),
+                      "per_class_feature", np.float64)

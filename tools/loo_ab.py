@@ -182,7 +182,8 @@ def compare(sides, features, labels, kind, blocks):
                                           features, exclude_self=True)
     evaluator.error_rate(smoothings[0][0], labels)  # lays out the pairs
     layout = (evaluator._d2.dtype.name, sum(
-        a.nbytes for a in (evaluator._d2, evaluator._terms, evaluator._buf)))
+        a.nbytes for a in (evaluator._d2, evaluator._terms, evaluator._buf,
+                           evaluator._prod)))
     return (race(densities, len(sides), blocks),
             race(objective, len(sides), blocks), layout)
 

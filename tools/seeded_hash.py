@@ -46,9 +46,10 @@ kind, drawn log-uniformly from 1e-2 to 1e3, each kind on a fresh evaluator,
 on the training splits of iris, ``glass-shape``, ``wide-raw`` and the
 banknote-like and ecoli-like sets. The densities come from the exact
 log-space path. The error rates pin the argmaxes that the linear sums
-settle: in float64 at the three small sets, in certified float32 at the
-multi-tile ``wide-raw`` and banknote-like layouts, and in either case with
-rows sent on to the exact path, since the candidates span both regimes.
+settle in certified float32, as no set's feature spread reaches 2**50: in
+one tile at the three small sets and over several at the ``wide-raw`` and
+banknote-like layouts, and in either case with rows sent on to the exact
+path, since the candidates span both regimes.
 
 Each result enters the first three hashes as sorted JSON; Python writes
 floats in their shortest round-trip form.
