@@ -152,13 +152,6 @@ class ProbeOutcome:
     tied: list
 
 
-def _fingerprint(positions) -> str:
-    """Digest of ``positions`` for an observer, which alone loads hashlib."""
-    import hashlib
-
-    return hashlib.sha256(positions.tobytes()).hexdigest()
-
-
 def _fold_best(best, optimizers):
     """``best`` (fitness, position) after absorbing each optimizer's archive
     in run order; strict ``<`` keeps the first seen of equal values."""
@@ -190,7 +183,7 @@ def probe_phase(positions, cfg: HybridConfig, objective, eval_cost: int,
         if observer is not None:
             observer("probe_end", dict(
                 iteration=iteration, method=method, score=opt.best_fitness,
-                evals=opt.evaluations, fingerprint=_fingerprint(opt.positions)))
+                evals=opt.evaluations))
         if opt.best_fitness <= cfg.fitness_threshold:
             break
 
@@ -227,9 +220,8 @@ def hybrid_minimize(objective, dim: int, cfg: HybridConfig, eval_cost: int = 1,
         if fitness > cfg.fitness_threshold:
             opt = probe.optimizers[probe.winner]
             if observer is not None:
-                observer("fit_start", dict(
-                    iteration=iteration, method=probe.winner,
-                    fingerprint=_fingerprint(opt.positions)))
+                observer("fit_start", dict(iteration=iteration,
+                                           method=probe.winner))
             positions = opt.run(opt.positions, objective,
                                 cfg.fit_cap(eval_cost), eval_cost,
                                 target=cfg.fitness_threshold)

@@ -395,7 +395,7 @@ class DensityEvaluator:
     gamma / (1 - gamma) by 14 u, which covers the cross terms and subnormal
     operands: under 2**-50 per factor in float32, as d_f^2 < 2**100 and
     h_f >= BANDWIDTH_FLOOR, and under 2**-60 in float64, as d_f^2 < 2**960
-    (:class:`Dataset` keeps features below 2**479). Everything else is
+    (features and query rows stay below 2**479). Everything else is
     float64: P 2**-53 bounds the summation, and 1000 (N + 2)^2 2**-53 the
     10N roundings of d_f^2 and 1 / h_f^2 in float64 (5 per feature, doubled
     by the square) and the absolute rounding of the logs. With logs within
@@ -433,6 +433,8 @@ class DensityEvaluator:
         if queries.ndim != 2 or queries.shape[1] != pattern_set.n_features:
             raise ValueError("queries must be (Q, N); query dimension does "
                              "not match the pattern set")
+        if not np.all(np.abs(queries) < 2.0 ** 479):  # as Dataset's features
+            raise ValueError("queries must be finite and below 2**479")
         if exclude_self and not (
                 queries.shape == pattern_set.features.shape
                 and np.array_equal(queries, pattern_set.features)):
@@ -548,7 +550,8 @@ class DensityEvaluator:
         h = np.maximum(grid, BANDWIDTH_FLOOR)
         if h.shape != shape:  # a one-column grid; any other shape raises
             h = np.broadcast_to(h, shape)
-        inv_h2 = 1.0 / np.square(h)
+        with np.errstate(over="ignore"):  # 1 / inf = 0 is within the bound
+            inv_h2 = 1.0 / np.square(h)
         log_det = np.log(h).sum(axis=1)
         if screen:
             sums = self._linear_sums(inv_h2)

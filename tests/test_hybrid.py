@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from swarmpnn import hybrid, pnn
+from swarmpnn import pnn
 from swarmpnn.datasets import (
     BUNDLED_DIR,
     SplitSpec,
@@ -22,6 +22,7 @@ from swarmpnn.hybrid import (
     train_hybrid,
     train_single,
 )
+from swarmpnn.optimizers import Optimizer
 from swarmpnn.pnn import (
     BANDWIDTH_FLOOR,
     Dataset,
@@ -47,17 +48,6 @@ class CountingObjective:
     def __call__(self, x):
         self.calls += 1
         return self.fn(x)
-
-
-class Recorder:
-    def __init__(self):
-        self.events = []
-
-    def __call__(self, event, data):
-        self.events.append((event, data))
-
-    def of(self, name):
-        return [d for e, d in self.events if e == name]
 
 
 def small_cfg(**kw):
@@ -212,35 +202,29 @@ class TestHybridMinimize:
             assert result.best_fitness <= record.fit_fitness
         assert sphere(result.best_position) == result.best_fitness
 
-    def test_fit_starts_from_winning_probe_population(self):
-        recorder = Recorder()
+    def test_fit_starts_from_winning_probe_population(self, monkeypatch):
+        runs = []  # (optimizer, cap, start positions, returned positions)
+        original = Optimizer.run
+
+        def spy(opt, positions, objective, cap, *args, **kwargs):
+            start = np.array(positions)
+            end = original(opt, positions, objective, cap, *args, **kwargs)
+            runs.append((opt, cap, start, end.copy()))
+            return end
+
+        monkeypatch.setattr(Optimizer, "run", spy)
         cfg = small_cfg(iterations=2, seed=9)
-        hybrid_minimize(sphere, 2, cfg, eval_cost=1, observer=recorder)
-        for iteration in (0, 1):
-            fit_start = [d for d in recorder.of("fit_start")
-                         if d["iteration"] == iteration][0]
-            winner_end = [d for d in recorder.of("probe_end")
-                          if d["iteration"] == iteration
-                          and d["method"] == fit_start["method"]][0]
-            assert fit_start["fingerprint"] == winner_end["fingerprint"]
-
-    def test_unobserved_run_hashes_no_population(self, monkeypatch):
-        hashed = []
-        original = hybrid._fingerprint
-
-        def counting(positions):
-            hashed.append(1)
-            return original(positions)
-
-        monkeypatch.setattr(hybrid, "_fingerprint", counting)
-        cfg = small_cfg(iterations=2, seed=9)
-        hybrid_minimize(sphere, 2, cfg, eval_cost=1)
-        assert hashed == []
-        hybrid_minimize(sphere, 2, cfg, eval_cost=1, observer=Recorder())
-        assert len(hashed) == cfg.iterations * (len(cfg.methods) + 1)
+        result = hybrid_minimize(sphere, 2, cfg, eval_cost=1)
+        fits = [run for run in runs if run[1] == cfg.fit_cap(1)]
+        assert len(fits) == cfg.iterations
+        for record, (opt, _, start, _) in zip(result.trace, fits):
+            probes = [run for run in runs
+                      if run[0] is opt and run[1] == cfg.probe_cap(1)]
+            assert opt.name == record.selected and len(probes) == 1
+            np.testing.assert_array_equal(start, probes[0][3])
 
     def test_cli_import_loads_no_hashlib(self):
-        # only an observed run hashes positions; the import costs about 3 ms
+        # nothing in training hashes; the import costs about 3 ms
         src = Path(__file__).resolve().parents[1] / "src"
         run = subprocess.run(
             [sys.executable, "-c", "import sys, swarmpnn.cli; "

@@ -1,5 +1,7 @@
 import math
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 
 import oracles
 from swarmpnn import pnn
-from swarmpnn.datasets import REGISTRY, SplitSpec, stratified_split
+from swarmpnn.datasets import (
+    BUNDLED_DIR,
+    REGISTRY,
+    SplitSpec,
+    load_csv,
+    stratified_split,
+)
 from swarmpnn.hybrid import HybridConfig, train_hybrid
 from swarmpnn.pnn import (
     Dataset,
@@ -319,10 +327,24 @@ class TestTypes:
                 Dataset(bad, [0, 0, 1, 1])
         edge = np.nextafter(2.0 ** 479, 0.0)
         ds = Dataset([[0.0], [edge], [-edge], [edge / 2]], [0, 0, 1, 1])
-        with np.errstate(over="ignore"):
-            densities = DensityEvaluator(ds, [[0.0]]).class_densities(
-                Smoothing("scalar", 1e160))
+        huge = Smoothing("scalar", 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # h^2 overflows, with no warning
+            densities = DensityEvaluator(ds, [[0.0]]).class_densities(huge)
+            DensityEvaluator(ds, ds.features, exclude_self=True).error_rate(
+                huge, ds.labels)
         assert np.all(np.isfinite(densities) & (densities > 0))
+
+    @pytest.mark.parametrize("query", [np.nan, 1e300, np.inf])
+    def test_queries_must_be_below_2_to_the_479(self, query):
+        # such a query came out class 0, its densities NaN or 0
+        ds = Dataset([[0.0], [1.0], [5.0]], [0, 1, 1])
+        model = PnnModel(ds, Smoothing("scalar", 1.0))
+        for call in (lambda: classify_batch(model, [[query]]),
+                     lambda: class_densities(model, [query]),
+                     lambda: kde([query], ds.features, 1.0)):
+            with pytest.raises(ValueError, match=r"below 2\*\*479"):
+                call()
 
     def test_smoothing_validation(self):
         with pytest.raises(ValueError):
@@ -862,3 +884,58 @@ def test_float64_training_trajectory_settles_only_exact_argmaxes(
     features[0, 0] += 2.0 ** 50
     replay_trajectory(monkeypatch, (Dataset(features, train.labels), test),
                       "per_class_feature", np.float64)
+
+
+def mirrored_ties():
+    """2,000 seeded 1-D sets, each with a scalar bandwidth: class 0 at k
+    points a (3 <= k <= 8, in [0.1, 5], 3 decimals) in one order, class 1
+    at -a in another, and class 2 at 0 and 40. At the query 0, and for the
+    leave-one-out row at 0 (index 2k), classes 0 and 1 have equal densities
+    in exact arithmetic, so the lowest index, class 0, must win."""
+    rng = np.random.default_rng(22)
+    for _ in range(2000):
+        k = int(rng.integers(3, 9))
+        a = np.round(rng.uniform(0.1, 5.0, k), 3)
+        x = np.concatenate([rng.permutation(a), -rng.permutation(a),
+                            [0.0, 40.0]])
+        h = float(rng.choice([0.05, 0.3, 1.0, 4.0, 50.0]))
+        yield Dataset(x[:, None], np.repeat([0, 1, 2], [k, k, 2])), h
+
+
+def test_decimal_oracle_breaks_mirrored_ties_to_class_zero():
+    for ds, h in mirrored_ties():
+        tie = ds.n_samples - 2
+        assert oracles.decimal_loo_predict(
+            ds.features.tolist(), ds.labels.tolist(), [[h]] * 3, 3,
+            rows=[tie]) == [0], (ds.features.ravel(), h)
+
+
+@pytest.mark.parametrize("kind", Smoothing.KINDS)
+def test_leave_one_out_matches_decimal_oracle(kind):
+    iris = load_csv(os.path.join(BUNDLED_DIR, "iris.csv"))
+    rng = np.random.default_rng([22, Smoothing.KINDS.index(kind)])
+    for train, candidates in ((stratified_split(iris, SplitSpec(seed=0))[0], 3),
+                              (registry_shape_split("glass")[0], 1)):
+        ev = DensityEvaluator(train, train.features, exclude_self=True)
+        for _ in range(candidates):
+            sm = log_uniform_smoothing(rng, kind, train, 0.02, 5.0)
+            rows = np.broadcast_to(
+                sm.grid, (train.n_classes, train.n_features)).tolist()
+            want = oracles.decimal_loo_predict(
+                train.features.tolist(), train.labels.tolist(), rows,
+                train.n_classes)
+            assert ev.predict(sm).tolist() == want
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 22: each class sums its equal terms in its own order, "
+    "and the two sums can round apart"))
+def test_mirrored_ties_go_to_class_zero():
+    query_wrong = loo_wrong = 0
+    for ds, h in mirrored_ties():
+        k, sm = (ds.n_samples - 2) // 2, Smoothing("scalar", h)
+        pair = PnnModel(Dataset(ds.features[:2 * k], ds.labels[:2 * k]), sm)
+        loo = DensityEvaluator(ds, ds.features, exclude_self=True)
+        query_wrong += int(classify_batch(pair, [[0.0]])[0] != 0)
+        loo_wrong += int(loo.predict(sm)[2 * k] != 0)
+    assert (query_wrong, loo_wrong) == (0, 0)
