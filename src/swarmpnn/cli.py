@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import sys
+import traceback
 import warnings
 from dataclasses import dataclass, replace
 
@@ -347,8 +348,10 @@ def cmd_benchmark(args) -> int:
         for spec, future in zip(specs, futures):
             try:
                 cell = future.result() if pool else run_cell(spec)
-            except Exception as exc:
-                failures[f"{spec.dataset}/{spec.method}/run{spec.run_index}"] = str(exc)
+            except Exception as exc:  # a worker's traceback is its __cause__
+                failures[f"{spec.dataset}/{spec.method}/run{spec.run_index}"] = {
+                    "type": type(exc).__name__, "message": str(exc),
+                    "traceback": traceback.format_exc()}
             else:
                 grouped.setdefault((spec.dataset, spec.method), []).append(cell)
 

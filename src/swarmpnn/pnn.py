@@ -377,13 +377,14 @@ class DensityEvaluator:
     class 0 through underflow. An evaluator keeps its layout and per-call
     scratch arrays, so it must not be shared between threads.
 
+    One rule, :meth:`_open`, settles a row's argmax b: no other class may
+    reach b's lower bound (all bounds less log count and log determinant).
     The terms 1 / prod_f (1 + d_f^2 / h_f^2)^2 and their sums are float64;
     d_f^2, rounded from float64, and the running product are float32 while
     every feature's spread is below 2**50, so d_f^2 < 2**100, else float64.
-    One rule settles a row's argmax b in either dtype: b's lower bound
-    log(sum_b (1 - delta) - slack) must beat every other class's upper
-    bound log(sum_c (1 + delta) + slack), each less its log count and log
-    determinant, where delta = 2 (10N + 8) u + (P + 1000 (N + 2)^2) 2**-53,
+    In either dtype the bound stage gives b log(sum_b (1 - delta) - slack)
+    and each class log(sum_c (1 + delta) + slack),
+    where delta = 2 (10N + 8) u + (P + 1000 (N + 2)^2) 2**-53,
     u is the product's unit roundoff (2**-24 or 2**-53) and slack is
     P 2**-252 for a float32 product, P 2**-1022 for a float64 one. Per
     Higham (Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1):
@@ -409,18 +410,27 @@ class DensityEvaluator:
     2**-2048, and a subnormal term is off by under 2**-1022: hence the
     slack. A settled argmax is thus the exact one.
 
-    The bounds are taken only for the rows that a gap test leaves open. The
-    screen's scores are log(max(sum_c, slack)) less log count and log
-    determinant; a floor at or below the slack changes no bound test's
-    outcome, so their argmax is the one the bounds may certify. A row
-    passes the gap test when its best score less 9 delta exceeds every
-    other class's score and log(slack / delta) less the least log count and
-    log determinant. Then sum_b >= slack / delta, so b's lower bound is at
-    least its score plus log(1 - 2 delta), and each upper bound at most the
-    larger of c's score and that floor, plus log(1 + 2 delta). While
-    delta <= 1/20 (up to 40,000 features) these cost under 4.45 delta, and
-    the rounding of the four values compared under 4 delta, so the row
-    passes the bound test too: the gap test only saves the bounds' cost.
+    The gap stage runs first; the bound stage takes only the rows it leaves
+    open. Its upper bounds are the screen's scores log(max(sum_c, slack)) (a
+    floor at or below the slack changes no bound's outcome, so their argmax is
+    the one the bounds may certify), and b's lower bound is its score less
+    9 delta, or -inf unless that exceeds the floor log(slack / delta) less the
+    least log count and log determinant. A row it settles has
+    sum_b >= slack / delta, so b's bound-stage lower bound is at least its
+    score plus log(1 - 2 delta), and each upper bound at most the larger of c's
+    score and that floor, plus log(1 + 2 delta). While delta <= 1/20 (up to
+    40,000 features) these cost under 4.45 delta, and the rounding of the four
+    values compared under 4 delta: the gap stage only saves the bounds' cost.
+
+    The tie rule's intervals are the exact path's scores -+ epsilon,
+    epsilon = (3P + 15000 N + 1000) 2**-53 > 2 beta. A score is within
+    beta = (1.01 P + 7205 N + 308) 2**-53 of the one from the correctly rounded
+    sum S of its shifted terms: S is in [1, P] and sums within gamma_{P-1} S,
+    and the log (under 44), peak (under 2165 N: 2N log1p's under 710, N log s_p
+    under 745), log count and log determinant (under 710 N) round. Equal term
+    multisets give scores within 2 beta, so their row opens and ``math.fsum``
+    re-sums them equal: argmax takes the lowest index. A class short of b's
+    lower bound lies 4 beta below b, so it stays below.
 
     ``pattern_scales`` (one positive s_p per pattern, default all one)
     divides each pattern's kernel argument by s_p and its kernel by
@@ -465,6 +475,7 @@ class DensityEvaluator:
         with np.errstate(divide="ignore"):
             # a class left empty by the exclusion scores -inf
             self._log_counts = np.where(counts > 0, np.log(counts), np.inf)
+        self._epsilon = (3 * p + 15000 * ds.n_features + 1000) * 2.0 ** -53
 
     def _lay_out(self, rows) -> None:
         """Lay out the leave-one-out pairs for one or G bandwidth rows."""
@@ -542,7 +553,7 @@ class DensityEvaluator:
     def _log_scores(self, bandwidths, screen) -> tuple:
         """(Q, G) log densities, less N log(2/pi), and each row's argmax.
         With ``screen`` the linear sums settle the rows they can (see
-        :meth:`_unsettled`); the exact path computes the rest."""
+        :meth:`_unsettled`); the exact path computes the rest and its ties."""
         ds, grid = self.pattern_set, np.asarray(bandwidths, dtype=np.float64)
         if grid.ndim != 2 or not np.isfinite(grid).all():
             raise ValueError("bandwidths must be a finite 2-D grid")
@@ -564,43 +575,47 @@ class DensityEvaluator:
             scores = np.empty(self._log_counts.shape)
             exact = np.arange(self.n_queries)
             best = np.empty(self.n_queries, dtype=np.intp)
-        if len(exact):
-            scores[exact] = rows = (self._log_sums(exact, inv_h2)
-                                    - self._log_counts[exact] - log_det)
-            best[exact] = rows.argmax(axis=1)
+        for fsum in (False, True):  # the exact path, then its near ties
+            if len(exact):
+                scores[exact] = rows = (self._log_sums(exact, inv_h2, fsum)
+                                        - self._log_counts[exact] - log_det)
+                best[exact] = rows.argmax(axis=1)
+                low = rows[np.arange(len(exact)), best[exact]] - self._epsilon
+                exact = exact[self._open(low, rows + self._epsilon)]
         return scores, best
 
     def _unsettled(self, sums, scores, best, log_det) -> np.ndarray:
-        """Rows whose argmax ``best`` the linear sums leave open (see the
-        class docstring): the bounds are taken only for the rows that the
-        gap test on ``scores`` leaves."""
+        """Rows whose argmax ``best`` neither screen stage settles."""
         low = scores.ravel()[best + self._row_slots] - 9 * self._delta
-        near = np.greater(scores.T, low, order="C")  # class-major: sums fast
         floor = self._floor - min(log_det.tolist())
-        if low.min() > floor and np.count_nonzero(near) == len(low):
-            return best[:0]  # every row passes the gap test
-        rows = np.flatnonzero((near.sum(axis=0) != 1) | ~(low > floor))
-        sums, best, at = sums[rows], best[rows], np.arange(len(rows))
-        delta, slack = self._delta, self._slack
-        bounds = np.log(sums * (1 + delta) + slack)
+        reach = np.greater_equal(scores.T, low, order="C")  # class-major: fast
+        if low.min() > floor and np.count_nonzero(reach) == len(low):
+            return best[:0]  # every row passes the gap stage
+        rows = self._open(np.where(low > floor, low, -np.inf), scores)
+        sums, shift = sums[rows], self._log_counts[rows] + log_det
         with np.errstate(divide="ignore", invalid="ignore"):
-            bounds[at, best] = np.log(sums[at, best] * (1 - delta) - slack)
-        bounds -= self._log_counts[rows]
-        bounds -= log_det
-        low = bounds[at, best]
-        bounds[at, best] = -np.inf
-        return rows[~(low > bounds.max(axis=1))]
+            low = np.log(sums * (1 - self._delta) - self._slack) - shift
+        high = np.log(sums * (1 + self._delta) + self._slack) - shift
+        return rows[self._open(low[np.arange(len(rows)), best[rows]], high)]
 
-    def _log_sums(self, queries, inv_h2) -> np.ndarray:
+    @staticmethod
+    def _open(low, high) -> np.ndarray:
+        """Rows where a class other than the best reaches ``low``, the best's
+        lower bound; ``high`` holds every class's upper bound, the best's
+        own at or above ``low``. A NaN or -inf ``low`` leaves its row open."""
+        reach = np.greater_equal(high.T, low, order="C").sum(axis=0)
+        return np.flatnonzero((reach != 1) | ~(low > -np.inf))
+
+    def _log_sums(self, queries, inv_h2, fsum=False) -> np.ndarray:
         """Log class sums of the kernel terms of ``queries``, from the data.
 
         The log term of pattern column c is
         -2 sum_f log1p(d_f^2 / (h_f s_c)^2) - N log s_c, with h the
         bandwidths of the class of c; the query's own column is -inf under
-        leave-one-out. Each class is summed with a per-row max shift. A
-        block of rows works in two (rows, P) arrays: the per-feature scratch
-        and the total, which becomes the log terms, the shifted terms and
-        their exponentials in place.
+        leave-one-out. Each class is summed with a per-row max shift, by
+        ``math.fsum`` with ``fsum``. A block of rows works in two (rows, P)
+        arrays: the per-feature scratch and the total, which becomes the log
+        terms, the shifted terms and their exponentials in place.
         """
         n, p = self._columns.shape
         scale = (inv_h2[self._col_class] if len(inv_h2) > 1 else inv_h2).T
@@ -632,7 +647,9 @@ class DensityEvaluator:
                              mode="clip")
             with np.errstate(under="ignore", divide="ignore"):
                 np.exp(total, out=total)
-                sums = np.add.reduceat(total, self._starts, axis=1)
+                sums = (np.add.reduceat(total, self._starts, axis=1)
+                        if not fsum else [list(map(math.fsum, np.split(
+                            row, self._starts[1:]))) for row in total])
                 out[first:first + len(rows)] = peak + np.log(sums)
         return out
 

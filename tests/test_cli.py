@@ -55,6 +55,17 @@ def bench_config(tmp_path, toy_csv, **overrides):
     return str(path)
 
 
+RUN_CELL = cli.run_cell
+
+
+def ghostly_cell(spec):
+    """``run_cell``, except that every cell of dataset ``ghostly`` fails; at
+    module level, so that a process pool can pickle it."""
+    if spec.dataset == "ghostly":
+        raise MemoryError("ghostly ran out of memory")
+    return RUN_CELL(spec)
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # One smoke cell on the bundled iris, as a benchmark worker runs it.
@@ -314,26 +325,28 @@ class TestBenchmarkCommand:
         assert sizes == pools
 
     def test_partial_failure_reported(self, tmp_path, toy_csv, monkeypatch):
-        # every ghostly cell fails while it runs; the config checks pass
-        run_cell = cli.run_cell
-
-        def failing(spec):
-            if spec.dataset == "ghostly":
-                raise MemoryError("ghostly ran out of memory")
-            return run_cell(spec)
-
-        monkeypatch.setattr(cli, "run_cell", failing)
+        # every ghostly cell fails while it runs, in-process and in a pool
+        # worker; the config checks pass
+        monkeypatch.setattr(cli, "run_cell", ghostly_cell)
         cfg = bench_config(tmp_path, toy_csv,
                            datasets=["toy", "ghostly"],
                            paths={"toy": toy_csv, "ghostly": toy_csv})
-        out = str(tmp_path / "bench")
-        rc = main(["benchmark", "--config", cfg, "--out", out])
-        assert rc == 1
-        failures = json.loads((Path(out) / "failures.json").read_text())
-        assert any(key.startswith("ghostly/") for key in failures)
-        # the healthy dataset still produced its rows
-        table = (Path(out) / "tables" / "avg_accuracy.csv").read_text()
-        assert "toy," in table
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"bench{jobs}")
+            rc = main(["benchmark", "--config", cfg, "--out", out,
+                       "--jobs", jobs])
+            assert rc == 1
+            failures = json.loads((Path(out) / "failures.json").read_text())
+            assert {key for key in failures if key.startswith("ghostly/")}
+            for key, failure in failures.items():
+                assert key.startswith("ghostly/")
+                assert failure["type"] == "MemoryError"
+                assert failure["message"] == "ghostly ran out of memory"
+                # the raising function's frame, from the worker with a pool
+                assert "in ghostly_cell" in failure["traceback"]
+            # the healthy dataset still produced its rows
+            table = (Path(out) / "tables" / "avg_accuracy.csv").read_text()
+            assert "toy," in table
 
     def test_charts_emitted_on_request(self, tmp_path, toy_csv):
         cfg = bench_config(tmp_path, toy_csv, methods=["hybrid"])

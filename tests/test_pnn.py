@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import tracemalloc
@@ -769,12 +770,14 @@ class TestLeaveOneOutLayouts:
 
 
 def count_exact_rows(monkeypatch):
-    """The query rows every later call sends to the exact path."""
+    """The query rows every later call sends to the exact path, not counting
+    the tie rule's re-sums."""
     rows, log_sums = [], DensityEvaluator._log_sums
 
-    def counted(self, queries, inv_h2):
-        rows.extend(queries.tolist())
-        return log_sums(self, queries, inv_h2)
+    def counted(self, queries, inv_h2, fsum=False):
+        if not fsum:
+            rows.extend(queries.tolist())
+        return log_sums(self, queries, inv_h2, fsum)
 
     monkeypatch.setattr(DensityEvaluator, "_log_sums", counted)
     return rows
@@ -927,10 +930,9 @@ def test_leave_one_out_matches_decimal_oracle(kind):
             assert ev.predict(sm).tolist() == want
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 22: each class sums its equal terms in its own order, "
-    "and the two sums can round apart"))
 def test_mirrored_ties_go_to_class_zero():
+    # each class sums its equal terms in its own order, so the two sums can
+    # round apart; the tie rule re-sums them correctly rounded
     query_wrong = loo_wrong = 0
     for ds, h in mirrored_ties():
         k, sm = (ds.n_samples - 2) // 2, Smoothing("scalar", h)
@@ -939,3 +941,81 @@ def test_mirrored_ties_go_to_class_zero():
         query_wrong += int(classify_batch(pair, [[0.0]])[0] != 0)
         loo_wrong += int(loo.predict(sm)[2 * k] != 0)
     assert (query_wrong, loo_wrong) == (0, 0)
+
+
+def record_settled(monkeypatch):
+    """(producer, query row, argmax) of each row that a producer's intervals
+    settle in later calls: ``gap`` and ``bound`` in the screen, ``tie`` on
+    the exact path. A settled row's argmax is that of its upper bounds."""
+    settled, state = [], {}
+    open_, unsettled, log_sums = (DensityEvaluator._open,
+                                  DensityEvaluator._unsettled,
+                                  DensityEvaluator._log_sums)
+
+    def recording_unsettled(self, sums, scores, best, log_det):
+        state.update(rows=np.arange(len(sums)), stages=["gap", "bound"])
+        open_rows = unsettled(self, sums, scores, best, log_det)
+        if len(state["stages"]) == 2:  # every row passed the gap stage
+            settled.extend(("gap", q, b) for q, b in enumerate(best.tolist()))
+        return open_rows
+
+    def recording_log_sums(self, queries, inv_h2, fsum=False):
+        state.update(rows=queries, stages=[])
+        return log_sums(self, queries, inv_h2, fsum)
+
+    def recording_open(low, high):
+        open_rows = open_(low, high)
+        producer = state["stages"].pop(0) if state["stages"] else "tie"
+        kept = np.setdiff1d(np.arange(len(low)), open_rows)
+        settled.extend(zip([producer] * len(kept),
+                           state["rows"][kept].tolist(),
+                           high[kept].argmax(axis=1).tolist()))
+        state["rows"] = state["rows"][open_rows]
+        return open_rows
+
+    monkeypatch.setattr(DensityEvaluator, "_unsettled", recording_unsettled)
+    monkeypatch.setattr(DensityEvaluator, "_log_sums", recording_log_sums)
+    monkeypatch.setattr(DensityEvaluator, "_open",
+                        staticmethod(recording_open))
+    return settled
+
+
+class TestSettleRule:
+    """``DensityEvaluator._open``: a row stays open when a class other than
+    the best reaches the best's lower bound."""
+
+    def test_nan_or_minus_inf_lower_bound_stays_open(self):
+        low = np.array([np.nan, -np.inf, 0.0])
+        high = np.array([[1.0, -5.0], [-np.inf, -np.inf], [0.5, -1.0]])
+        assert DensityEvaluator._open(low, high).tolist() == [0, 1]
+
+    def test_upper_bound_at_the_lower_bound_keeps_the_row_open(self):
+        low = np.zeros(2)
+        high = np.array([[0.5, -1.0, 0.0], [0.5, -1.0, -5e-324]])
+        assert DensityEvaluator._open(low, high).tolist() == [0]
+
+    def test_one_class_settles(self):
+        low = np.array([-700.0, 0.0, 3.5])
+        assert DensityEvaluator._open(low, low[:, None]).size == 0
+
+    def test_each_producer_settles_the_oracle_argmax(self, monkeypatch):
+        # at bandwidths from 2e-7 to 1e-6 some rows pass the gap stage, some
+        # only the bound stage (sums below the gap stage's floor) and the
+        # rest reach the exact path
+        rng = np.random.default_rng(24)
+        ds = TestLeaveOneOutLayouts.clustered(rng, (9, 7, 5, 4, 2, 1), 3)
+        ev = DensityEvaluator(ds, ds.features, exclude_self=True)
+        features, labels = ds.features.tolist(), ds.labels.tolist()
+        settled = record_settled(monkeypatch)
+        for kind in Smoothing.KINDS:
+            for _ in range(2):
+                sm = log_uniform_smoothing(rng, kind, ds, 2e-7, 1e-6)
+                settled.clear()
+                predicted = ev.predict(sm)
+                rows = np.broadcast_to(sm.grid, (6, 3)).tolist()
+                want = oracles.decimal_loo_predict(features, labels, rows, 6)
+                assert predicted.tolist() == want
+                for producer, q, b in settled:
+                    assert b == want[q], (kind, producer, q)
+                counts = collections.Counter(p for p, _, _ in settled)
+                assert set(counts) == {"gap", "bound", "tie"}, counts

@@ -29,13 +29,17 @@ and the number of blocks this checkout won, then the same ratio and win
 count against the control. The control columns read about 1 and about half
 the blocks won, give or take the host's noise in that run, so each A/B
 ratio is read against the control ratio beside it. Each row also gives the
-dtype of this side's pair layout for that kind, and the rows this side
-and OTHER send to the exact path (``DensityEvaluator._log_sums``) in 100
-objective calls on the seeded candidates, that is, in the first pass and
-the nine scaled passes over them.
+dtype of this side's pair layout for that kind and, for 100 objective
+calls on the seeded candidates (the first pass and the nine scaled passes
+over them), the rows this side settles in each producer of
+``DensityEvaluator._open``'s intervals: ``gap`` and ``bound``, the screen's
+two stages, then ``exact``, the rows the screen sends to the exact path,
+and ``tie``, the exact-path rows whose class sums the tie rule re-sums.
+``other`` gives OTHER's exact-path rows.
 
 ``--record FILE`` also writes the rows as JSON, with this side's pair
-layout bytes and both sides' exact-path rows per shape and kind, the git
+layout bytes and both sides' row counts per shape and kind (``gap``,
+``bound`` and ``tie`` are null for a checkout without ``_open``), the git
 SHA of each checkout, the Python and numpy versions, the CPU count and, per
 kind and side, a full-grid estimate in CPU-hours: the side's ``call_us``
 times 25,000 calls (one published-budget training run) times 60 runs (6
@@ -188,25 +192,52 @@ def compare(sides, features, labels, kind, blocks):
             race(objective, len(sides), blocks), layout)
 
 
-def exact_rows(pkg, features, labels, kind, calls=100):
-    """Rows that ``calls`` objective calls on the seeded candidates send
-    to ``pkg``'s exact path."""
-    evaluator, rows = pkg.DensityEvaluator, []
-    log_sums = evaluator._log_sums
+def settled_rows(pkg, features, labels, kind, calls=100):
+    """Rows that ``calls`` objective calls on the seeded candidates settle
+    in the gap stage (``gap``) and in the bound stage (``bound``), send to
+    the exact path (``exact``), and whose class sums the tie rule re-sums
+    (``tie``). A checkout without ``DensityEvaluator._open`` counts only
+    its exact-path rows; the others are None."""
+    evaluator, stage = pkg.DensityEvaluator, []
+    rows = dict.fromkeys(("gap", "bound", "exact", "tie"), 0)
+    saved = {name: getattr(evaluator, name)
+             for name in ("_unsettled", "_open", "_log_sums")
+             if hasattr(evaluator, name)}
 
-    def counted(self, queries, inv_h2):
-        rows.append(len(queries))
-        return log_sums(self, queries, inv_h2)
+    def unsettled(self, sums, *args):
+        stage[:] = [len(sums)]  # then the rows each stage leaves open
+        open_rows = saved["_unsettled"](self, sums, *args)
+        gap_open = stage[1] if len(stage) > 1 else 0
+        rows["gap"] += len(sums) - gap_open
+        rows["bound"] += gap_open - len(open_rows)
+        rows["exact"] += len(open_rows)
+        stage.clear()
+        return open_rows
 
-    evaluator._log_sums = counted
+    def open_(low, high):
+        open_rows = saved["_open"](low, high)
+        if stage:  # in the screen, not on the exact path
+            stage.append(len(open_rows))
+        return open_rows
+
+    def log_sums(self, queries, inv_h2, fsum=False):
+        rows["tie"] += len(queries) if fsum else 0
+        return saved["_log_sums"](self, queries, inv_h2, fsum)
+
+    split = "_open" in saved
+    evaluator._unsettled = unsettled
+    if split:
+        evaluator._open, evaluator._log_sums = staticmethod(open_), log_sums
     try:
         call = pkg.hybrid.loo_objective(pkg.Dataset(features, labels), kind)
         g, n = int(labels.max()) + 1, features.shape[1]
         for vector in distinct_vectors(candidates(kind, g, n), calls):
             call(vector)
     finally:
-        evaluator._log_sums = log_sums
-    return sum(rows)
+        for name, attr in saved.items():
+            setattr(evaluator, name,
+                    staticmethod(attr) if name == "_open" else attr)
+    return rows if split else dict(rows, gap=None, bound=None, tie=None)
 
 
 def git_sha(checkout: Path):
@@ -235,7 +266,7 @@ def main(argv=None) -> int:
                       f"{'control':>8}{'wins':>7}"
                       for c in ("sums_us", "call_us"))
     print(f"{'shape':<10}{'kind':<19}{'P':>6}{'G':>3}{'N':>4}{'dtype':>9}"
-          f"{columns}{'exact':>7}{'other':>7}")
+          f"{columns}{'gap':>8}{'bound':>7}{'exact':>7}{'tie':>5}{'other':>7}")
     rows = []
     for shape in args.shapes.split(","):
         features, labels = train_set(shape)
@@ -244,11 +275,11 @@ def main(argv=None) -> int:
                                                     kind, args.blocks)
             record = {"shape": shape, "kind": kind, "P": len(labels),
                       "G": int(labels.max()) + 1, "N": features.shape[1],
-                      "dtype": dtype, "pair_bytes": pair_bytes,
-                      "exact_rows_this": exact_rows(sides[0], features,
-                                                    labels, kind),
-                      "exact_rows_other": exact_rows(sides[1], features,
-                                                     labels, kind)}
+                      "dtype": dtype, "pair_bytes": pair_bytes}
+            for side, pkg in zip(("this", "other"), sides):
+                counts = settled_rows(pkg, features, labels, kind)
+                record.update({f"{producer}_rows_{side}": count
+                               for producer, count in counts.items()})
             row = ""
             for name, ((mine, theirs, control), (wins, control_wins)) in zip(
                     ("sums_us", "call_us"), timings):
@@ -263,7 +294,10 @@ def main(argv=None) -> int:
                     f"{name}_control_wins": control_wins})
             print(f"{shape:<10}{kind:<19}{len(labels):>6}"
                   f"{labels.max() + 1:>3}{features.shape[1]:>4}{dtype:>9}"
-                  f"{row}{record['exact_rows_this']:>7}"
+                  f"{row}{record['gap_rows_this']:>8}"
+                  f"{record['bound_rows_this']:>7}"
+                  f"{record['exact_rows_this']:>7}"
+                  f"{record['tie_rows_this']:>5}"
                   f"{record['exact_rows_other']:>7}", flush=True)
             rows.append(record)
     if args.record:
